@@ -11,8 +11,8 @@ from .backend import (
     CompletionRequest,
     HttpChatBackend,
     MockBackend,
+    NoFetchBackend,
     QuestionProfile,
-    ReplayBackend,
     TranscriptCache,
 )
 from .conquer import (
@@ -65,10 +65,10 @@ __all__ = [
     "HttpChatBackend",
     "LabelMapping",
     "MockBackend",
+    "NoFetchBackend",
     "Question",
     "QuestionProfile",
     "RationaleCluster",
-    "ReplayBackend",
     "TranscriptCache",
     "ablation_choices",
     "cloze_to_mcq",

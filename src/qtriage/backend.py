@@ -1,8 +1,10 @@
-"""Model-completion backends: live HTTP client, deterministic mock, and replay.
+"""Model-completion backends, the transcript cache, and the request engine.
 
 All backends implement a single `complete(request)` method and are safe to
 call from multiple threads. A persistent append-only transcript cache can
-wrap any backend so completed work is never refetched.
+wrap any backend so completed work is never refetched; replay is that cache
+over a backend that never fetches. `execute` is the one way every phase
+issues a batch of requests.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import os
 import random
 import threading
 import time
+from concurrent import futures
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import requests
 
@@ -120,6 +123,7 @@ class QuestionProfile:
 
 
 def load_profiles(path: str | Path) -> dict[str, QuestionProfile]:
+    """Read a profile JSONL; a simulator assertions record is skipped."""
     profiles: dict[str, QuestionProfile] = {}
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -130,6 +134,11 @@ def load_profiles(path: str | Path) -> dict[str, QuestionProfile]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"profile file line {lineno}: invalid JSON: {exc}") from exc
+            if "assertions" in rec and "question_id" not in rec:
+                continue
+            missing = [k for k in ("question_id", "answer_distribution") if k not in rec]
+            if missing:
+                raise ConfigError(f"profile file line {lineno}: missing {', '.join(missing)}")
             profile = QuestionProfile(
                 question_id=rec["question_id"],
                 answer_distribution={k: float(v) for k, v in rec["answer_distribution"].items()},
@@ -369,7 +378,8 @@ class TranscriptCache:
 
     The in-memory index is rebuilt on open; writes are serialized and
     flushed immediately so an interrupted run loses at most the entry in
-    flight.
+    flight. An unterminated last line is such an entry: it is dropped on
+    load and cut from the file before the next append.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -378,20 +388,24 @@ class TranscriptCache:
         self._index: dict[str, Completion] = {}
         self._order: list[str] = []
         self._requests: dict[str, dict] = {}
+        self._torn_tail: Optional[int] = None  # file offset of an unterminated last line
         if self.path.exists():
             self._load()
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def _load(self) -> None:
-        with self.path.open(encoding="utf-8") as fh:
+        with self.path.open("rb") as fh:
             for lineno, line in enumerate(fh, start=1):
+                if not line.endswith(b"\n"):
+                    self._torn_tail = fh.tell() - len(line)
+                    break
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    rec = json.loads(line.decode("utf-8"))
+                except ValueError as exc:
                     raise CacheError(
                         f"{self.path}: corrupted entry at line {lineno}: {exc}"
                     ) from exc
@@ -408,9 +422,6 @@ class TranscriptCache:
                     self._order.append(key)
                 self._index[key] = completion
                 self._requests[key] = rec.get("request", {})
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._index
 
     def __len__(self) -> int:
         return len(self._index)
@@ -435,6 +446,9 @@ class TranscriptCache:
         }
         line = json.dumps(entry, ensure_ascii=False, sort_keys=True)
         with self._lock:
+            if self._torn_tail is not None:
+                os.truncate(self.path, self._torn_tail)
+                self._torn_tail = None
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
                 fh.flush()
@@ -474,31 +488,44 @@ class CachingBackend(Backend):
         return completion
 
 
-class ReplayBackend(Backend):
-    """Serves completions solely from a recorded transcript; never fetches."""
+class NoFetchBackend(Backend):
+    """Inner backend for replay: every request the transcript lacks is a miss."""
 
     tag = "replay"
 
-    def __init__(self, cache: TranscriptCache) -> None:
-        self.cache = cache
-        self.hits = 0
-        self._lock = threading.Lock()
-
     def complete(self, req: CompletionRequest) -> Completion:
-        cached = self.cache.get(req.key())
-        if cached is None:
-            raise CacheMissError(f"transcript has no entry for key {req.key()!r}")
-        with self._lock:
-            self.hits += 1
-        return cached
+        raise CacheMissError(f"transcript has no entry for key {req.key()!r}")
 
 
-def cache_get_or_fetch(
-    cache: TranscriptCache, backend: Backend, req: CompletionRequest
-) -> Completion:
-    cached = cache.get(req.key())
-    if cached is not None:
-        return cached
-    completion = backend.complete(req)
-    cache.put(req, completion)
-    return completion
+def execute(
+    requests: Sequence[CompletionRequest], backend: Backend, parallelism: int = 1
+) -> list[Completion]:
+    """Complete every request with at most `parallelism` in flight.
+
+    Each worker takes the next request as soon as it is free, and completions
+    come back in input order. After the first failure, or an interrupt, no
+    request starts; the failure is raised once those started have finished.
+    """
+    completions: list = [None] * len(requests)
+    todo = iter(range(len(requests)))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if stop.is_set() else next(todo, None)
+            if i is None:
+                return
+            completions[i] = backend.complete(requests[i])
+
+    workers = max(1, min(parallelism, len(requests)))
+    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        running = [pool.submit(work) for _ in range(workers)]
+        try:
+            futures.wait(running, return_when=futures.FIRST_EXCEPTION)
+        finally:
+            stop.set()  # after a failure, or an interrupt of the caller
+        for future in running:
+            future.result()
+    return completions

@@ -9,8 +9,8 @@ from pathlib import Path
 import click
 
 from .backend import BackendError, CacheMissError, ConfigError, TransportError
-from .conquer import ABLATION_MODES, RATIONALE_SELECT_MODES, ConquerError
-from .divide import load_reports
+from .conquer import RATIONALE_SELECT_MODES, ConquerError
+from .divide import SUBSETS, load_reports
 from .manifest import ManifestError, RunManifest, new_manifest
 from .model import DatasetError
 from .pipeline import (
@@ -104,10 +104,8 @@ def _validate_divide_config(config) -> list[str]:
 @click.option("--mu", type=str, default=None, help="High/med threshold, e.g. 0.8 or 4/5.")
 @click.option("--nu", type=str, default=None, help="Med/low threshold.")
 @click.option("--divide-base", type=int, default=None, help="Samples per question.")
-@click.option("--fine-bins/--no-fine-bins", default=True,
-              help="Also record the low_top/low_bottom split (always computed).")
 @click.pass_context
-def cmd_divide(ctx, mu, nu, divide_base, fine_bins):
+def cmd_divide(ctx, mu, nu, divide_base):
     """Sample each question and partition the dataset by confidence."""
     overrides = {}
     if mu is not None:
@@ -141,7 +139,7 @@ def cmd_divide(ctx, mu, nu, divide_base, fine_bins):
         )
     except TransportError as exc:
         _fail(EXIT_TRANSPORT, f"transport failure (completed records persisted): {exc}")
-    counts = {s: sum(1 for r in reports if r.subset == s) for s in ("high", "med", "low")}
+    counts = {s: sum(1 for r in reports if r.subset == s) for s in SUBSETS}
     click.echo(f"partition written to {manifest.partition_path}: {counts}")
 
 
@@ -153,11 +151,9 @@ def cmd_divide(ctx, mu, nu, divide_base, fine_bins):
               default="longest")
 @click.option("--subsets", type=str, default="med,low",
               help="Comma-separated subsets/fine bins to conquer.")
-@click.option("--ablation", type=click.Choice(ABLATION_MODES), default=None,
-              help="Use an oracle choice-list construction instead of FCR filtering.")
 @click.option("--tail", type=str, default=None, help="Override the prompt tail sentence.")
 @click.pass_context
-def cmd_conquer(ctx, strategy, sc, rationale_select, subsets, ablation, tail):
+def cmd_conquer(ctx, strategy, sc, rationale_select, subsets, tail):
     """Re-solve the selected confidence subsets with one strategy."""
     try:
         config, seed, parallelism, run_dir = _prepare(ctx)
@@ -214,7 +210,7 @@ def cmd_simulate(ctx, profiles_path, family, n_questions, divide_base, noise_rat
     if profiles_path:
         try:
             profiles, file_assertions = load_profile_file(profiles_path)
-        except (json.JSONDecodeError, KeyError, ConfigError) as exc:
+        except ConfigError as exc:
             _fail(EXIT_VALIDATION, f"malformed profile file {profiles_path}: {exc}")
         assertions = {**file_assertions, **assertions}
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .backend import Backend, CompletionRequest
+from .backend import Backend, Completion, CompletionRequest, execute
 from .divide import (
     DEFAULT_MAX_OUTPUT_TOKENS,
     AnswerHistogram,
@@ -157,40 +157,40 @@ def _map_rationale_labels(
     return [(inverse.get(ans, ans), text) for ans, text in rationales]
 
 
-def conquer_item(
+class _Plan(NamedTuple):
+    """One question's conquer work, split so many questions can share one batch."""
+
+    outcome: ConquerOutcome  # as it stands before any call
+    labels: frozenset[str]  # the answers a completion may give
+    requests: tuple[CompletionRequest, ...]
+
+
+def _plan_item(
     q: Question,
     report: ConfidenceReport,
     strategy: str,
-    backend: Backend,
-    divide_records: Sequence[InferenceRecord] = (),
+    own_records: Sequence[InferenceRecord],
     self_consistency: bool = False,
     sc_samples: int = 5,
     rationale_select: str = "longest",
     seed: Optional[int] = None,
     tail_override: Optional[str] = None,
     max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
-) -> ConquerOutcome:
-    """Run one conquer strategy on one question and map the answer back."""
+) -> _Plan:
+    """Plan one question's requests; `own_records` are its divide records."""
+    base = ConquerOutcome(q.id, strategy, self_consistency, final_answer=None, records=())
     working = q
     mapping: Optional[LabelMapping] = None
     if strategy_needs_filtered(strategy):
         working, mapping = filter_choices(q, report.histogram)
+        base = replace(base, mapping=mapping)
         if len(working.choices) == 1:
             # A single surviving option needs no model call.
-            return ConquerOutcome(
-                question_id=q.id,
-                strategy=strategy,
-                self_consistency=self_consistency,
-                final_answer=mapping.to_original("A"),
-                records=(),
-                mapping=mapping,
-            )
+            return _Plan(replace(base, final_answer=mapping.to_original("A")), frozenset(), ())
 
     rationales = None
     if strategy_needs_rationales(strategy):
-        clusters = clusters_from_records(
-            [r for r in divide_records if r.question_id == q.id]
-        )
+        clusters = clusters_from_records(own_records)
         rationales = _map_rationale_labels(
             select_rationales(clusters, rationale_select, seed=seed), mapping
         )
@@ -204,11 +204,8 @@ def conquer_item(
 
     n_samples = sc_samples if self_consistency else 1
     temperature = SC_TEMPERATURE if self_consistency else GREEDY_TEMPERATURE
-    labels = set(working.labels())
-
-    records = []
-    for j in range(n_samples):
-        req = CompletionRequest(
+    requests = tuple(
+        CompletionRequest(
             prompt=prompt,
             temperature=temperature,
             max_output_tokens=max_output_tokens,
@@ -217,32 +214,44 @@ def conquer_item(
             phase="conquer",
             metadata=metadata,
         )
-        comp = backend.complete(req)
-        ans = extract_choice_answer(comp.text, labels)
-        records.append(
-            InferenceRecord(
-                question_id=q.id,
-                phase="conquer",
-                sample_index=j,
-                prompt=prompt,
-                text=comp.text,
-                answer=ans.value if ans.is_parsed else None,
-                prompt_tokens=comp.prompt_tokens,
-                output_tokens=comp.output_tokens,
-            )
-        )
+        for j in range(n_samples)
+    )
+    return _Plan(base, frozenset(working.labels()), requests)
+
+
+def _fold_item(plan: _Plan, completions: Iterable[Completion]) -> ConquerOutcome:
+    """Vote over one question's completions and map the answer back."""
+    records = []
+    for req, comp in zip(plan.requests, completions):
+        ans = extract_choice_answer(comp.text, plan.labels)
+        answer = ans.value if ans.is_parsed else None
+        records.append(InferenceRecord.from_completion(req, comp, answer))
 
     hist = histogram_from_answers([r.answer for r in records])
-    emitted: Optional[str] = majority_answer(hist) if hist.counts else None
-    final = mapping.to_original(emitted) if (mapping and emitted is not None) else emitted
-    return ConquerOutcome(
-        question_id=q.id,
-        strategy=strategy,
-        self_consistency=self_consistency,
-        final_answer=final,
-        records=tuple(records),
-        mapping=mapping,
-    )
+    if not hist.counts:
+        return replace(plan.outcome, records=tuple(records))
+    emitted = majority_answer(hist)
+    mapping = plan.outcome.mapping
+    final = mapping.to_original(emitted) if mapping else emitted
+    return replace(plan.outcome, final_answer=final, records=tuple(records))
+
+
+def conquer_item(
+    q: Question,
+    report: ConfidenceReport,
+    strategy: str,
+    backend: Backend,
+    divide_records: Sequence[InferenceRecord] = (),
+    **options,
+) -> ConquerOutcome:
+    """Run one conquer strategy on one question and map the answer back.
+
+    `options` are those of `run_conquer` past `parallelism`: self_consistency,
+    sc_samples, rationale_select, seed, tail_override, max_output_tokens.
+    """
+    own = [r for r in divide_records if r.question_id == q.id]
+    plan = _plan_item(q, report, strategy, own, **options)
+    return _fold_item(plan, execute(plan.requests, backend))
 
 
 def run_conquer(
@@ -253,27 +262,28 @@ def run_conquer(
     divide_records: Sequence[InferenceRecord] = (),
     subsets: Sequence[str] = ("med", "low"),
     parallelism: int = 1,
-    **kwargs,
+    **options,
 ) -> list[ConquerOutcome]:
     """Conquer every question routed to one of the selected subsets.
 
     The high subset is never touched: its divide-phase majority stands.
+    Every selected question's requests, SC samples included, run as one
+    batch with at most `parallelism` in flight.
     """
     if "high" in subsets:
         raise ConquerError("the high confidence subset is fixed, not conquered")
     by_id = {q.id: q for q in questions}
-    selected = [
-        r for r in reports if r.subset in subsets or r.fine_bin in subsets
+    records_by_id: dict[str, list[InferenceRecord]] = {}
+    for rec in divide_records:
+        records_by_id.setdefault(rec.question_id, []).append(rec)
+    plans = [
+        _plan_item(by_id[r.question_id], r, strategy, records_by_id.get(r.question_id, ()),
+                   **options)
+        for r in reports
+        if r.subset in subsets or r.fine_bin in subsets
     ]
-
-    def work(r: ConfidenceReport) -> ConquerOutcome:
-        return conquer_item(
-            by_id[r.question_id], r, strategy, backend,
-            divide_records=divide_records, **kwargs,
-        )
-
-    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-        outcomes = list(pool.map(work, selected))
+    completions = iter(execute([r for p in plans for r in p.requests], backend, parallelism))
+    outcomes = [_fold_item(p, islice(completions, len(p.requests))) for p in plans]
     outcomes.sort(key=lambda o: o.question_id)
     return outcomes
 

@@ -8,13 +8,13 @@ by the (mu, nu) thresholds, with a finer split of the low subset at 0.4.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .backend import Backend, CompletionRequest
+from .backend import Backend, Completion, CompletionRequest, execute
 from .extraction import extract_choice_answer, extract_numeric_answer, extract_verdict
 from .model import DatasetSpec, Question
 from .prompts import build_prompt, build_verify_prompt
@@ -24,7 +24,6 @@ DEFAULT_MAX_OUTPUT_TOKENS = 512
 FINE_SPLIT = Fraction(2, 5)  # low subset splits into top/bottom at 0.4
 
 SUBSETS = ("high", "med", "low")
-FINE_BINS = ("high", "med", "low_top", "low_bottom")
 
 
 class DivideError(ValueError):
@@ -53,6 +52,21 @@ class InferenceRecord:
             "prompt_tokens": self.prompt_tokens,
             "output_tokens": self.output_tokens,
         }
+
+    @staticmethod
+    def from_completion(
+        req: CompletionRequest, comp: Completion, answer: Optional[str]
+    ) -> "InferenceRecord":
+        return InferenceRecord(
+            question_id=req.question_id,
+            phase=req.phase,
+            sample_index=req.sample_index,
+            prompt=req.prompt,
+            text=comp.text,
+            answer=answer,
+            prompt_tokens=comp.prompt_tokens,
+            output_tokens=comp.output_tokens,
+        )
 
 
 @dataclass(frozen=True)
@@ -203,60 +217,38 @@ def run_divide(
 ) -> tuple[list[ConfidenceReport], list[InferenceRecord]]:
     """Sample each question divide_base times and score its confidence.
 
-    Requests fan out across a thread pool; aggregation happens on results
-    sorted by (question id, sample index) so output is independent of
+    All requests run as one batch; each question's answers are folded from
+    its own slice of the in-order completions, so output is independent of
     completion order.
     """
     spec.validate()
     t = spec.divide_base
-    requests: list[tuple[Question, CompletionRequest]] = []
+    requests: list[CompletionRequest] = []
     for q in questions:
         prompt = build_prompt(q, "ZTCOT")
-        for j in range(t):
-            requests.append(
-                (
-                    q,
-                    CompletionRequest(
-                        prompt=prompt,
-                        temperature=temperature,
-                        max_output_tokens=max_output_tokens,
-                        sample_index=j,
-                        question_id=q.id,
-                        phase="divide",
-                    ),
-                )
-            )
-
-    records: list[InferenceRecord] = []
-    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-        completions = list(pool.map(lambda qr: backend.complete(qr[1]), requests))
-    for (q, req), comp in zip(requests, completions):
-        records.append(
-            InferenceRecord(
+        requests += [
+            CompletionRequest(
+                prompt=prompt,
+                temperature=temperature,
+                max_output_tokens=max_output_tokens,
+                sample_index=j,
                 question_id=q.id,
                 phase="divide",
-                sample_index=req.sample_index,
-                prompt=req.prompt,
-                text=comp.text,
-                answer=_extract_for(q, comp.text),
-                prompt_tokens=comp.prompt_tokens,
-                output_tokens=comp.output_tokens,
             )
-        )
-    records.sort(key=lambda r: (r.question_id, r.sample_index))
+            for j in range(t)
+        ]
 
-    by_question: dict[str, list[InferenceRecord]] = {}
-    for rec in records:
-        by_question.setdefault(rec.question_id, []).append(rec)
-
+    done = zip(requests, execute(requests, backend, parallelism))
+    records: list[InferenceRecord] = []
     reports: list[ConfidenceReport] = []
     for q in questions:
-        recs = by_question.get(q.id, [])
-        answers = [r.answer for r in sorted(recs, key=lambda r: r.sample_index)]
-        h = histogram_from_answers(answers)
-        reports.append(report_for(q.id, h, spec))
+        own = islice(done, t)
+        recs = [InferenceRecord.from_completion(r, c, _extract_for(q, c.text)) for r, c in own]
+        records += recs
+        reports.append(report_for(q.id, histogram_from_answers([r.answer for r in recs]), spec))
         if progress is not None:
             progress(f"{q.id}: cs={float(reports[-1].cs):.2f} subset={reports[-1].subset}")
+    records.sort(key=lambda r: (r.question_id, r.sample_index))
     return reports, records
 
 

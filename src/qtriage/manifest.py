@@ -87,9 +87,19 @@ def derive_run_id(config: dict, seed: int) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
+def _without_credentials(node):
+    """Copy of a config tree without credential-like keys, at any depth."""
+    if not isinstance(node, dict):
+        return node
+    return {
+        k: _without_credentials(v) for k, v in node.items()
+        if "key" not in k.lower() and "credential" not in k.lower()
+    }
+
+
 def new_manifest(config: dict, seed: int, run_dir: str | Path) -> RunManifest:
     run_dir = str(run_dir)
-    safe_config = {k: v for k, v in config.items() if "key" not in k and "credential" not in k}
+    safe_config = _without_credentials(config)
     # run_id reflects what was computed, not where it was written or how fast
     semantic = {k: v for k, v in safe_config.items() if k not in ("run_dir", "parallelism")}
     return RunManifest(

@@ -17,8 +17,8 @@ from .backend import (
     CachingBackend,
     HttpChatBackend,
     MockBackend,
+    NoFetchBackend,
     QuestionProfile,
-    ReplayBackend,
     TranscriptCache,
     load_profiles,
 )
@@ -113,7 +113,7 @@ def build_backend(config: dict, seed: int) -> Backend:
         transcript = bc.get("transcript")
         if not transcript:
             raise ConfigurationError("replay backend requires backend.transcript path")
-        return ReplayBackend(TranscriptCache(transcript))
+        return CachingBackend(NoFetchBackend(), TranscriptCache(transcript))
     raise ConfigurationError(f"unknown backend kind {kind!r}")
 
 
@@ -169,24 +169,22 @@ def run_conquer_phase(
     strategy: str,
     backend: Backend,
     manifest: RunManifest,
-    subsets: Sequence[str] = ("med", "low"),
     self_consistency: bool = False,
-    sc_samples: int = 5,
-    parallelism: int = 1,
-    **kwargs,
+    **options,
 ) -> list[ConquerOutcome]:
+    """Conquer one strategy through the run's transcript; `options` go to `run_conquer`."""
     cache = TranscriptCache(manifest.transcript_path)
     divide_records = records_from_transcript(cache.entries(), questions, phase="divide")
     cached_backend = CachingBackend(backend, cache)
-    outcomes = run_conquer(
-        questions, reports, strategy, cached_backend,
-        divide_records=divide_records,
-        subsets=subsets,
-        self_consistency=self_consistency,
-        sc_samples=sc_samples,
-        parallelism=parallelism,
-        **kwargs,
-    )
+    try:
+        outcomes = run_conquer(
+            questions, reports, strategy, cached_backend, divide_records=divide_records,
+            self_consistency=self_consistency, **options,
+        )
+    except Exception:
+        manifest.mark("conquer", "partial")
+        manifest.save()
+        raise
     name = f"{strategy.lower()}{'+sc' if self_consistency else ''}"
     out_path = manifest.outcome_path(name)
     save_outcomes(out_path, outcomes)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .divide import ConfidenceReport, InferenceRecord, majority_answer
+from .divide import SUBSETS, ConfidenceReport, InferenceRecord, majority_answer
 from .model import Question
 
 
@@ -102,13 +102,12 @@ def subset_prior_metrics(
         rec_tokens[rec.question_id] = (p + rec.prompt_tokens, o + rec.output_tokens, n + 1)
 
     out: dict[str, SubsetMetrics] = {}
-    bins = [("subset", s) for s in ("high", "med", "low")]
+    bins = [("subset", s) for s in SUBSETS]
     bins += [("fine_bin", b) for b in ("low_top", "low_bottom")]
     for attr, name in bins:
         group = [r for r in reports if getattr(r, attr) == name]
         n = len(group)
-        preds = [(r.question_id, majority_answer(r.histogram) if r.histogram.counts else None)
-                 for r in group]
+        preds = prior_predictions(group)
         scorable = [(qid, p) for qid, p in preds if golds.get(qid) is not None]
         accuracy = em_accuracy(scorable, golds) if scorable else None
         unparsed_total = sum(r.histogram.unparsed_count for r in group)
@@ -177,7 +176,7 @@ def accuracy_curves(
 
     t = max((len(v) for v in answers_by_q.values()), default=0)
     rows: list[tuple[str, int, Optional[float]]] = []
-    for subset in ("high", "med", "low"):
+    for subset in SUBSETS:
         qids = [r.question_id for r in reports if r.subset == subset]
         for k in range(1, t + 1):
             preds = []
@@ -255,7 +254,7 @@ def emit_report(
         ["dataset", "subset", "strategy", "sc", "n", "accuracy_pct",
          "unparsed_rate", "queries", "prompt_tokens", "output_tokens"]
     )
-    for subset in ("high", "med", "low", "low_top", "low_bottom"):
+    for subset in (*SUBSETS, "low_top", "low_bottom"):
         if subset in prior:
             m = prior[subset]
             writer.writerow(

@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 from scipy import stats
 
-from .backend import MockBackend, QuestionProfile
-from .divide import ConfidenceReport, majority_answer
+from .backend import MockBackend, QuestionProfile, load_profiles
+from .divide import SUBSETS, ConfidenceReport, majority_answer
 from .manifest import new_manifest
 from .model import DatasetSpec, Question
 from .pipeline import (
@@ -25,7 +25,7 @@ from .pipeline import (
     run_divide_phase,
     run_report_phase,
 )
-from .report import em_accuracy
+from .report import em_accuracy, prior_predictions
 from .synth import generate_synthetic
 
 DEFAULT_ASSERTIONS = {
@@ -47,28 +47,15 @@ class SimulationResult:
 
 def load_profile_file(path: str | Path) -> tuple[dict[str, QuestionProfile], dict]:
     """Read a profile JSONL; a record with an 'assertions' key configures checks."""
+    profiles = load_profiles(path)
     assertions: dict = {}
-    plain_lines = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if not line.strip():
             continue
         rec = json.loads(line)
         if "assertions" in rec and "question_id" not in rec:
             assertions.update(rec["assertions"])
-        else:
-            plain_lines.append(line)
-    tmp_profiles: dict[str, QuestionProfile] = {}
-    for line in plain_lines:
-        rec = json.loads(line)
-        profile = QuestionProfile(
-            question_id=rec["question_id"],
-            answer_distribution={k: float(v) for k, v in rec["answer_distribution"].items()},
-            rationale_length_mean=int(rec.get("rationale_length_mean", 200)),
-            gold=rec.get("gold"),
-        )
-        profile.validate()
-        tmp_profiles[profile.question_id] = profile
-    return tmp_profiles, assertions
+    return profiles, assertions
 
 
 def spearman_cs_vs_correct(
@@ -93,13 +80,11 @@ def subset_accuracies(
     reports: Sequence[ConfidenceReport], golds: dict[str, Optional[str]]
 ) -> dict[str, Optional[float]]:
     out: dict[str, Optional[float]] = {}
-    for subset in ("high", "med", "low"):
-        preds = []
-        for r in reports:
-            if r.subset != subset or golds.get(r.question_id) is None:
-                continue
-            pred = majority_answer(r.histogram) if r.histogram.counts else None
-            preds.append((r.question_id, pred))
+    for subset in SUBSETS:
+        scorable = [
+            r for r in reports if r.subset == subset and golds.get(r.question_id) is not None
+        ]
+        preds = prior_predictions(scorable)
         out[subset] = float(em_accuracy(preds, golds)) if preds else None
     return out
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from importlib import resources
 from pathlib import Path
-from typing import Optional
 
 from .backend import QuestionProfile
 from .model import LABELS, Question
@@ -96,22 +95,3 @@ def generate_synthetic(
         questions.append(q)
     return questions, profiles
 
-
-def profile_for_labels(
-    question_id: str,
-    dist: dict[str, float],
-    gold: Optional[str] = None,
-    rationale_length_mean: int = 160,
-) -> QuestionProfile:
-    """Convenience constructor that renormalizes a raw weight map."""
-    total = sum(dist.values())
-    normalized = {k: v / total for k, v in dist.items()}
-    drift = 1.0 - sum(normalized.values())
-    top = max(normalized, key=lambda k: normalized[k])
-    normalized[top] += drift
-    return QuestionProfile(
-        question_id=question_id,
-        answer_distribution=normalized,
-        rationale_length_mean=rationale_length_mean,
-        gold=gold,
-    )

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qtriage.backend import MockBackend, ReplayBackend, TranscriptCache
+from qtriage.backend import CachingBackend, MockBackend, NoFetchBackend, TranscriptCache
 from qtriage.cli import main
 from qtriage.conquer import filter_choices, run_conquer, select_rationales, RationaleCluster
 from qtriage.divide import (
@@ -218,7 +218,7 @@ def test_criterion_8_replay_economy(tmp_path):
 
     questions = load_dataset(TOY_DATA)
     spec = DatasetSpec(name="toy20", divide_base=5)
-    replay = ReplayBackend(cache)
+    replay = CachingBackend(NoFetchBackend(), cache)
     reports, _ = run_divide(questions, spec, replay)
     divide_records = records_from_transcript(cache.entries(), questions)
     run_conquer(

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import time
 
 import pytest
 
@@ -10,10 +12,11 @@ from qtriage.backend import (
     CompletionRequest,
     ConfigError,
     MockBackend,
+    NoFetchBackend,
     QuestionProfile,
-    ReplayBackend,
     TranscriptCache,
-    cache_get_or_fetch,
+    TransportError,
+    execute,
     load_profiles,
     save_profiles,
 )
@@ -142,15 +145,15 @@ class TestTranscriptCache:
     def test_cache_get_or_fetch(self, tmp_path):
         cache = TranscriptCache(tmp_path / "t.jsonl")
         backend = MockBackend({"q1": profile()}, seed=0)
-        cache_get_or_fetch(cache, backend, req())
-        cache_get_or_fetch(cache, backend, req())
+        CachingBackend(backend, cache).complete(req())
+        CachingBackend(backend, cache).complete(req())
         assert backend.calls == 1
 
     def test_survives_reopen(self, tmp_path):
         path = tmp_path / "t.jsonl"
         cache = TranscriptCache(path)
         backend = MockBackend({"q1": profile()}, seed=0)
-        completion = cache_get_or_fetch(cache, backend, req())
+        completion = CachingBackend(backend, cache).complete(req())
         reopened = TranscriptCache(path)
         assert reopened.get(req().key()) == completion
 
@@ -167,17 +170,49 @@ class TestTranscriptCache:
             TranscriptCache(path)
 
 
+class TestExecute:
+    def test_completions_come_back_in_input_order(self):
+        class SlowFirst(MockBackend):
+            def complete(self, req):
+                time.sleep(0.0001 * (400 - req.sample_index) * (req.sample_index % 3 == 0))
+                return super().complete(req)
+
+        requests = [req(idx=i) for i in range(400)]
+        expected = [MockBackend({"q1": profile()}, seed=0).complete(r) for r in requests]
+        backend = SlowFirst({"q1": profile()}, seed=0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert execute(requests, backend, parallelism=8) == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert backend.calls == len(requests)  # each request claimed exactly once
+
+    def test_first_failure_cancels_requests_not_started(self):
+        class FailsFirst(MockBackend):
+            def complete(self, req):
+                if req.sample_index == 0:
+                    raise TransportError("injected outage")
+                time.sleep(0.05)
+                return super().complete(req)
+
+        backend = FailsFirst({"q1": profile()}, seed=0)
+        with pytest.raises(TransportError):
+            execute([req(idx=i) for i in range(20)], backend, parallelism=1)
+        assert backend.calls < 10  # without cancellation all 19 others run
+
+
 class TestReplayBackend:
     def test_replays_verbatim(self, tmp_path):
         cache = TranscriptCache(tmp_path / "t.jsonl")
         backend = MockBackend({"q1": profile()}, seed=0)
-        recorded = cache_get_or_fetch(cache, backend, req())
-        replay = ReplayBackend(TranscriptCache(tmp_path / "t.jsonl"))
+        recorded = CachingBackend(backend, cache).complete(req())
+        replay = CachingBackend(NoFetchBackend(), TranscriptCache(tmp_path / "t.jsonl"))
         assert replay.complete(req()) == recorded
         assert replay.hits == 1
 
     def test_missing_key_names_it(self, tmp_path):
-        replay = ReplayBackend(TranscriptCache(tmp_path / "empty.jsonl"))
+        replay = CachingBackend(NoFetchBackend(), TranscriptCache(tmp_path / "empty.jsonl"))
         with pytest.raises(CacheMissError, match=req().key()):
             replay.complete(req())
 

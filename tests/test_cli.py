@@ -105,6 +105,70 @@ class TestDivideCommand:
         assert second.calls == 50  # only the remaining 10 x 5
 
 
+    def test_profile_file_may_start_with_assertions(self, runner, tmp_path):
+        profiles = tmp_path / "profiles.jsonl"
+        assertions = json.dumps({"assertions": {"spearman_min": 0.1}})
+        profiles.write_text(assertions + "\n" + TOY_PROFILES.read_text())
+        run_dir = tmp_path / "run"
+        config = write_config(tmp_path, run_dir, **{"backend.profiles": str(profiles)})
+        result = runner.invoke(main, ["--config", str(config), "--seed", "42", "divide"])
+        assert result.exit_code == 0, result.output
+        assert len((run_dir / "partition.jsonl").read_text().splitlines()) == 20
+
+    def test_profile_without_distribution_names_line(self, runner, tmp_path):
+        lines = TOY_PROFILES.read_text().splitlines()
+        broken = json.loads(lines[1])
+        del broken["answer_distribution"]
+        lines[1] = json.dumps(broken)
+        profiles = tmp_path / "profiles.jsonl"
+        profiles.write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path, tmp_path / "run", **{"backend.profiles": str(profiles)})
+        result = runner.invoke(main, ["--config", str(config), "divide"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # an error line, not a traceback
+        assert "line 2" in result.output and "answer_distribution" in result.output
+
+    def test_nested_credentials_never_reach_manifest(self, runner, tmp_path):
+        from qtriage.manifest import RunManifest, derive_run_id
+
+        manifests = {}
+        for name, overrides in (("plain", {}), ("secret", {"backend.api_key": "SECRET-7f3a"})):
+            (tmp_path / name).mkdir()
+            config = write_config(tmp_path / name, tmp_path / name / "run", **overrides)
+            result = runner.invoke(main, ["--config", str(config), "--seed", "42", "divide"])
+            assert result.exit_code == 0, result.output
+            assert "SECRET-7f3a" not in (tmp_path / name / "run" / "manifest.json").read_text()
+            manifests[name] = RunManifest.load(tmp_path / name / "run")
+        assert manifests["secret"].run_id == manifests["plain"].run_id
+        plain = json.loads((tmp_path / "plain" / "config.json").read_text())
+        del plain["run_dir"]
+        assert manifests["plain"].run_id == derive_run_id(plain, 42)
+
+    def test_torn_last_entry_is_refetched_once(self, tmp_path):
+        from qtriage.backend import MockBackend, TranscriptCache, load_profiles
+        from qtriage.manifest import new_manifest
+        from qtriage.model import DatasetSpec, load_dataset
+        from qtriage.pipeline import run_divide_phase
+
+        questions = load_dataset(TOY_DATA)
+        profiles = load_profiles(TOY_PROFILES)
+        spec = DatasetSpec(name="toy", divide_base=5)
+        run_dir = tmp_path / "run"
+        path = run_dir / "transcript.jsonl"
+        run_divide_phase(questions, spec, MockBackend(profiles, seed=42),
+                         new_manifest({}, 42, run_dir))
+        whole = path.read_bytes()
+        partition = (run_dir / "partition.jsonl").read_bytes()
+        last_entry = whole.rstrip(b"\n").rfind(b"\n") + 1
+        for cut in range(last_entry + 1, len(whole)):
+            path.write_bytes(whole[:cut])
+            backend = MockBackend(profiles, seed=42)
+            run_divide_phase(questions, spec, backend, new_manifest({}, 42, run_dir))
+            assert backend.calls == 1, cut
+            assert (run_dir / "partition.jsonl").read_bytes() == partition, cut
+            assert len(TranscriptCache(path)) == 100, cut  # the fragment was cut, not glued
+
+
 class TestConquerCommand:
     def test_fcr_on_low_subset_only(self, runner, tmp_path):
         run_dir = tmp_path / "run"
@@ -127,6 +191,37 @@ class TestConquerCommand:
         config = write_config(tmp_path, tmp_path / "run")
         result = runner.invoke(main, ["--config", str(config), "conquer", "--strategy", "pkr"])
         assert result.exit_code == 1
+
+    def test_failed_strategy_leaves_conquer_partial(self, runner, tmp_path):
+        from qtriage.backend import MockBackend, TransportError, load_profiles
+        from qtriage.manifest import RunManifest, new_manifest
+        from qtriage.model import DatasetSpec, load_dataset
+        from qtriage.pipeline import run_conquer_phase, run_divide_phase
+
+        class FailsWhenArmed(MockBackend):
+            armed = False
+
+            def complete(self, req):
+                if self.armed:
+                    raise TransportError("injected outage")
+                return super().complete(req)
+
+        run_dir = tmp_path / "run"
+        config = write_config(tmp_path, run_dir)
+        questions = load_dataset(TOY_DATA)
+        backend = FailsWhenArmed(load_profiles(TOY_PROFILES), seed=42)
+        manifest = new_manifest(json.loads(config.read_text()), 42, run_dir)
+        reports, _ = run_divide_phase(questions, DatasetSpec(name="toy", divide_base=5),
+                                      backend, manifest)
+        run_conquer_phase(questions, reports, "FCR", backend, manifest, self_consistency=True)
+        assert RunManifest.load(run_dir).status["conquer"] == "done"
+        backend.armed = True
+        with pytest.raises(TransportError):
+            run_conquer_phase(questions, reports, "PKR", backend, manifest)
+        assert RunManifest.load(run_dir).status["conquer"] == "partial"
+        result = runner.invoke(main, ["--config", str(config), "report"])
+        assert result.exit_code == 1
+        assert "conquer" in result.output and "--partial" in result.output
 
     def test_high_subset_rejected(self, runner, tmp_path):
         run_dir = tmp_path / "run"
@@ -151,7 +246,7 @@ class TestEndToEnd:
             assert (d1 / rel).read_bytes() == (d8 / rel).read_bytes(), rel
 
     def test_replay_issues_zero_fetches(self, runner, tmp_path):
-        from qtriage.backend import ReplayBackend, TranscriptCache
+        from qtriage.backend import CachingBackend, NoFetchBackend, TranscriptCache
         from qtriage.conquer import run_conquer
         from qtriage.divide import load_reports, run_divide
         from qtriage.manifest import RunManifest
@@ -164,7 +259,7 @@ class TestEndToEnd:
 
         questions = load_dataset(TOY_DATA)
         spec = DatasetSpec(name="toy", divide_base=5)
-        replay = ReplayBackend(cache)
+        replay = CachingBackend(NoFetchBackend(), cache)
         reports, _ = run_divide(questions, spec, replay)
         assert reports == load_reports(manifest.partition_path)
         from qtriage.divide import records_from_transcript

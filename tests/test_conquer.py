@@ -1,9 +1,10 @@
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtriage.backend import MockBackend, QuestionProfile
+from qtriage.backend import Backend, MockBackend, QuestionProfile
 from qtriage.conquer import (
     ConquerError,
     RationaleCluster,
@@ -11,11 +12,13 @@ from qtriage.conquer import (
     clusters_from_records,
     conquer_item,
     filter_choices,
+    run_conquer,
     select_rationales,
 )
-from qtriage.divide import InferenceRecord, histogram_from_answers, report_for
+from qtriage.divide import InferenceRecord, histogram_from_answers, report_for, run_divide
 from qtriage.model import LABELS, Question, DatasetSpec
-from qtriage.prompts import PromptError, build_prompt
+from qtriage.prompts import STRATEGIES, PromptError, build_prompt
+from qtriage.synth import PROFILE_FAMILIES, generate_synthetic
 
 
 def question(qid="q1", n=5, gold=None):
@@ -238,7 +241,7 @@ class TestConquerItem:
         assert "2 choices" in prompt
 
     def test_replay_reproduces_outcome(self, tmp_path):
-        from qtriage.backend import CachingBackend, ReplayBackend, TranscriptCache
+        from qtriage.backend import CachingBackend, NoFetchBackend, TranscriptCache
 
         q = question()
         answers = ["C", "E", "C", "E", "C"]
@@ -248,9 +251,62 @@ class TestConquerItem:
             MockBackend(self.profiles({"C": 0.5, "E": 0.5}), seed=2), TranscriptCache(path)
         )
         first = conquer_item(q, report, "FCR", live, self_consistency=True, sc_samples=5)
-        replay = ReplayBackend(TranscriptCache(path))
+        replay = CachingBackend(NoFetchBackend(), TranscriptCache(path))
         second = conquer_item(q, report, "FCR", replay, self_consistency=True, sc_samples=5)
         assert first == second
+
+
+class BarrierBackend(Backend):
+    """Completes a request only once `parties` requests are in flight together."""
+
+    def __init__(self, inner: Backend, parties: int) -> None:
+        self.inner = inner
+        self.barrier = threading.Barrier(parties, timeout=5)
+
+    def complete(self, req):
+        self.barrier.wait()
+        return self.inner.complete(req)
+
+
+class TestRunConquer:
+    def test_sc_samples_of_one_question_are_in_flight_together(self):
+        q = question()
+        report = report_for("q1", histogram_from_answers(["C", "E", "C", "E", "C"]), spec())
+        inner = MockBackend({"q1": QuestionProfile("q1", {"C": 0.5, "E": 0.5}, 80)}, seed=1)
+        outcomes = run_conquer(
+            [q], [report], "FCR", BarrierBackend(inner, 5),
+            self_consistency=True, sc_samples=5, parallelism=5,
+        )
+        assert len(outcomes[0].records) == 5 and inner.calls == 5
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        family=st.sampled_from(PROFILE_FAMILIES),
+        seed=st.integers(min_value=0, max_value=10_000),
+        strategy=st.sampled_from(STRATEGIES),
+        sc=st.booleans(),
+        subsets=st.sampled_from([("med", "low"), ("med",), ("low_top", "low_bottom")]),
+    )
+    def test_batch_equals_one_question_at_a_time(self, n, family, seed, strategy, sc, subsets):
+        questions, profiles = generate_synthetic(n, family=family, seed=seed)
+        backend = MockBackend(profiles, seed=seed)
+        reports, records = run_divide(questions, spec(), backend)
+        options = dict(self_consistency=sc, sc_samples=3, seed=seed)
+        by_id = {q.id: q for q in questions}
+        expected = sorted(
+            (
+                conquer_item(by_id[r.question_id], r, strategy, backend,
+                             divide_records=records, **options)
+                for r in reports if r.subset in subsets or r.fine_bin in subsets
+            ),
+            key=lambda o: o.question_id,
+        )
+        for parallelism in (1, 4):
+            assert run_conquer(
+                questions, reports, strategy, backend, divide_records=records,
+                subsets=subsets, parallelism=parallelism, **options,
+            ) == expected
 
 
 class TestAblationChoices:
