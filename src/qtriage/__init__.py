@@ -18,7 +18,6 @@ from .backend import (
 from .conquer import (
     ConquerOutcome,
     RationaleCluster,
-    ablation_choices,
     conquer_item,
     filter_choices,
     select_rationales,
@@ -31,13 +30,11 @@ from .divide import (
     majority_answer,
     partition,
     run_divide,
-    verify_divide,
 )
 from .extraction import (
     ExtractedAnswer,
     extract_choice_answer,
     extract_numeric_answer,
-    extract_verdict,
 )
 from .model import (
     DatasetSpec,
@@ -70,7 +67,6 @@ __all__ = [
     "QuestionProfile",
     "RationaleCluster",
     "TranscriptCache",
-    "ablation_choices",
     "cloze_to_mcq",
     "confidence_score",
     "conquer_item",
@@ -79,7 +75,6 @@ __all__ = [
     "emit_report",
     "extract_choice_answer",
     "extract_numeric_answer",
-    "extract_verdict",
     "filter_choices",
     "histogram_from_answers",
     "load_dataset",
@@ -90,6 +85,5 @@ __all__ = [
     "run_divide",
     "save_dataset",
     "select_rationales",
-    "verify_divide",
     "weighted_average",
 ]

@@ -57,7 +57,7 @@ class CompletionRequest:
     max_output_tokens: int
     sample_index: int
     question_id: str
-    phase: str  # "divide" | "conquer" | "verify"
+    phase: str  # "divide" | "conquer"
     # Simulator-only hints (label remapping, strategy effects); never part
     # of the request key and ignored by the live backend.
     metadata: dict = field(default_factory=dict, compare=False)
@@ -72,7 +72,7 @@ class CompletionRequest:
             raise ConfigError("max_output_tokens must be positive")
         if self.sample_index < 0:
             raise ConfigError("sample_index must be non-negative")
-        if self.phase not in ("divide", "conquer", "verify"):
+        if self.phase not in ("divide", "conquer"):
             raise ConfigError(f"unknown phase {self.phase!r}")
 
 
@@ -139,10 +139,27 @@ def load_profiles(path: str | Path) -> dict[str, QuestionProfile]:
             missing = [k for k in ("question_id", "answer_distribution") if k not in rec]
             if missing:
                 raise ConfigError(f"profile file line {lineno}: missing {', '.join(missing)}")
+            qid, dist = rec["question_id"], rec["answer_distribution"]
+            if not isinstance(qid, str) or not qid:
+                raise ConfigError(
+                    f"profile file line {lineno}: question_id must be a non-empty string"
+                )
+            if not isinstance(dist, dict):
+                raise ConfigError(
+                    f"profile file line {lineno}: answer_distribution must be an object"
+                )
+            try:
+                dist = {k: float(v) for k, v in dist.items()}
+                length = int(rec.get("rationale_length_mean", 200))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"profile file line {lineno}: answer_distribution values and "
+                    f"rationale_length_mean must be numbers: {exc}"
+                ) from exc
             profile = QuestionProfile(
-                question_id=rec["question_id"],
-                answer_distribution={k: float(v) for k, v in rec["answer_distribution"].items()},
-                rationale_length_mean=int(rec.get("rationale_length_mean", 200)),
+                question_id=qid,
+                answer_distribution=dist,
+                rationale_length_mean=length,
                 gold=rec.get("gold"),
             )
             profile.validate()
@@ -279,13 +296,6 @@ class MockBackend(Backend):
         body = self._rationale(profile.rationale_length_mean, rng)
         if self.noise_rate > 0 and rng.random() < self.noise_rate:
             text = f"{body}\n{_NOISE_ENDING}"
-        elif req.phase == "verify":
-            # The simulated checker judges the prior answer against gold when
-            # known, else against the question's modal answer.
-            prior = req.metadata.get("prior_answer")
-            reference = profile.gold or max(sorted(dist.items()), key=lambda kv: kv[1])[0]
-            verdict = "true" if prior == reference else "false"
-            text = f"{body}\nSubstituting back, this is {verdict}."
         elif len(emitted) == 1 and emitted.isupper():
             text = f"{body}\nSo the answer is ({emitted})."
         else:
@@ -385,9 +395,8 @@ class TranscriptCache:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._index: dict[str, Completion] = {}
-        self._order: list[str] = []
-        self._requests: dict[str, dict] = {}
+        # key -> (request, completion); a rewritten key keeps its first-write place
+        self._entries: dict[str, tuple[dict, Completion]] = {}
         self._torn_tail: Optional[int] = None  # file offset of an unterminated last line
         if self.path.exists():
             self._load()
@@ -418,16 +427,14 @@ class TranscriptCache:
                     raise CacheError(
                         f"{self.path}: corrupted entry for key {key!r}: {exc}"
                     ) from exc
-                if key not in self._index:
-                    self._order.append(key)
-                self._index[key] = completion
-                self._requests[key] = rec.get("request", {})
+                self._entries[key] = (rec.get("request", {}), completion)
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._entries)
 
     def get(self, key: str) -> Optional[Completion]:
-        return self._index.get(key)
+        entry = self._entries.get(key)
+        return entry[1] if entry is not None else None
 
     def put(self, req: CompletionRequest, completion: Completion) -> None:
         key = req.key()
@@ -453,14 +460,11 @@ class TranscriptCache:
                 fh.write(line + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
-            if key not in self._index:
-                self._order.append(key)
-            self._index[key] = completion
-            self._requests[key] = entry["request"]
+            self._entries[key] = (entry["request"], completion)
 
     def entries(self) -> list[tuple[str, dict, Completion]]:
         """All cached entries in first-write order."""
-        return [(k, self._requests[k], self._index[k]) for k in self._order]
+        return [(k, req, comp) for k, (req, comp) in self._entries.items()]
 
 
 class CachingBackend(Backend):

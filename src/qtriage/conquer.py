@@ -2,8 +2,8 @@
 
 Strategies: plain re-query (ZTCOT), rationale reuse (PKR), choice filtering
 (FCR), and their combinations (COM1/COM2), each optionally wrapped in
-self-consistency voting. Also houses the oracle choice-list constructions
-used for ablation runs.
+self-consistency voting. A cloze question is conquered as an MCQ whose
+choices are its divide-phase answers.
 """
 
 from __future__ import annotations
@@ -21,18 +21,18 @@ from .divide import (
     AnswerHistogram,
     ConfidenceReport,
     InferenceRecord,
+    extract_for,
     histogram_from_answers,
     majority_answer,
 )
-from .extraction import extract_choice_answer
-from .model import LabelMapping, Question, relabel_choices
+from .extraction import extract_choice_answer  # unused here; bench/tracing.py wraps this name
+from .model import LabelMapping, Question, cloze_to_mcq, relabel_choices
 from .prompts import build_prompt, strategy_needs_filtered, strategy_needs_rationales
 
 SC_TEMPERATURE = 0.7
 GREEDY_TEMPERATURE = 0.0
 
 RATIONALE_SELECT_MODES = ("longest", "random", "shortest")
-ABLATION_MODES = ("full", "random_k", "with_prior", "without_prior", "without_prior_2")
 
 
 class ConquerError(ValueError):
@@ -124,12 +124,16 @@ def filter_choices(q: Question, h: AnswerHistogram) -> tuple[Question, LabelMapp
     """Reduce the choice list to the distinct previously-answered options.
 
     Surviving contents keep their original label order and are relabeled
-    from 'A'; the mapping records new label -> original label.
+    from 'A'; the mapping records new label -> original label. A cloze
+    question becomes an MCQ over its prior answers in first-seen order, and
+    its mapping records new label -> answer value.
     """
     if not h.counts:
         raise ConquerError(
             f"question {q.id}: no parsed prior answers; fall back to ZTCOT"
         )
+    if q.kind == "cloze":
+        return cloze_to_mcq(q, sorted(h.counts, key=lambda a: h.first_seen.get(a, 0)))
     labels = q.labels()
     bad = [a for a in h.counts if a not in labels]
     if bad:
@@ -161,7 +165,7 @@ class _Plan(NamedTuple):
     """One question's conquer work, split so many questions can share one batch."""
 
     outcome: ConquerOutcome  # as it stands before any call
-    labels: frozenset[str]  # the answers a completion may give
+    asked: Question  # the question as the prompt poses it
     requests: tuple[CompletionRequest, ...]
 
 
@@ -186,7 +190,7 @@ def _plan_item(
         base = replace(base, mapping=mapping)
         if len(working.choices) == 1:
             # A single surviving option needs no model call.
-            return _Plan(replace(base, final_answer=mapping.to_original("A")), frozenset(), ())
+            return _Plan(replace(base, final_answer=mapping.to_original("A")), working, ())
 
     rationales = None
     if strategy_needs_rationales(strategy):
@@ -216,15 +220,14 @@ def _plan_item(
         )
         for j in range(n_samples)
     )
-    return _Plan(base, frozenset(working.labels()), requests)
+    return _Plan(base, working, requests)
 
 
 def _fold_item(plan: _Plan, completions: Iterable[Completion]) -> ConquerOutcome:
     """Vote over one question's completions and map the answer back."""
     records = []
     for req, comp in zip(plan.requests, completions):
-        ans = extract_choice_answer(comp.text, plan.labels)
-        answer = ans.value if ans.is_parsed else None
+        answer = extract_for(plan.asked, comp.text)
         records.append(InferenceRecord.from_completion(req, comp, answer))
 
     hist = histogram_from_answers([r.answer for r in records])
@@ -286,59 +289,6 @@ def run_conquer(
     outcomes = [_fold_item(p, islice(completions, len(p.requests))) for p in plans]
     outcomes.sort(key=lambda o: o.question_id)
     return outcomes
-
-
-def ablation_choices(
-    q: Question,
-    mode: str,
-    h: AnswerHistogram,
-    k: int = 2,
-    seed: Optional[int] = None,
-) -> tuple[Question, LabelMapping]:
-    """Oracle choice-list constructions for ablation runs (gold required).
-
-    Modes: keep the full list; gold plus random incorrect options; gold plus
-    the prior answers; gold plus never-chosen options; or gold plus one
-    random never-chosen option.
-    """
-    if mode not in ABLATION_MODES:
-        raise ConquerError(f"unknown ablation mode {mode!r}")
-    if q.gold is None:
-        raise ConquerError(f"ablation mode {mode!r} requires a gold label ({q.id})")
-
-    labels = list(q.labels())
-    priors = set(h.counts)
-    incorrect = [lab for lab in labels if lab != q.gold]
-    rng = random.Random(seed)
-
-    if mode == "full":
-        keep = labels
-    elif mode == "random_k":
-        if k < 1 or k > len(labels):
-            raise ConquerError(f"random_k: k={k} out of range for {len(labels)} choices")
-        keep = [q.gold] + rng.sample(incorrect, k - 1)
-    elif mode == "with_prior":
-        keep = [q.gold] + [lab for lab in priors if lab != q.gold]
-    else:
-        pool = [lab for lab in incorrect if lab not in priors]
-        if not pool:
-            raise ConquerError(
-                f"ablation mode {mode!r}: no incorrect non-prior choice exists ({q.id})"
-            )
-        if mode == "without_prior":
-            keep = [q.gold] + pool
-        else:  # without_prior_2
-            keep = [q.gold, rng.choice(pool)]
-
-    keep_ordered = [lab for lab in labels if lab in set(keep)]
-    contents = [q.content_of(lab) for lab in keep_ordered]
-    new_choices = relabel_choices(contents)
-    mapping = LabelMapping(
-        forward=tuple((new, orig) for (new, _), orig in zip(new_choices, keep_ordered)),
-        origin=q.id,
-    )
-    new_gold = new_choices[keep_ordered.index(q.gold)][0]
-    return replace(q, choices=tuple(new_choices), gold=new_gold), mapping
 
 
 def save_outcomes(path: str | Path, outcomes: Sequence[ConquerOutcome]) -> None:

@@ -15,9 +15,9 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .backend import Backend, Completion, CompletionRequest, execute
-from .extraction import extract_choice_answer, extract_numeric_answer, extract_verdict
+from .extraction import extract_choice_answer, extract_numeric_answer
 from .model import DatasetSpec, Question
-from .prompts import build_prompt, build_verify_prompt
+from .prompts import build_prompt
 
 DIVIDE_TEMPERATURE = 0.7
 DEFAULT_MAX_OUTPUT_TOKENS = 512
@@ -198,7 +198,8 @@ def partition(reports: Sequence[ConfidenceReport]) -> dict[str, list[str]]:
     return out
 
 
-def _extract_for(q: Question, text: str) -> Optional[str]:
+def extract_for(q: Question, text: str) -> Optional[str]:
+    """The answer a completion gives to `q`: a number for cloze, else a label."""
     if q.kind == "cloze" or not q.choices:
         ans = extract_numeric_answer(text)
     else:
@@ -243,44 +244,13 @@ def run_divide(
     reports: list[ConfidenceReport] = []
     for q in questions:
         own = islice(done, t)
-        recs = [InferenceRecord.from_completion(r, c, _extract_for(q, c.text)) for r, c in own]
+        recs = [InferenceRecord.from_completion(r, c, extract_for(q, c.text)) for r, c in own]
         records += recs
         reports.append(report_for(q.id, histogram_from_answers([r.answer for r in recs]), spec))
         if progress is not None:
             progress(f"{q.id}: cs={float(reports[-1].cs):.2f} subset={reports[-1].subset}")
     records.sort(key=lambda r: (r.question_id, r.sample_index))
     return reports, records
-
-
-def verify_divide(
-    q: Question,
-    prior_record: InferenceRecord,
-    backend: Backend,
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
-) -> str:
-    """Cheap single-inference divide: check one prior answer, route high/low.
-
-    An unparsed verdict routes to low: over-assigning to low costs extra
-    conquer work but never skips a hard question.
-    """
-    answer_text = prior_record.answer if prior_record.answer is not None else "(none)"
-    if prior_record.answer is not None and q.choices and prior_record.answer in q.labels():
-        answer_text = f"({prior_record.answer}) {q.content_of(prior_record.answer)}"
-    prompt = build_verify_prompt(q, answer_text)
-    req = CompletionRequest(
-        prompt=prompt,
-        temperature=0.0,
-        max_output_tokens=max_output_tokens,
-        sample_index=0,
-        question_id=q.id,
-        phase="verify",
-        metadata={"prior_answer": prior_record.answer},
-    )
-    comp = backend.complete(req)
-    verdict = extract_verdict(comp.text)
-    if verdict.is_parsed and verdict.value is True:
-        return "high"
-    return "low"
 
 
 def records_from_transcript(
@@ -304,7 +274,7 @@ def records_from_transcript(
                 sample_index=int(req["sample_index"]),
                 prompt=req.get("prompt", ""),
                 text=comp.text,
-                answer=_extract_for(q, comp.text),
+                answer=extract_for(q, comp.text),
                 prompt_tokens=comp.prompt_tokens,
                 output_tokens=comp.output_tokens,
             )

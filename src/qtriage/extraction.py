@@ -1,4 +1,4 @@
-"""Turn raw completion text into a structured answer: label, number, or verdict.
+"""Turn raw completion text into a structured answer: a label or a number.
 
 All extractors are total and pure: they never raise on arbitrary text, and
 an unmatchable input yields an 'unparsed' result rather than an error.
@@ -17,7 +17,7 @@ from .model import normalize_number
 
 @dataclass(frozen=True)
 class ExtractedAnswer:
-    kind: str  # "label" | "number" | "verdict" | "unparsed"
+    kind: str  # "label" | "number" | "unparsed"
     value: object = None
     matched_span: Optional[tuple[int, int]] = None
     rule_id: Optional[str] = None
@@ -41,7 +41,6 @@ _ANSWER_NUM = re.compile(
     r"answer\s*(?:is|:)?[^0-9\-]*(-?[\d][\d,]*(?:\.\d+)?)", re.IGNORECASE
 )
 _NUM = re.compile(r"-?[\d][\d,]*(?:\.\d+)?")
-_VERDICT = re.compile(r"(?<![a-z])(true|false)(?![a-z])", re.IGNORECASE)
 
 
 def _last_nonempty_line(text: str) -> tuple[str, int]:
@@ -113,21 +112,3 @@ def extract_numeric_answer(text: str) -> ExtractedAnswer:
                 rule_id="last-number",
             )
     return UNPARSED
-
-
-def extract_verdict(text: str) -> ExtractedAnswer:
-    """Extract a true/false verdict from the final two non-blank lines.
-
-    Restricting to the tail avoids matching the literal words embedded in
-    the verification instruction itself.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    tail = "\n".join(lines[-2:]) if lines else ""
-    matches = list(_VERDICT.finditer(tail))
-    if not matches:
-        return UNPARSED
-    m = matches[-1]
-    return ExtractedAnswer(
-        kind="verdict", value=m.group(1).lower() == "true",
-        matched_span=m.span(), rule_id="verdict-token",
-    )

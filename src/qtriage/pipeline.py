@@ -22,10 +22,11 @@ from .backend import (
     TranscriptCache,
     load_profiles,
 )
-from .conquer import ConquerOutcome, run_conquer, save_outcomes
+from .conquer import ConquerOutcome, load_outcomes, run_conquer, save_outcomes
 from .divide import (
     ConfidenceReport,
     InferenceRecord,
+    load_reports,
     records_from_transcript,
     run_divide,
     save_reports,
@@ -172,7 +173,12 @@ def run_conquer_phase(
     self_consistency: bool = False,
     **options,
 ) -> list[ConquerOutcome]:
-    """Conquer one strategy through the run's transcript; `options` go to `run_conquer`."""
+    """Conquer one strategy through the run's transcript; `options` go to `run_conquer`.
+
+    A failed strategy stays marked `conquer:<outcome name>: failed` until a
+    rerun of it succeeds; `conquer` reads `done` only while none is marked.
+    """
+    name = f"{strategy.lower()}{'+sc' if self_consistency else ''}"
     cache = TranscriptCache(manifest.transcript_path)
     divide_records = records_from_transcript(cache.entries(), questions, phase="divide")
     cached_backend = CachingBackend(backend, cache)
@@ -182,14 +188,16 @@ def run_conquer_phase(
             self_consistency=self_consistency, **options,
         )
     except Exception:
+        manifest.mark(f"conquer:{name}", "failed")
         manifest.mark("conquer", "partial")
         manifest.save()
         raise
-    name = f"{strategy.lower()}{'+sc' if self_consistency else ''}"
     out_path = manifest.outcome_path(name)
     save_outcomes(out_path, outcomes)
     manifest.paths.setdefault("outcomes", {})[name] = str(out_path)
-    manifest.mark("conquer", "done")
+    manifest.status.pop(f"conquer:{name}", None)
+    failed = any(phase.startswith("conquer:") for phase in manifest.status)
+    manifest.mark("conquer", "partial" if failed else "done")
     manifest.save()
     return outcomes
 
@@ -200,9 +208,6 @@ def run_report_phase(
     manifest: RunManifest,
     partial: bool = False,
 ) -> dict[str, Path]:
-    from .conquer import load_outcomes
-    from .divide import load_reports
-
     reports = load_reports(manifest.partition_path)
     cache = TranscriptCache(manifest.transcript_path)
     divide_records = records_from_transcript(cache.entries(), questions, phase="divide")

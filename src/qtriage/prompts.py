@@ -13,9 +13,6 @@ from .model import Question
 ZTCOT_TAIL = "Let's think step by step."
 PKR_TAIL = "let's delve deeper into this question to arrive at the best answer"
 FCR_TAIL = "Let's delve deeper into these {n} choices and select the best one"
-VERIFY_TAIL = (
-    "Let's substitute the answer back into the question to check it is 'true' or 'false':"
-)
 
 STRATEGIES = ("ZTCOT", "PKR", "FCR", "COM1", "COM2")
 _NEEDS_RATIONALES = {"PKR", "COM1", "COM2"}
@@ -74,15 +71,4 @@ def build_prompt(
     else:
         tail = ZTCOT_TAIL
     parts.append(tail)
-    return "\n".join(parts)
-
-
-def build_verify_prompt(q: Question, prior_answer_text: str) -> str:
-    """Prompt asking the model to check a previously produced answer."""
-    parts = [q.text]
-    if q.choices:
-        parts.append("Answer Choices:")
-        parts.append(_choices_block(q))
-    parts.append(f"Proposed answer: {prior_answer_text}")
-    parts.append(VERIFY_TAIL)
     return "\n".join(parts)

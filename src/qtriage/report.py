@@ -12,7 +12,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .divide import SUBSETS, ConfidenceReport, InferenceRecord, majority_answer
+from .divide import (
+    SUBSETS,
+    ConfidenceReport,
+    InferenceRecord,
+    histogram_from_answers,
+    majority_answer,
+)
 from .model import Question
 
 
@@ -166,8 +172,6 @@ def accuracy_curves(
     records: Sequence[InferenceRecord],
 ) -> list[tuple[str, int, Optional[float]]]:
     """Accuracy of the first-k-sample majority vote, per subset and k."""
-    from .divide import histogram_from_answers
-
     golds = {q.id: q.gold for q in questions}
     answers_by_q: dict[str, list[Optional[str]]] = {}
     for rec in sorted(records, key=lambda r: (r.question_id, r.sample_index)):

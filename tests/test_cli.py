@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from qtriage.cli import main
+from qtriage.model import LABELS
 from qtriage.synth import bundled_data_path
 
 TOY_DATA = bundled_data_path("toy20.jsonl")
@@ -116,17 +117,30 @@ class TestDivideCommand:
         assert len((run_dir / "partition.jsonl").read_text().splitlines()) == 20
 
     def test_profile_without_distribution_names_line(self, runner, tmp_path):
-        lines = TOY_PROFILES.read_text().splitlines()
-        broken = json.loads(lines[1])
-        del broken["answer_distribution"]
-        lines[1] = json.dumps(broken)
-        profiles = tmp_path / "profiles.jsonl"
-        profiles.write_text("\n".join(lines) + "\n")
-        config = write_config(tmp_path, tmp_path / "run", **{"backend.profiles": str(profiles)})
-        result = runner.invoke(main, ["--config", str(config), "divide"])
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)  # an error line, not a traceback
-        assert "line 2" in result.output and "answer_distribution" in result.output
+        # Each case replaces (None: deletes) one field of the second profile record.
+        for field, value in (
+            ("answer_distribution", None),
+            ("answer_distribution", ["A"]),
+            ("answer_distribution", {"A": "x"}),
+            ("question_id", ""),
+            ("question_id", 7),
+            ("rationale_length_mean", "x"),
+        ):
+            lines = TOY_PROFILES.read_text().splitlines()
+            broken = json.loads(lines[1])
+            if value is None:
+                del broken[field]
+            else:
+                broken[field] = value
+            lines[1] = json.dumps(broken)
+            profiles = tmp_path / "profiles.jsonl"
+            profiles.write_text("\n".join(lines) + "\n")
+            config = write_config(tmp_path, tmp_path / "run",
+                                  **{"backend.profiles": str(profiles)})
+            result = runner.invoke(main, ["--config", str(config), "divide"])
+            assert result.exit_code == 1, (field, value)
+            assert isinstance(result.exception, SystemExit)  # an error line, not a traceback
+            assert "line 2" in result.output and field in result.output, result.output
 
     def test_nested_credentials_never_reach_manifest(self, runner, tmp_path):
         from qtriage.manifest import RunManifest, derive_run_id
@@ -222,6 +236,17 @@ class TestConquerCommand:
         result = runner.invoke(main, ["--config", str(config), "report"])
         assert result.exit_code == 1
         assert "conquer" in result.output and "--partial" in result.output
+        # A later success of another strategy leaves the failed one marked.
+        backend.armed = False
+        run_conquer_phase(questions, reports, "FCR", backend, manifest, self_consistency=True)
+        assert RunManifest.load(run_dir).status["conquer"] == "partial"
+        result = runner.invoke(main, ["--config", str(config), "report"])
+        assert result.exit_code == 1
+        assert "conquer:pkr" in result.output
+        # Rerunning the failed strategy clears its mark.
+        run_conquer_phase(questions, reports, "PKR", backend, manifest)
+        assert RunManifest.load(run_dir).status["conquer"] == "done"
+        assert runner.invoke(main, ["--config", str(config), "report"]).exit_code == 0
 
     def test_high_subset_rejected(self, runner, tmp_path):
         run_dir = tmp_path / "run"
@@ -230,6 +255,71 @@ class TestConquerCommand:
         assert runner.invoke(main, base + ["divide"]).exit_code == 0
         result = runner.invoke(main, base + ["conquer", "--subsets", "high,med"])
         assert result.exit_code == 1
+
+
+def write_cloze(tmp_path):
+    """Twelve cloze questions and mock profiles keyed by normalized numbers."""
+    answers = ("18", "20", "16", "1000", "12.5", "-3")
+    questions, profiles = [], []
+    for i in range(12):
+        gold, second, third = (answers[(i + k) % len(answers)] for k in range(3))
+        share = (0.4, 0.5, 0.6, 0.7)[i % 4]
+        rest = round(1 - share, 2)
+        questions.append({"id": f"c{i:02d}", "question": f"How many in case {i}?", "gold": gold})
+        profiles.append({
+            "question_id": f"c{i:02d}", "gold": gold, "rationale_length_mean": 60,
+            "answer_distribution": {gold: share, second: rest / 2, third: rest / 2},
+        })
+    data = tmp_path / "cloze.jsonl"
+    data.write_text("".join(json.dumps(q) + "\n" for q in questions))
+    prof = tmp_path / "cloze_profiles.jsonl"
+    prof.write_text("".join(json.dumps(p) + "\n" for p in profiles))
+    return data, prof
+
+
+class TestClozeConquer:
+    STRATEGIES = (("ztcot",), ("pkr",), ("fcr",), ("fcr", "--sc"), ("com1",), ("com2", "--sc"))
+
+    def run(self, runner, tmp_path, parallelism):
+        data, prof = write_cloze(tmp_path)
+        run_dir = tmp_path / f"run{parallelism}"
+        config = write_config(tmp_path, run_dir, **{
+            "dataset.path": str(data), "dataset.schema": "cloze-jsonl",
+            "dataset.name": "cloze", "backend.profiles": str(prof),
+        })
+        base = ["--config", str(config), "--seed", "3", "--parallelism", str(parallelism)]
+        for args in (["divide"], *(["conquer", "--strategy", *s] for s in self.STRATEGIES),
+                     ["report"]):
+            result = runner.invoke(main, base + args)
+            assert result.exit_code == 0, (args, result.output)
+        return run_dir
+
+    def test_every_strategy_parses_and_fcr_maps_back(self, runner, tmp_path):
+        run_dir = self.run(runner, tmp_path, parallelism=1)
+        divide = {}
+        for line in (run_dir / "partition.jsonl").read_text().splitlines():
+            r = json.loads(line)
+            if r["subset"] != "high":
+                divide[r["question_id"]] = sorted(r["counts"], key=r["first_seen"].get)
+        assert divide
+        outcome_files = sorted(run_dir.glob("outcomes_*.jsonl"))
+        assert len(outcome_files) == len(self.STRATEGIES)
+        for path in outcome_files:
+            outcomes = [json.loads(line) for line in path.read_text().splitlines()]
+            assert {o["question_id"] for o in outcomes} == set(divide), path.name
+            for o in outcomes:
+                assert o["final_answer"] is not None, (path.name, o["question_id"])
+                assert all(r["answer"] is not None for r in o["records"]), path.name
+                if path.name.startswith(("outcomes_fcr", "outcomes_com")):
+                    expected = divide[o["question_id"]]
+                    assert o["mapping"] == [[LABELS[i], a] for i, a in enumerate(expected)]
+                    assert o["final_answer"] in expected
+
+        run_dir4 = self.run(runner, tmp_path, parallelism=4)
+        rels = ["partition.jsonl", "reports/report.json", "reports/summary.csv",
+                "reports/curves.csv"] + [p.name for p in outcome_files]
+        for rel in rels:
+            assert (run_dir / rel).read_bytes() == (run_dir4 / rel).read_bytes(), rel
 
 
 class TestEndToEnd:

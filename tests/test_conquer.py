@@ -8,7 +8,6 @@ from qtriage.backend import Backend, MockBackend, QuestionProfile
 from qtriage.conquer import (
     ConquerError,
     RationaleCluster,
-    ablation_choices,
     clusters_from_records,
     conquer_item,
     filter_choices,
@@ -109,6 +108,15 @@ class TestFilterChoices:
         filtered, mapping = filter_choices(q, h)
         assert len(filtered.choices) == 1
         assert mapping.forward == (("A", "D"),)
+
+    def test_cloze_becomes_mcq_over_prior_answers_in_first_seen_order(self):
+        q = Question(id="g1", text="how many?", kind="cloze", gold="20")
+        h = histogram_from_answers(["18", None, "20", "18", "16"])
+        filtered, mapping = filter_choices(q, h)
+        assert filtered.kind == "mcq"
+        assert filtered.choices == (("A", "18"), ("B", "20"), ("C", "16"))
+        assert filtered.gold == "B"
+        assert mapping.forward == (("A", "18"), ("B", "20"), ("C", "16"))
 
     def test_empty_support_errors_with_fallback_hint(self):
         q = question()
@@ -307,52 +315,3 @@ class TestRunConquer:
                 questions, reports, strategy, backend, divide_records=records,
                 subsets=subsets, parallelism=parallelism, **options,
             ) == expected
-
-
-class TestAblationChoices:
-    def make(self, gold="C"):
-        return question(gold=gold)
-
-    def test_full_unchanged(self):
-        q = self.make()
-        out, mapping = ablation_choices(q, "full", histogram_from_answers(["A"]))
-        assert out.choices == q.choices
-        assert [m[0] for m in mapping.forward] == list(q.labels())
-
-    def test_without_prior_excludes_prior_answers(self):
-        q = self.make()
-        h = histogram_from_answers(["A", "B", "A"])
-        out, mapping = ablation_choices(q, "without_prior", h)
-        origs = {orig for _, orig in mapping.forward}
-        assert origs == {"C", "D", "E"}
-        assert out.gold == "A"  # C relabels first
-
-    def test_random_k_keeps_gold(self):
-        q = self.make()
-        out, mapping = ablation_choices(q, "random_k", histogram_from_answers(["A"]), k=2, seed=0)
-        assert len(out.choices) == 2
-        assert mapping.to_original(out.gold) == "C"
-
-    def test_with_prior_dedups_gold(self):
-        q = self.make()
-        h = histogram_from_answers(["C", "E", "C"])
-        out, mapping = ablation_choices(q, "with_prior", h)
-        origs = {orig for _, orig in mapping.forward}
-        assert origs == {"C", "E"}
-
-    def test_without_prior_2_two_choices(self):
-        q = self.make()
-        h = histogram_from_answers(["A", "B"])
-        out, _ = ablation_choices(q, "without_prior_2", h, seed=1)
-        assert len(out.choices) == 2
-
-    def test_no_gold_errors(self):
-        q = question(gold=None)
-        with pytest.raises(ConquerError, match="gold"):
-            ablation_choices(q, "full", histogram_from_answers(["A"]))
-
-    def test_all_priors_cover_incorrect_errors(self):
-        q = question(n=2, gold="A")
-        h = histogram_from_answers(["B", "B"])
-        with pytest.raises(ConquerError, match="without_prior"):
-            ablation_choices(q, "without_prior", h)

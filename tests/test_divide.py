@@ -18,8 +18,6 @@ from qtriage.divide import (
     report_for,
     run_divide,
     save_reports,
-    verify_divide,
-    InferenceRecord,
 )
 from qtriage.model import DatasetSpec, Question
 
@@ -193,33 +191,3 @@ class TestRunDivide:
         path = tmp_path / "partition.jsonl"
         save_reports(path, reports)
         assert load_reports(path) == reports
-
-
-class TestVerifyDivide:
-    def record(self, answer):
-        return InferenceRecord(
-            question_id="q1", phase="divide", sample_index=0, prompt="p",
-            text="...", answer=answer, prompt_tokens=1, output_tokens=1,
-        )
-
-    def test_correct_answer_routes_high(self):
-        q = question(gold="A")
-        backend = MockBackend(
-            {"q1": QuestionProfile("q1", {"A": 1.0}, 100, gold="A")}, seed=0
-        )
-        assert verify_divide(q, self.record("A"), backend) == "high"
-
-    def test_wrong_answer_routes_low(self):
-        q = question(gold="A")
-        backend = MockBackend(
-            {"q1": QuestionProfile("q1", {"A": 1.0}, 100, gold="A")}, seed=0
-        )
-        assert verify_divide(q, self.record("B"), backend) == "low"
-
-    def test_unparsed_verdict_routes_low(self):
-        q = question(gold="A")
-        backend = MockBackend(
-            {"q1": QuestionProfile("q1", {"A": 1.0}, 100, gold="A")},
-            seed=0, noise_rate=1.0,
-        )
-        assert verify_divide(q, self.record("A"), backend) == "low"

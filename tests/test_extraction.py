@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from qtriage.extraction import (
     extract_choice_answer,
     extract_numeric_answer,
-    extract_verdict,
 )
 
 LABELS_AE = set("ABCDE")
@@ -73,25 +72,3 @@ class TestNumericExtraction:
 
     def test_trailing_decimal_normalized(self):
         assert extract_numeric_answer("the answer is 16.0").value == "16"
-
-
-class TestVerdictExtraction:
-    def test_true(self):
-        r = extract_verdict("Substituting back... this is True.")
-        assert r.value is True
-
-    def test_false(self):
-        assert extract_verdict("The statement is false").value is False
-
-    def test_unparsed(self):
-        assert not extract_verdict("maybe").is_parsed
-
-    def test_last_token_wins(self):
-        assert extract_verdict("could be true, but ultimately false").value is False
-
-    def test_only_final_two_lines_considered(self):
-        text = "check whether it is true or false\nmore steps\nno verdict here\nstill none"
-        assert not extract_verdict(text).is_parsed
-
-    def test_embedded_substring_ignored(self):
-        assert not extract_verdict("a truthful statement").is_parsed
