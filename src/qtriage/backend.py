@@ -386,17 +386,17 @@ class HttpChatBackend(Backend):
 class TranscriptCache:
     """Append-only JSONL store of (request key, request, completion).
 
-    The in-memory index is rebuilt on open; writes are serialized and
-    flushed immediately so an interrupted run loses at most the entry in
-    flight. An unterminated last line is such an entry: it is dropped on
-    load and cut from the file before the next append.
+    Each line of the file holds the full request; memory holds only
+    `key -> completion`, rebuilt on open. Writes are serialized and flushed
+    immediately so an interrupted run loses at most the entry in flight. An
+    unterminated last line is such an entry: it is dropped on load and cut
+    from the file before the next append.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
-        # key -> (request, completion); a rewritten key keeps its first-write place
-        self._entries: dict[str, tuple[dict, Completion]] = {}
+        self._completions: dict[str, Completion] = {}
         self._torn_tail: Optional[int] = None  # file offset of an unterminated last line
         if self.path.exists():
             self._load()
@@ -427,14 +427,13 @@ class TranscriptCache:
                     raise CacheError(
                         f"{self.path}: corrupted entry for key {key!r}: {exc}"
                     ) from exc
-                self._entries[key] = (rec.get("request", {}), completion)
+                self._completions[key] = completion
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._completions)
 
     def get(self, key: str) -> Optional[Completion]:
-        entry = self._entries.get(key)
-        return entry[1] if entry is not None else None
+        return self._completions.get(key)
 
     def put(self, req: CompletionRequest, completion: Completion) -> None:
         key = req.key()
@@ -460,11 +459,7 @@ class TranscriptCache:
                 fh.write(line + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
-            self._entries[key] = (entry["request"], completion)
-
-    def entries(self) -> list[tuple[str, dict, Completion]]:
-        """All cached entries in first-write order."""
-        return [(k, req, comp) for k, (req, comp) in self._entries.items()]
+            self._completions[key] = completion
 
 
 class CachingBackend(Backend):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import click
 
-from .backend import BackendError, CacheMissError, ConfigError, TransportError
+from .backend import CacheMissError, ConfigError, TransportError
 from .conquer import RATIONALE_SELECT_MODES, ConquerError
 from .divide import SUBSETS, load_reports
 from .manifest import ManifestError, RunManifest, new_manifest
@@ -259,6 +259,8 @@ def cmd_report(ctx, compare, partial):
         files = run_report_phase(questions, spec, manifest, partial=bool(incomplete))
     except (ConfigurationError, DatasetError, ConfigError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
+    except CacheMissError as exc:
+        _fail(EXIT_VALIDATION, f"divide transcript incomplete: {exc}")
     for name, path in sorted(files.items()):
         click.echo(f"{name}: {path}")
 

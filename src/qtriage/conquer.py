@@ -179,7 +179,6 @@ def _plan_item(
     rationale_select: str = "longest",
     seed: Optional[int] = None,
     tail_override: Optional[str] = None,
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
 ) -> _Plan:
     """Plan one question's requests; `own_records` are its divide records."""
     base = ConquerOutcome(q.id, strategy, self_consistency, final_answer=None, records=())
@@ -212,7 +211,7 @@ def _plan_item(
         CompletionRequest(
             prompt=prompt,
             temperature=temperature,
-            max_output_tokens=max_output_tokens,
+            max_output_tokens=DEFAULT_MAX_OUTPUT_TOKENS,
             sample_index=j,
             question_id=q.id,
             phase="conquer",
@@ -250,7 +249,7 @@ def conquer_item(
     """Run one conquer strategy on one question and map the answer back.
 
     `options` are those of `run_conquer` past `parallelism`: self_consistency,
-    sc_samples, rationale_select, seed, tail_override, max_output_tokens.
+    sc_samples, rationale_select, seed, tail_override.
     """
     own = [r for r in divide_records if r.question_id == q.id]
     plan = _plan_item(q, report, strategy, own, **options)

@@ -14,9 +14,16 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .backend import Backend, Completion, CompletionRequest, execute
+from .backend import (
+    Backend,
+    CacheMissError,
+    Completion,
+    CompletionRequest,
+    TranscriptCache,
+    execute,
+)
 from .extraction import extract_choice_answer, extract_numeric_answer
-from .model import DatasetSpec, Question
+from .model import DatasetError, DatasetSpec, Question
 from .prompts import build_prompt
 
 DIVIDE_TEMPERATURE = 0.7
@@ -207,13 +214,27 @@ def extract_for(q: Question, text: str) -> Optional[str]:
     return ans.value if ans.is_parsed else None
 
 
+def divide_requests(q: Question, samples: int) -> list[CompletionRequest]:
+    """The ZTCOT requests divide issues for `q`; later phases look them up by key."""
+    prompt = build_prompt(q, "ZTCOT")
+    return [
+        CompletionRequest(
+            prompt=prompt,
+            temperature=DIVIDE_TEMPERATURE,
+            max_output_tokens=DEFAULT_MAX_OUTPUT_TOKENS,
+            sample_index=j,
+            question_id=q.id,
+            phase="divide",
+        )
+        for j in range(samples)
+    ]
+
+
 def run_divide(
     questions: Sequence[Question],
     spec: DatasetSpec,
     backend: Backend,
     parallelism: int = 1,
-    temperature: float = DIVIDE_TEMPERATURE,
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
     progress: Optional[Callable[[str], None]] = None,
 ) -> tuple[list[ConfidenceReport], list[InferenceRecord]]:
     """Sample each question divide_base times and score its confidence.
@@ -224,21 +245,7 @@ def run_divide(
     """
     spec.validate()
     t = spec.divide_base
-    requests: list[CompletionRequest] = []
-    for q in questions:
-        prompt = build_prompt(q, "ZTCOT")
-        requests += [
-            CompletionRequest(
-                prompt=prompt,
-                temperature=temperature,
-                max_output_tokens=max_output_tokens,
-                sample_index=j,
-                question_id=q.id,
-                phase="divide",
-            )
-            for j in range(t)
-        ]
-
+    requests = [r for q in questions for r in divide_requests(q, t)]
     done = zip(requests, execute(requests, backend, parallelism))
     records: list[InferenceRecord] = []
     reports: list[ConfidenceReport] = []
@@ -254,31 +261,26 @@ def run_divide(
 
 
 def records_from_transcript(
-    entries: Sequence[tuple[str, dict, object]],
+    cache: TranscriptCache,
     questions: Sequence[Question],
-    phase: str = "divide",
+    reports: Sequence[ConfidenceReport],
 ) -> list[InferenceRecord]:
-    """Rebuild inference records (with re-extracted answers) from a cache."""
+    """The divide records behind each report: its own requests, looked up by key.
+
+    Raises `DatasetError` for a report whose question is not in `questions`,
+    and `CacheMissError` naming the key of the first request the cache lacks.
+    """
     by_id = {q.id: q for q in questions}
     records = []
-    for _key, req, comp in entries:
-        if req.get("phase") != phase:
-            continue
-        q = by_id.get(req.get("question_id"))
+    for report in reports:
+        q = by_id.get(report.question_id)
         if q is None:
-            continue
-        records.append(
-            InferenceRecord(
-                question_id=q.id,
-                phase=phase,
-                sample_index=int(req["sample_index"]),
-                prompt=req.get("prompt", ""),
-                text=comp.text,
-                answer=extract_for(q, comp.text),
-                prompt_tokens=comp.prompt_tokens,
-                output_tokens=comp.output_tokens,
-            )
-        )
+            raise DatasetError(f"partition question {report.question_id!r} is not in the dataset")
+        for req in divide_requests(q, report.histogram.total_samples):
+            comp = cache.get(req.key())
+            if comp is None:
+                raise CacheMissError(f"transcript has no entry for key {req.key()!r}")
+            records.append(InferenceRecord.from_completion(req, comp, extract_for(q, comp.text)))
     records.sort(key=lambda r: (r.question_id, r.sample_index))
     return records
 

@@ -31,8 +31,9 @@ from .divide import (
     run_divide,
     save_reports,
 )
-from .manifest import RunManifest, new_manifest
+from .manifest import RunManifest
 from .model import LABELS, DatasetSpec, Question, load_dataset
+from .prompts import strategy_needs_rationales
 from .report import (
     accuracy_curves,
     cost_summary,
@@ -180,12 +181,12 @@ def run_conquer_phase(
     """
     name = f"{strategy.lower()}{'+sc' if self_consistency else ''}"
     cache = TranscriptCache(manifest.transcript_path)
-    divide_records = records_from_transcript(cache.entries(), questions, phase="divide")
-    cached_backend = CachingBackend(backend, cache)
     try:
+        needs = strategy_needs_rationales(strategy)
+        divide_records = records_from_transcript(cache, questions, reports) if needs else ()
         outcomes = run_conquer(
-            questions, reports, strategy, cached_backend, divide_records=divide_records,
-            self_consistency=self_consistency, **options,
+            questions, reports, strategy, CachingBackend(backend, cache),
+            divide_records=divide_records, self_consistency=self_consistency, **options,
         )
     except Exception:
         manifest.mark(f"conquer:{name}", "failed")
@@ -210,7 +211,7 @@ def run_report_phase(
 ) -> dict[str, Path]:
     reports = load_reports(manifest.partition_path)
     cache = TranscriptCache(manifest.transcript_path)
-    divide_records = records_from_transcript(cache.entries(), questions, phase="divide")
+    divide_records = records_from_transcript(cache, questions, reports)
 
     prior = subset_prior_metrics(questions, reports, divide_records)
     strategies = {}

@@ -220,7 +220,7 @@ def test_criterion_8_replay_economy(tmp_path):
     spec = DatasetSpec(name="toy20", divide_base=5)
     replay = CachingBackend(NoFetchBackend(), cache)
     reports, _ = run_divide(questions, spec, replay)
-    divide_records = records_from_transcript(cache.entries(), questions)
+    divide_records = records_from_transcript(cache, questions, reports)
     run_conquer(
         questions, reports, "FCR", replay, divide_records=divide_records,
         self_consistency=True, sc_samples=5, seed=42,

@@ -345,7 +345,7 @@ class TestEndToEnd:
         run_dir = run_pipeline(runner, tmp_path, tmp_path / "run")
         manifest = RunManifest.load(run_dir)
         cache = TranscriptCache(manifest.transcript_path)
-        record_keys = {k for k, req, _ in cache.entries()}
+        total_records = len(cache)
 
         questions = load_dataset(TOY_DATA)
         spec = DatasetSpec(name="toy", divide_base=5)
@@ -353,12 +353,33 @@ class TestEndToEnd:
         reports, _ = run_divide(questions, spec, replay)
         assert reports == load_reports(manifest.partition_path)
         from qtriage.divide import records_from_transcript
-        divide_records = records_from_transcript(cache.entries(), questions)
+        divide_records = records_from_transcript(cache, questions, reports)
         run_conquer(
             questions, reports, "FCR", replay,
             divide_records=divide_records, self_consistency=True, sc_samples=5, seed=42,
         )
-        assert replay.hits == len(record_keys)
+        assert replay.hits == total_records
+
+    def test_reused_run_dir_matches_fresh_one(self, runner, tmp_path):
+        # Divide at base 10, then base 5 in the same dir: the transcript keeps
+        # samples 5-9, and nothing downstream may read them.
+        outputs = []
+        for name, bases in (("reused", ("10", "5")), ("fresh", ("5",))):
+            (tmp_path / name).mkdir()
+            run_dir = tmp_path / name / "run"
+            config = write_config(tmp_path / name, run_dir)
+            base = ["--config", str(config), "--seed", "42"]
+            for divide_base in bases:
+                result = runner.invoke(main, base + ["divide", "--divide-base", divide_base])
+                assert result.exit_code == 0, result.output
+            for args in (["conquer", "--strategy", "pkr"], ["report"]):
+                result = runner.invoke(main, base + args)
+                assert result.exit_code == 0, result.output
+            outputs.append(run_dir)
+        reused, fresh = outputs
+        for rel in ("partition.jsonl", "outcomes_pkr.jsonl", "reports/report.json",
+                    "reports/summary.csv", "reports/curves.csv"):
+            assert (reused / rel).read_bytes() == (fresh / rel).read_bytes(), rel
 
 
 class TestSimulateCommand:
@@ -423,3 +444,21 @@ class TestReportCommand:
         assert result.exit_code == 0, result.output
         assert "delta" in result.output
         assert "fcr+sc" in result.output
+
+    def test_incomplete_divide_transcript_names_key(self, runner, tmp_path):
+        run_dir = run_pipeline(runner, tmp_path, tmp_path / "run")
+        transcript = run_dir / "transcript.jsonl"
+        lines = transcript.read_text().splitlines(keepends=True)
+        phases = [json.loads(line)["request"]["phase"] for line in lines]
+        key = json.loads(lines.pop(phases.index("divide")))["key"]
+        transcript.write_text("".join(lines))
+        base = ["--config", str(tmp_path / "config.json"), "--seed", "42"]
+
+        for args in (["conquer", "--strategy", "pkr"], ["report", "--partial"]):
+            result = runner.invoke(main, base + args)
+            assert result.exit_code == 1, result.output
+            assert "divide transcript incomplete" in result.output
+            assert key in result.output
+        # FCR reads only the partition, never the divide samples.
+        result = runner.invoke(main, base + ["conquer", "--strategy", "fcr", "--sc"])
+        assert result.exit_code == 0, result.output

@@ -1,11 +1,14 @@
 import random
+import tempfile
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from qtriage.backend import MockBackend, QuestionProfile
+from qtriage.backend import CachingBackend, MockBackend, QuestionProfile, TranscriptCache
+from qtriage.conquer import ConquerError, run_conquer
 from qtriage.divide import (
     DivideError,
     assign_fine_bin,
@@ -15,11 +18,13 @@ from qtriage.divide import (
     load_reports,
     majority_answer,
     partition,
+    records_from_transcript,
     report_for,
     run_divide,
     save_reports,
 )
-from qtriage.model import DatasetSpec, Question
+from qtriage.model import DatasetError, DatasetSpec, Question
+from qtriage.synth import generate_synthetic
 
 MU = Fraction(4, 5)
 NU = Fraction(3, 5)
@@ -191,3 +196,43 @@ class TestRunDivide:
         path = tmp_path / "partition.jsonl"
         save_reports(path, reports)
         assert load_reports(path) == reports
+
+
+class TestRecordsFromTranscript:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        t=st.integers(2, 5),
+        extra=st.integers(1, 4),
+        family=st.sampled_from(["uniform_correct", "second_gold"]),
+        strategy=st.sampled_from(["ZTCOT", "PKR", "FCR"]),
+        noise=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_equals_the_records_divide_returned(
+        self, n, t, extra, family, strategy, noise, seed
+    ):
+        # The transcript also holds an earlier, larger divide and conquer entries;
+        # only the samples behind each report may come back.
+        questions, profiles = generate_synthetic(n, family=family, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "transcript.jsonl"
+            backend = CachingBackend(
+                MockBackend(profiles, seed=seed, noise_rate=noise), TranscriptCache(path)
+            )
+            big_reports, big_records = run_divide(questions, spec(t + extra), backend)
+            try:
+                run_conquer(questions, big_reports, strategy, backend,
+                            divide_records=big_records, self_consistency=True, sc_samples=3)
+            except ConquerError:  # no parsed prior answer to filter or reuse
+                run_conquer(questions, big_reports, "ZTCOT", backend)
+            reports, records = run_divide(questions, spec(t), backend)
+            assert records_from_transcript(TranscriptCache(path), questions, reports) == records
+
+    def test_question_missing_from_dataset_is_named(self, tmp_path):
+        questions, profiles = generate_synthetic(3, family="uniform_correct", seed=1)
+        cache = TranscriptCache(tmp_path / "transcript.jsonl")
+        backend = CachingBackend(MockBackend(profiles, seed=1), cache)
+        reports, _ = run_divide(questions, spec(), backend)
+        with pytest.raises(DatasetError, match=questions[0].id):
+            records_from_transcript(cache, questions[1:], reports)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from qtriage.backend import MockBackend, QuestionProfile
 from qtriage.divide import histogram_from_answers, report_for, run_divide
-from qtriage.model import DatasetSpec, Question, LABELS
+from qtriage.model import DatasetSpec, Question
 from qtriage.report import (
     ReportError,
     accuracy_curves,
