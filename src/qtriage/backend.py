@@ -23,10 +23,12 @@ from typing import Optional, Sequence
 
 import requests
 
+from .model import QtriageError, read_jsonl
+
 API_KEY_ENV = "QTRIAGE_API_KEY"
 
 
-class BackendError(Exception):
+class BackendError(QtriageError):
     pass
 
 
@@ -46,8 +48,8 @@ class CacheError(BackendError):
     pass
 
 
-def _prompt_hash(prompt: str) -> str:
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:16]
+def _short_hash(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,12 @@ class CompletionRequest:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def key(self) -> str:
-        return f"{self.question_id}|{self.phase}|{self.sample_index}|{_prompt_hash(self.prompt)}"
+        """`question_id|phase|sample_index|h`; `h` hashes temperature, token limit and prompt.
+
+        The backend and model are not part of the key.
+        """
+        params = f"{float(self.temperature)!r}|{self.max_output_tokens}|{self.prompt}"
+        return f"{self.question_id}|{self.phase}|{self.sample_index}|{_short_hash(params)}"
 
     def validate(self) -> None:
         if not (0 <= self.temperature <= 2):
@@ -125,45 +132,34 @@ class QuestionProfile:
 def load_profiles(path: str | Path) -> dict[str, QuestionProfile]:
     """Read a profile JSONL; a simulator assertions record is skipped."""
     profiles: dict[str, QuestionProfile] = {}
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"profile file line {lineno}: invalid JSON: {exc}") from exc
-            if "assertions" in rec and "question_id" not in rec:
-                continue
-            missing = [k for k in ("question_id", "answer_distribution") if k not in rec]
-            if missing:
-                raise ConfigError(f"profile file line {lineno}: missing {', '.join(missing)}")
-            qid, dist = rec["question_id"], rec["answer_distribution"]
-            if not isinstance(qid, str) or not qid:
-                raise ConfigError(
-                    f"profile file line {lineno}: question_id must be a non-empty string"
-                )
-            if not isinstance(dist, dict):
-                raise ConfigError(
-                    f"profile file line {lineno}: answer_distribution must be an object"
-                )
-            try:
-                dist = {k: float(v) for k, v in dist.items()}
-                length = int(rec.get("rationale_length_mean", 200))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"profile file line {lineno}: answer_distribution values and "
-                    f"rationale_length_mean must be numbers: {exc}"
-                ) from exc
-            profile = QuestionProfile(
-                question_id=qid,
-                answer_distribution=dist,
-                rationale_length_mean=length,
-                gold=rec.get("gold"),
-            )
-            profile.validate()
-            profiles[profile.question_id] = profile
+    for lineno, rec in read_jsonl(path, ConfigError):
+        if "assertions" in rec and "question_id" not in rec:
+            continue
+        where = f"{path} line {lineno}"
+        missing = [k for k in ("question_id", "answer_distribution") if k not in rec]
+        if missing:
+            raise ConfigError(f"{where}: missing {', '.join(missing)}")
+        qid, dist = rec["question_id"], rec["answer_distribution"]
+        if not isinstance(qid, str) or not qid:
+            raise ConfigError(f"{where}: question_id must be a non-empty string")
+        if not isinstance(dist, dict):
+            raise ConfigError(f"{where}: answer_distribution must be an object")
+        try:
+            dist = {k: float(v) for k, v in dist.items()}
+            length = int(rec.get("rationale_length_mean", 200))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"{where}: answer_distribution values and "
+                f"rationale_length_mean must be numbers: {exc}"
+            ) from exc
+        profile = QuestionProfile(
+            question_id=qid,
+            answer_distribution=dist,
+            rationale_length_mean=length,
+            gold=rec.get("gold"),
+        )
+        profile.validate()
+        profiles[profile.question_id] = profile
     return profiles
 
 
@@ -226,7 +222,10 @@ class MockBackend(Backend):
         self._lock = threading.Lock()
 
     def _rng(self, req: CompletionRequest) -> random.Random:
-        material = f"{self.seed}|{req.key()}".encode("utf-8")
+        material = (
+            f"{self.seed}|{req.question_id}|{req.phase}|{req.sample_index}|"
+            f"{_short_hash(req.prompt)}"
+        ).encode("utf-8")
         digest = hashlib.sha256(material).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
 

@@ -2,20 +2,19 @@
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
 import click
 
-from .backend import CacheMissError, ConfigError, TransportError
-from .conquer import RATIONALE_SELECT_MODES, ConquerError
+from .backend import TransportError
+from .conquer import RATIONALE_SELECT_MODES
 from .divide import SUBSETS, load_reports
-from .manifest import ManifestError, RunManifest, new_manifest
-from .model import DatasetError
+from .manifest import RunManifest, new_manifest
+from .model import QtriageError, read_json
 from .pipeline import (
-    ConfigurationError,
     build_backend,
+    config_number,
     dataset_spec_from_config,
     load_config,
     load_questions_from_config,
@@ -24,6 +23,7 @@ from .pipeline import (
     run_report_phase,
 )
 from .prompts import STRATEGIES
+from .report import ReportError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -31,9 +31,18 @@ EXIT_TRANSPORT = 2
 EXIT_ASSERTION = 3
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class QtriageGroup(click.Group):
+    """The one place a qtriage error becomes an `error:` line and an exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except TransportError as exc:
+            code, message = EXIT_TRANSPORT, str(exc)
+        except QtriageError as exc:
+            code, message = EXIT_VALIDATION, str(exc)
+        click.echo(f"error: {message}", err=True)
+        sys.exit(code)
 
 
 def _merge_config(config_path, overrides: dict) -> dict:
@@ -49,10 +58,11 @@ def _merge_config(config_path, overrides: dict) -> dict:
     return config
 
 
-@click.group()
+@click.group(cls=QtriageGroup)
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON configuration file; flags override its values.")
-@click.option("--seed", type=int, default=None, help="Seed for all stochastic steps.")
+@click.option("--seed", type=int, default=None,
+              help="Seed for all stochastic steps (conquer: defaults to the run's).")
 @click.option("--parallelism", type=int, default=None, help="Max in-flight requests.")
 @click.option("--cache-dir", type=click.Path(), default=None,
               help="Directory for the run transcript and outputs.")
@@ -66,38 +76,17 @@ def main(ctx, config_path, seed, parallelism, cache_dir):
     ctx.obj["cache_dir"] = cache_dir
 
 
-def _effective(ctx, key, config, default):
+def _setting(ctx, config, key, default):
+    """An integer setting: the global flag, else the config's value, else `default`."""
     if ctx.obj.get(key) is not None:
         return ctx.obj[key]
-    return config.get(key, default)
+    return config_number(config, key, default)
 
 
 def _prepare(ctx, extra_overrides=None):
     config = _merge_config(ctx.obj["config_path"], extra_overrides or {})
-    seed = int(_effective(ctx, "seed", config, 0))
-    parallelism = int(_effective(ctx, "parallelism", config, 1))
     run_dir = ctx.obj.get("cache_dir") or config.get("run_dir") or "run"
-    return config, seed, parallelism, run_dir
-
-
-def _validate_divide_config(config) -> list[str]:
-    errors = []
-    try:
-        dataset_spec_from_config(config)
-    except ConfigurationError as exc:
-        errors.append(str(exc))
-    ds = config.get("dataset", {})
-    bc = config.get("backend", {})
-    if not ds.get("path") and not (bc.get("kind", "mock") == "mock" and bc.get("profiles")):
-        errors.append("dataset.path is required (or a mock backend with profiles)")
-    elif ds.get("path") and not Path(ds["path"]).exists():
-        errors.append(f"dataset file not found: {ds['path']}")
-    kind = bc.get("kind", "mock")
-    if kind == "mock" and not bc.get("profiles"):
-        errors.append("mock backend requires backend.profiles")
-    if kind == "http" and not bc.get("endpoint"):
-        errors.append("http backend requires backend.endpoint")
-    return errors
+    return config, run_dir
 
 
 @main.command("divide")
@@ -114,31 +103,18 @@ def cmd_divide(ctx, mu, nu, divide_base):
         overrides["dataset.nu"] = nu.replace("/", ",").split(",") if "/" in nu else nu
     if divide_base is not None:
         overrides["dataset.divide_base"] = divide_base
-    try:
-        config, seed, parallelism, run_dir = _prepare(ctx, overrides)
-    except ConfigurationError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-
-    errors = _validate_divide_config(config)
-    if errors:
-        _fail(EXIT_VALIDATION, "invalid configuration:\n  " + "\n  ".join(errors))
-
-    try:
-        spec = dataset_spec_from_config(config)
-        questions = load_questions_from_config(config)
-        backend = build_backend(config, seed)
-    except (ConfigurationError, DatasetError, ConfigError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    config, run_dir = _prepare(ctx, overrides)
+    seed = _setting(ctx, config, "seed", 0)
+    parallelism = _setting(ctx, config, "parallelism", 1)
+    spec = dataset_spec_from_config(config)
+    questions = load_questions_from_config(config)
+    backend = build_backend(config, seed)
 
     manifest = new_manifest(config, seed, run_dir)
     Path(run_dir).mkdir(parents=True, exist_ok=True)
-    try:
-        reports, _ = run_divide_phase(
-            questions, spec, backend, manifest,
-            parallelism=parallelism, progress=click.echo,
-        )
-    except TransportError as exc:
-        _fail(EXIT_TRANSPORT, f"transport failure (completed records persisted): {exc}")
+    reports, _ = run_divide_phase(
+        questions, spec, backend, manifest, parallelism=parallelism, progress=click.echo,
+    )
     counts = {s: sum(1 for r in reports if r.subset == s) for s in SUBSETS}
     click.echo(f"partition written to {manifest.partition_path}: {counts}")
 
@@ -155,35 +131,22 @@ def cmd_divide(ctx, mu, nu, divide_base):
 @click.pass_context
 def cmd_conquer(ctx, strategy, sc, rationale_select, subsets, tail):
     """Re-solve the selected confidence subsets with one strategy."""
-    try:
-        config, seed, parallelism, run_dir = _prepare(ctx)
-    except ConfigurationError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    try:
-        manifest = RunManifest.load(run_dir)
-    except ManifestError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    if not manifest.partition_path.exists():
-        _fail(EXIT_VALIDATION, f"partition file missing; run divide first ({manifest.partition_path})")
-
-    try:
-        spec = dataset_spec_from_config(config or manifest.config)
-        questions = load_questions_from_config(config or manifest.config)
-        backend = build_backend(config or manifest.config, seed)
-        reports = load_reports(manifest.partition_path)
-        subset_list = tuple(s.strip() for s in subsets.split(",") if s.strip())
-        outcomes = run_conquer_phase(
-            questions, reports, strategy.upper(), backend, manifest,
-            subsets=subset_list, self_consistency=sc,
-            sc_samples=spec.divide_base, parallelism=parallelism,
-            rationale_select=rationale_select, seed=seed, tail_override=tail,
-        )
-    except (ConfigurationError, DatasetError, ConfigError, ConquerError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    except CacheMissError as exc:
-        _fail(EXIT_VALIDATION, f"divide transcript incomplete: {exc}")
-    except TransportError as exc:
-        _fail(EXIT_TRANSPORT, f"transport failure (partial transcript persisted): {exc}")
+    config, run_dir = _prepare(ctx)
+    manifest = RunManifest.load(run_dir)
+    reports = load_reports(manifest.partition_path)
+    config = config or manifest.config
+    seed = _setting(ctx, config, "seed", manifest.seed)
+    parallelism = _setting(ctx, config, "parallelism", 1)
+    spec = dataset_spec_from_config(config)
+    questions = load_questions_from_config(config)
+    backend = build_backend(config, seed)
+    subset_list = tuple(s.strip() for s in subsets.split(",") if s.strip())
+    outcomes = run_conquer_phase(
+        questions, reports, strategy.upper(), backend, manifest,
+        subsets=subset_list, self_consistency=sc,
+        sc_samples=spec.divide_base, parallelism=parallelism,
+        rationale_select=rationale_select, seed=seed, tail_override=tail,
+    )
     solved = sum(1 for o in outcomes if o.final_answer is not None)
     click.echo(f"{len(outcomes)} outcomes ({solved} parsed) for subsets {subsets}")
 
@@ -200,28 +163,21 @@ def cmd_simulate(ctx, profiles_path, family, n_questions, divide_base, noise_rat
     """Run the full pipeline on the deterministic mock backend."""
     from .simulate import load_profile_file, run_simulation
 
-    try:
-        config, seed, parallelism, run_dir = _prepare(ctx)
-    except ConfigurationError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-
+    config, run_dir = _prepare(ctx)
     profiles = None
     assertions = dict(config.get("assertions", {}))
     if profiles_path:
-        try:
-            profiles, file_assertions = load_profile_file(profiles_path)
-        except ConfigError as exc:
-            _fail(EXIT_VALIDATION, f"malformed profile file {profiles_path}: {exc}")
+        profiles, file_assertions = load_profile_file(profiles_path)
         assertions = {**file_assertions, **assertions}
 
     result = run_simulation(
-        run_dir, seed,
+        run_dir, _setting(ctx, config, "seed", 0),
         profiles=profiles,
         family=family,
         n_questions=n_questions,
         divide_base=divide_base,
         assertions=assertions,
-        parallelism=parallelism,
+        parallelism=_setting(ctx, config, "parallelism", 1),
         noise_rate=noise_rate,
     )
     for name, passed, detail in result.checks:
@@ -242,38 +198,19 @@ def cmd_report(ctx, compare, partial):
     if compare:
         _compare_runs(*compare)
         return
-    try:
-        config, seed, parallelism, run_dir = _prepare(ctx)
-        manifest = RunManifest.load(run_dir)
-    except (ConfigurationError, ManifestError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    if not manifest.partition_path.exists():
-        _fail(EXIT_VALIDATION, "phase 'divide' incomplete: partition file missing")
-    incomplete = [p for p, s in manifest.status.items() if s != "done" and p != "report"]
-    if incomplete and not partial:
-        _fail(EXIT_VALIDATION,
-              f"phases incomplete: {', '.join(sorted(incomplete))}; rerun or pass --partial")
-    try:
-        spec = dataset_spec_from_config(config or manifest.config)
-        questions = load_questions_from_config(config or manifest.config)
-        files = run_report_phase(questions, spec, manifest, partial=bool(incomplete))
-    except (ConfigurationError, DatasetError, ConfigError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    except CacheMissError as exc:
-        _fail(EXIT_VALIDATION, f"divide transcript incomplete: {exc}")
+    config, run_dir = _prepare(ctx)
+    manifest = RunManifest.load(run_dir)
+    config = config or manifest.config
+    spec = dataset_spec_from_config(config)
+    questions = load_questions_from_config(config)
+    files = run_report_phase(questions, spec, manifest, partial=partial)
     for name, path in sorted(files.items()):
         click.echo(f"{name}: {path}")
 
 
 def _compare_runs(dir_a: str, dir_b: str) -> None:
     rows = []
-    trees = []
-    for d in (dir_a, dir_b):
-        path = Path(d) / "reports" / "report.json"
-        if not path.exists():
-            _fail(EXIT_VALIDATION, f"no report.json under {d}; run report first")
-        trees.append(json.loads(path.read_text(encoding="utf-8")))
-    a, b = trees
+    a, b = (read_json(Path(d) / "reports" / "report.json", ReportError) for d in (dir_a, dir_b))
     strategies = sorted(set(a["strategies"]) | set(b["strategies"]))
     click.echo(f"{'strategy':<14}{'subset':<12}{'a':>8}{'b':>8}{'delta':>8}")
     for strat in strategies:

@@ -24,9 +24,17 @@ from .divide import (
     extract_for,
     histogram_from_answers,
     majority_answer,
+    questions_for,
 )
 from .extraction import extract_choice_answer  # unused here; bench/tracing.py wraps this name
-from .model import LabelMapping, Question, cloze_to_mcq, relabel_choices
+from .model import (
+    LabelMapping,
+    QtriageError,
+    Question,
+    cloze_to_mcq,
+    read_jsonl,
+    relabel_choices,
+)
 from .prompts import build_prompt, strategy_needs_filtered, strategy_needs_rationales
 
 SC_TEMPERATURE = 0.7
@@ -35,7 +43,7 @@ GREEDY_TEMPERATURE = 0.0
 RATIONALE_SELECT_MODES = ("longest", "random", "shortest")
 
 
-class ConquerError(ValueError):
+class ConquerError(QtriageError, ValueError):
     pass
 
 
@@ -274,15 +282,13 @@ def run_conquer(
     """
     if "high" in subsets:
         raise ConquerError("the high confidence subset is fixed, not conquered")
-    by_id = {q.id: q for q in questions}
     records_by_id: dict[str, list[InferenceRecord]] = {}
     for rec in divide_records:
         records_by_id.setdefault(rec.question_id, []).append(rec)
+    selected = [r for r in reports if r.subset in subsets or r.fine_bin in subsets]
     plans = [
-        _plan_item(by_id[r.question_id], r, strategy, records_by_id.get(r.question_id, ()),
-                   **options)
-        for r in reports
-        if r.subset in subsets or r.fine_bin in subsets
+        _plan_item(q, r, strategy, records_by_id.get(r.question_id, ()), **options)
+        for q, r in zip(questions_for(questions, selected), selected)
     ]
     completions = iter(execute([r for p in plans for r in p.requests], backend, parallelism))
     outcomes = [_fold_item(p, islice(completions, len(p.requests))) for p in plans]
@@ -296,8 +302,11 @@ def save_outcomes(path: str | Path, outcomes: Sequence[ConquerOutcome]) -> None:
 
 
 def load_outcomes(path: str | Path) -> list[dict]:
+    """Read an outcomes file as the dicts `save_outcomes` wrote."""
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            out.append(json.loads(line))
+    for lineno, rec in read_jsonl(path, ConquerError):
+        missing = [k for k in ("question_id", "final_answer", "records") if k not in rec]
+        if missing:
+            raise ConquerError(f"{path} line {lineno}: missing {', '.join(missing)}")
+        out.append(rec)
     return out

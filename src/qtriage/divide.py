@@ -23,7 +23,7 @@ from .backend import (
     execute,
 )
 from .extraction import extract_choice_answer, extract_numeric_answer
-from .model import DatasetError, DatasetSpec, Question
+from .model import DatasetError, DatasetSpec, QtriageError, Question, read_jsonl
 from .prompts import build_prompt
 
 DIVIDE_TEMPERATURE = 0.7
@@ -33,7 +33,7 @@ FINE_SPLIT = Fraction(2, 5)  # low subset splits into top/bottom at 0.4
 SUBSETS = ("high", "med", "low")
 
 
-class DivideError(ValueError):
+class DivideError(QtriageError, ValueError):
     pass
 
 
@@ -84,12 +84,6 @@ class AnswerHistogram:
     total_samples: int
     unparsed_count: int
     first_seen: dict[str, int] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if sum(self.counts.values()) + self.unparsed_count != self.total_samples:
-            raise DivideError("histogram counts do not sum to total_samples")
-        if any(c < 1 for c in self.counts.values()):
-            raise DivideError("histogram contains a zero count")
 
 
 def histogram_from_answers(answers: Sequence[Optional[str]]) -> AnswerHistogram:
@@ -260,6 +254,23 @@ def run_divide(
     return reports, records
 
 
+def questions_for(
+    questions: Sequence[Question], reports: Sequence[ConfidenceReport]
+) -> list[Question]:
+    """The question behind each report, in order.
+
+    Raises `DatasetError` for a report whose question is not in `questions`.
+    """
+    by_id = {q.id: q for q in questions}
+    out = []
+    for r in reports:
+        q = by_id.get(r.question_id)
+        if q is None:
+            raise DatasetError(f"partition question {r.question_id!r} is not in the dataset")
+        out.append(q)
+    return out
+
+
 def records_from_transcript(
     cache: TranscriptCache,
     questions: Sequence[Question],
@@ -270,16 +281,14 @@ def records_from_transcript(
     Raises `DatasetError` for a report whose question is not in `questions`,
     and `CacheMissError` naming the key of the first request the cache lacks.
     """
-    by_id = {q.id: q for q in questions}
     records = []
-    for report in reports:
-        q = by_id.get(report.question_id)
-        if q is None:
-            raise DatasetError(f"partition question {report.question_id!r} is not in the dataset")
+    for q, report in zip(questions_for(questions, reports), reports):
         for req in divide_requests(q, report.histogram.total_samples):
             comp = cache.get(req.key())
             if comp is None:
-                raise CacheMissError(f"transcript has no entry for key {req.key()!r}")
+                raise CacheMissError(
+                    f"divide transcript incomplete: no entry for key {req.key()!r}"
+                )
             records.append(InferenceRecord.from_completion(req, comp, extract_for(q, comp.text)))
     records.sort(key=lambda r: (r.question_id, r.sample_index))
     return records
@@ -291,8 +300,13 @@ def save_reports(path: str | Path, reports: Sequence[ConfidenceReport]) -> None:
 
 
 def load_reports(path: str | Path) -> list[ConfidenceReport]:
+    """Read a partition file; a missing one means divide has not finished."""
+    if not Path(path).is_file():
+        raise DivideError(f"partition file missing; run divide first: {path}")
     reports = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            reports.append(ConfidenceReport.from_dict(json.loads(line)))
+    for lineno, rec in read_jsonl(path, DivideError):
+        try:
+            reports.append(ConfidenceReport.from_dict(rec))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DivideError(f"{path} line {lineno}: bad partition record: {exc!r}") from exc
     return reports

@@ -10,8 +10,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from .model import QtriageError, read_json
 
-class ManifestError(ValueError):
+
+class ManifestError(QtriageError, ValueError):
     pass
 
 
@@ -68,17 +70,18 @@ class RunManifest:
         path = Path(path)
         if path.is_dir():
             path = path / "manifest.json"
-        if not path.exists():
-            raise ManifestError(f"no manifest at {path}")
-        d = json.loads(path.read_text(encoding="utf-8"))
-        return RunManifest(
-            run_id=d["run_id"],
-            config=d["config"],
-            seed=int(d["seed"]),
-            run_dir=d["run_dir"],
-            paths=d.get("paths", {}),
-            status=d.get("status", {}),
-        )
+        d = read_json(path, ManifestError)
+        try:
+            return RunManifest(
+                run_id=d["run_id"],
+                config=d["config"],
+                seed=int(d["seed"]),
+                run_dir=d["run_dir"],
+                paths=d.get("paths", {}),
+                status=d.get("status", {}),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ManifestError(f"{path}: bad manifest: {exc!r}") from exc
 
 
 def derive_run_id(config: dict, seed: int) -> str:

@@ -15,7 +15,11 @@ LABELS = string.ascii_uppercase
 _CURRENCY = "$€£¥"
 
 
-class DatasetError(ValueError):
+class QtriageError(Exception):
+    """Root of every error qtriage raises for bad input, bad state or a failed call."""
+
+
+class DatasetError(QtriageError, ValueError):
     """Raised for malformed dataset files or invalid question structure."""
 
 
@@ -119,17 +123,6 @@ class LabelMapping:
                 return orig
         raise KeyError(f"label {new_label!r} not in mapping for {self.origin!r}")
 
-    def new_labels(self) -> tuple[str, ...]:
-        return tuple(new for new, _ in self.forward)
-
-    def validate(self) -> None:
-        news = self.new_labels()
-        origs = [orig for _, orig in self.forward]
-        if news != tuple(LABELS[: len(news)]):
-            raise DatasetError(f"mapping for {self.origin!r}: new labels not contiguous")
-        if len(set(origs)) != len(origs):
-            raise DatasetError(f"mapping for {self.origin!r}: not injective")
-
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -193,6 +186,48 @@ def cloze_to_mcq(q: Question, prior_answers: list[str]) -> tuple[Question, Label
     return mcq, mapping
 
 
+def _read_text(path: Path, error: type[QtriageError]) -> str:
+    if not path.is_file():
+        raise error(f"file not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _json_object(text: str, error: type[QtriageError], path: Path, lineno: int = 0) -> dict:
+    try:
+        value = json.loads(text)
+        problem = None if isinstance(value, dict) else "not a JSON object"
+    except ValueError as exc:
+        problem = f"invalid JSON: {exc}"
+    if problem is not None:
+        where = f"{path} line {lineno}" if lineno else str(path)
+        raise error(f"{where}: {problem}")
+    return value
+
+
+def read_json(path: str | Path, error: type[QtriageError]) -> dict:
+    """The JSON object a file holds; a missing file or anything else raises `error`."""
+    path = Path(path)
+    return _json_object(_read_text(path, error), error, path)
+
+
+def read_jsonl(path: str | Path, error: type[QtriageError]) -> list[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSONL file of objects.
+
+    A missing file, or a line that is not a JSON object, raises `error`
+    naming the file and the line.
+    """
+    path = Path(path)
+    lines = _read_text(path, error).split("\n")
+    return [
+        (lineno, _json_object(line, error, path, lineno))
+        for lineno, line in enumerate(lines, start=1)
+        if line.strip()
+    ]
+
+
 def _question_from_record(rec: dict, schema: str, lineno: int) -> Question:
     def need(field_name: str) -> object:
         if field_name not in rec:
@@ -235,27 +270,18 @@ def load_dataset(path: str | Path, schema: str = "mcq-jsonl") -> list[Question]:
     """Load questions from a JSONL file, validating every invariant."""
     if schema not in ("mcq-jsonl", "cloze-jsonl"):
         raise DatasetError(f"unknown schema {schema!r}")
-    path = Path(path)
     questions: list[Question] = []
     seen_ids: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {lineno}: invalid JSON: {exc}") from exc
-            q = _question_from_record(rec, schema, lineno)
-            try:
-                q.validate()
-            except DatasetError as exc:
-                raise DatasetError(f"line {lineno}: {exc}") from exc
-            if q.id in seen_ids:
-                raise DatasetError(f"line {lineno}: duplicate question id {q.id!r}")
-            seen_ids.add(q.id)
-            questions.append(q)
+    for lineno, rec in read_jsonl(path, DatasetError):
+        q = _question_from_record(rec, schema, lineno)
+        try:
+            q.validate()
+        except DatasetError as exc:
+            raise DatasetError(f"line {lineno}: {exc}") from exc
+        if q.id in seen_ids:
+            raise DatasetError(f"line {lineno}: duplicate question id {q.id!r}")
+        seen_ids.add(q.id)
+        questions.append(q)
     return questions
 
 

@@ -6,7 +6,6 @@ drivable from tests and notebooks.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -15,6 +14,7 @@ from . import synth
 from .backend import (
     Backend,
     CachingBackend,
+    ConfigError,
     HttpChatBackend,
     MockBackend,
     NoFetchBackend,
@@ -31,8 +31,8 @@ from .divide import (
     run_divide,
     save_reports,
 )
-from .manifest import RunManifest
-from .model import LABELS, DatasetSpec, Question, load_dataset
+from .manifest import ManifestError, RunManifest
+from .model import LABELS, DatasetSpec, Question, load_dataset, read_json
 from .prompts import strategy_needs_rationales
 from .report import (
     accuracy_curves,
@@ -41,10 +41,6 @@ from .report import (
     strategy_metrics,
     subset_prior_metrics,
 )
-
-
-class ConfigurationError(ValueError):
-    """One or more invalid configuration values; message lists them all."""
 
 
 def _as_fraction(value) -> Fraction:
@@ -56,37 +52,44 @@ def _as_fraction(value) -> Fraction:
 def load_config(path: Optional[str | Path]) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigurationError(f"config file not found: {p}")
+    config = read_json(path, ConfigError)
+    for section in ("dataset", "backend"):
+        if not isinstance(config.get(section, {}), dict):
+            raise ConfigError(f"{path}: config {section} must be an object")
+    return config
+
+
+def config_number(config: dict, dotted: str, default, cast=int):
+    """The number at a dotted key of `config`, or `default` when the key is absent.
+
+    Raises `ConfigError` naming the key for a value `cast` rejects.
+    """
+    node = config
+    *parents, leaf = dotted.split(".")
+    for part in parents:
+        node = node.get(part, {})
+    value = node.get(leaf, default)
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {p} is not valid JSON: {exc}") from exc
+        return cast(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"config {dotted} is not {kind}: {value!r}") from None
 
 
 def dataset_spec_from_config(config: dict) -> DatasetSpec:
     ds = config.get("dataset", {})
-    errors = []
-    name = ds.get("name", Path(ds.get("path", "dataset")).stem)
-    try:
-        divide_base = int(ds.get("divide_base", 5))
-    except (TypeError, ValueError):
-        errors.append(f"dataset.divide_base is not an integer: {ds.get('divide_base')!r}")
-        divide_base = 5
     try:
         mu = _as_fraction(ds.get("mu", "0.8"))
         nu = _as_fraction(ds.get("nu", "0.6"))
-    except (ValueError, ZeroDivisionError) as exc:
-        errors.append(f"dataset thresholds invalid: {exc}")
-        mu, nu = Fraction(4, 5), Fraction(3, 5)
-    spec = DatasetSpec(name=name, divide_base=divide_base, mu=mu, nu=nu)
-    try:
-        spec.validate()
-    except ValueError as exc:
-        errors.append(str(exc))
-    if errors:
-        raise ConfigurationError("; ".join(errors))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"dataset thresholds invalid: {exc}") from exc
+    spec = DatasetSpec(
+        name=ds.get("name", Path(ds.get("path", "dataset")).stem),
+        divide_base=config_number(config, "dataset.divide_base", 5),
+        mu=mu,
+        nu=nu,
+    )
+    spec.validate()
     return spec
 
 
@@ -96,27 +99,27 @@ def build_backend(config: dict, seed: int) -> Backend:
     if kind == "mock":
         profiles_path = bc.get("profiles")
         if not profiles_path:
-            raise ConfigurationError("mock backend requires backend.profiles path")
+            raise ConfigError("mock backend requires backend.profiles path")
         profiles = load_profiles(profiles_path)
         return MockBackend(
             profiles,
             seed=seed,
-            noise_rate=float(bc.get("noise_rate", 0.0)),
-            gold_uplift=float(bc.get("gold_uplift", 1.0)),
+            noise_rate=config_number(config, "backend.noise_rate", 0.0, float),
+            gold_uplift=config_number(config, "backend.gold_uplift", 1.0, float),
         )
     if kind == "http":
         return HttpChatBackend(
             endpoint=bc.get("endpoint", ""),
             model=bc.get("model", ""),
-            max_attempts=int(bc.get("max_attempts", 5)),
-            base_delay=float(bc.get("base_delay", 1.0)),
+            max_attempts=config_number(config, "backend.max_attempts", 5),
+            base_delay=config_number(config, "backend.base_delay", 1.0, float),
         )
     if kind == "replay":
         transcript = bc.get("transcript")
         if not transcript:
-            raise ConfigurationError("replay backend requires backend.transcript path")
+            raise ConfigError("replay backend requires backend.transcript path")
         return CachingBackend(NoFetchBackend(), TranscriptCache(transcript))
-    raise ConfigurationError(f"unknown backend kind {kind!r}")
+    raise ConfigError(f"unknown backend kind {kind!r}")
 
 
 def questions_from_profiles(profiles: dict[str, QuestionProfile]) -> list[Question]:
@@ -209,6 +212,12 @@ def run_report_phase(
     manifest: RunManifest,
     partial: bool = False,
 ) -> dict[str, Path]:
+    """Write the report files; a report over incomplete phases needs `partial`."""
+    incomplete = sorted(p for p, s in manifest.status.items() if s != "done" and p != "report")
+    if incomplete and not partial:
+        raise ManifestError(
+            f"phases incomplete: {', '.join(incomplete)}; rerun or pass --partial"
+        )
     reports = load_reports(manifest.partition_path)
     cache = TranscriptCache(manifest.transcript_path)
     divide_records = records_from_transcript(cache, questions, reports)
@@ -222,9 +231,9 @@ def run_report_phase(
     curves = accuracy_curves(questions, reports, divide_records)
     files = emit_report(
         manifest.report_dir(), spec.name, prior, strategies, cost, curves,
-        run_id=manifest.run_id, partial=partial,
+        run_id=manifest.run_id, partial=bool(incomplete),
     )
-    manifest.mark("report", "done" if not partial else "partial")
+    manifest.mark("report", "partial" if incomplete else "done")
     manifest.save()
     return files
 
@@ -237,4 +246,4 @@ def load_questions_from_config(config: dict) -> list[Question]:
     bc = config.get("backend", {})
     if bc.get("kind") == "mock" and bc.get("profiles"):
         return questions_from_profiles(load_profiles(bc["profiles"]))
-    raise ConfigurationError("no dataset.path configured and no profiles to derive one from")
+    raise ConfigError("no dataset.path configured and no profiles to derive one from")

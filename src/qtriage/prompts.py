@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .model import Question
+from .model import QtriageError, Question
 
 ZTCOT_TAIL = "Let's think step by step."
 PKR_TAIL = "let's delve deeper into this question to arrive at the best answer"
@@ -19,7 +19,7 @@ _NEEDS_RATIONALES = {"PKR", "COM1", "COM2"}
 _NEEDS_FILTERED = {"FCR", "COM1", "COM2"}
 
 
-class PromptError(ValueError):
+class PromptError(QtriageError, ValueError):
     """Raised when a strategy is missing its required context."""
 
 

@@ -19,10 +19,10 @@ from .divide import (
     histogram_from_answers,
     majority_answer,
 )
-from .model import Question
+from .model import QtriageError, Question
 
 
-class ReportError(ValueError):
+class ReportError(QtriageError, ValueError):
     pass
 
 

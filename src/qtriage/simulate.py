@@ -8,17 +8,16 @@ filtering beats a plain greedy re-query.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 from scipy import stats
 
-from .backend import MockBackend, QuestionProfile, load_profiles
+from .backend import ConfigError, MockBackend, QuestionProfile, load_profiles
 from .divide import SUBSETS, ConfidenceReport, majority_answer
 from .manifest import new_manifest
-from .model import DatasetSpec, Question
+from .model import DatasetSpec, Question, read_jsonl
 from .pipeline import (
     questions_from_profiles,
     run_conquer_phase,
@@ -49,10 +48,7 @@ def load_profile_file(path: str | Path) -> tuple[dict[str, QuestionProfile], dic
     """Read a profile JSONL; a record with an 'assertions' key configures checks."""
     profiles = load_profiles(path)
     assertions: dict = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
+    for _, rec in read_jsonl(path, ConfigError):
         if "assertions" in rec and "question_id" not in rec:
             assertions.update(rec["assertions"])
     return profiles, assertions
@@ -105,12 +101,13 @@ def run_simulation(
 ) -> SimulationResult:
     """Divide, conquer, and report on the mock backend, then run assertions."""
     assertions = {**DEFAULT_ASSERTIONS, **(assertions or {})}
+    spec = DatasetSpec(name=f"sim-{family}", divide_base=divide_base)
+    spec.validate()
     if profiles is None:
         questions, profiles = generate_synthetic(n_questions, family=family, seed=seed)
     elif questions is None:
         questions = questions_from_profiles(profiles)
 
-    spec = DatasetSpec(name=f"sim-{family}", divide_base=divide_base)
     config = {
         "dataset": {"name": spec.name, "divide_base": divide_base,
                     "mu": [spec.mu.numerator, spec.mu.denominator],

@@ -6,7 +6,7 @@ import random
 from importlib import resources
 from pathlib import Path
 
-from .backend import QuestionProfile
+from .backend import ConfigError, QuestionProfile
 from .model import LABELS, Question
 
 PROFILE_FAMILIES = ("uniform_correct", "second_gold", "certain")
@@ -50,7 +50,9 @@ def generate_synthetic(
       certain - all mass on gold; every item lands in the high subset.
     """
     if family not in PROFILE_FAMILIES:
-        raise ValueError(f"unknown profile family {family!r}")
+        raise ConfigError(
+            f"unknown profile family {family!r}; known: {', '.join(PROFILE_FAMILIES)}"
+        )
     rng = random.Random(seed)
     questions: list[Question] = []
     profiles: dict[str, QuestionProfile] = {}

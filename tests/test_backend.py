@@ -4,6 +4,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qtriage.backend import (
     CacheError,
@@ -148,6 +149,27 @@ class TestTranscriptCache:
         CachingBackend(backend, cache).complete(req())
         CachingBackend(backend, cache).complete(req())
         assert backend.calls == 1
+
+    @given(
+        st.sampled_from(["prompt", "temperature", "max_output_tokens", "sample_index",
+                         "question_id", "phase"]),
+        st.data(),
+    )
+    def test_requests_differing_in_one_field_have_distinct_keys(self, name, data):
+        values = {
+            "prompt": st.text(max_size=40),
+            "temperature": st.floats(0, 2, allow_nan=False),
+            "max_output_tokens": st.integers(1, 4096),
+            "sample_index": st.integers(0, 100),
+            "question_id": st.text(min_size=1, max_size=12),
+            "phase": st.sampled_from(["divide", "conquer"]),
+        }
+        base = data.draw(st.fixed_dictionaries(values))
+        other = data.draw(values[name].filter(lambda v: v != base[name]))
+        a = CompletionRequest(**base)
+        b = CompletionRequest(**{**base, name: other})
+        assert a.key() != b.key()
+        assert len(a.key().rsplit("|", 1)[1]) == 16  # keys keep their length
 
     def test_survives_reopen(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -77,6 +77,7 @@ class TestDivideCommand:
         config = write_config(tmp_path, run_dir, **{"dataset.mu": "0.5", "dataset.nu": "0.7"})
         result = runner.invoke(main, ["--config", str(config), "divide"])
         assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
         assert "nu" in result.output
         assert not (run_dir / "transcript.jsonl").exists()
 
@@ -84,6 +85,7 @@ class TestDivideCommand:
         config = write_config(tmp_path, tmp_path / "run", **{"dataset.path": "/nope.jsonl"})
         result = runner.invoke(main, ["--config", str(config), "divide"])
         assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
         assert "not found" in result.output
 
     def test_resume_issues_only_remaining_calls(self, tmp_path):
@@ -205,6 +207,7 @@ class TestConquerCommand:
         config = write_config(tmp_path, tmp_path / "run")
         result = runner.invoke(main, ["--config", str(config), "conquer", "--strategy", "pkr"])
         assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
 
     def test_failed_strategy_leaves_conquer_partial(self, runner, tmp_path):
         from qtriage.backend import MockBackend, TransportError, load_profiles
@@ -248,6 +251,29 @@ class TestConquerCommand:
         assert RunManifest.load(run_dir).status["conquer"] == "done"
         assert runner.invoke(main, ["--config", str(config), "report"]).exit_code == 0
 
+    def test_sc_after_greedy_fetches_every_sample(self, runner, tmp_path):
+        # Greedy FCR and FCR+SC share a prompt; SC sample 0 must not reuse the greedy entry.
+        base, run_dir = divided(runner, tmp_path)
+        transcript = run_dir / "transcript.jsonl"
+        assert runner.invoke(main, base + ["conquer", "--strategy", "fcr"]).exit_code == 0
+        before = len(transcript.read_text().splitlines())
+        result = runner.invoke(main, base + ["conquer", "--strategy", "fcr", "--sc"])
+        assert result.exit_code == 0, result.output
+        sc = (run_dir / "outcomes_fcr+sc.jsonl").read_text().splitlines()
+        assert len(transcript.read_text().splitlines()) - before == 5 * len(sc) == 75
+
+    def test_conquer_without_seed_uses_the_run_seed(self, runner, tmp_path):
+        outcomes = []
+        for name, seed_args in (("flag", ["--seed", "42"]), ("run", [])):
+            (tmp_path / name).mkdir()
+            config = write_config(tmp_path / name, tmp_path / name / "run")
+            base = ["--config", str(config)]
+            assert runner.invoke(main, base + ["--seed", "42", "divide"]).exit_code == 0
+            result = runner.invoke(main, base + seed_args + ["conquer", "--strategy", "ztcot"])
+            assert result.exit_code == 0, result.output
+            outcomes.append((tmp_path / name / "run" / "outcomes_ztcot.jsonl").read_bytes())
+        assert outcomes[0] == outcomes[1]
+
     def test_high_subset_rejected(self, runner, tmp_path):
         run_dir = tmp_path / "run"
         config = write_config(tmp_path, run_dir)
@@ -255,6 +281,7 @@ class TestConquerCommand:
         assert runner.invoke(main, base + ["divide"]).exit_code == 0
         result = runner.invoke(main, base + ["conquer", "--subsets", "high,med"])
         assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
 
 
 def write_cloze(tmp_path):
@@ -435,6 +462,7 @@ class TestReportCommand:
         new_manifest({}, 0, run_dir).save()
         result = runner.invoke(main, ["--config", str(config), "report"])
         assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
         assert "divide" in result.output
 
     def test_compare_outputs_delta_table(self, runner, tmp_path):
@@ -457,8 +485,146 @@ class TestReportCommand:
         for args in (["conquer", "--strategy", "pkr"], ["report", "--partial"]):
             result = runner.invoke(main, base + args)
             assert result.exit_code == 1, result.output
+            assert isinstance(result.exception, SystemExit)
             assert "divide transcript incomplete" in result.output
             assert key in result.output
         # FCR reads only the partition, never the divide samples.
         result = runner.invoke(main, base + ["conquer", "--strategy", "fcr", "--sc"])
         assert result.exit_code == 0, result.output
+
+
+def divided(runner, tmp_path):
+    """Divide the toy run under `tmp_path` at seed 42; returns its CLI args and run dir."""
+    run_dir = tmp_path / "run"
+    base = ["--config", str(write_config(tmp_path, run_dir)), "--seed", "42"]
+    result = runner.invoke(main, base + ["divide"])
+    assert result.exit_code == 0, result.output
+    return base, run_dir
+
+
+def corrupt_line(path, index=0):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[index] = '{"question_id": \n'
+    path.write_text("".join(lines))
+
+
+def _missing_dataset(command):
+    def case(runner, tmp_path, monkeypatch):
+        base, run_dir = divided(runner, tmp_path)
+        write_config(tmp_path, run_dir, **{"dataset.path": str(tmp_path / "gone.jsonl")})
+        return base + command, "gone.jsonl"
+    return case
+
+
+def _replay_lacking_entry(runner, tmp_path, monkeypatch):
+    (tmp_path / "empty.jsonl").write_text("")
+    backend = {"kind": "replay", "transcript": str(tmp_path / "empty.jsonl")}
+    config = write_config(tmp_path, tmp_path / "run", backend=backend)
+    return ["--config", str(config), "divide"], "no entry for key"
+
+
+def _unprofiled_question(runner, tmp_path, monkeypatch):
+    profiles = tmp_path / "profiles.jsonl"
+    profiles.write_text("".join(TOY_PROFILES.read_text().splitlines(keepends=True)[1:]))
+    config = write_config(tmp_path, tmp_path / "run", **{"backend.profiles": str(profiles)})
+    return ["--config", str(config), "divide"], "q0000"
+
+
+def _divide_config(key, value, expect):
+    def case(runner, tmp_path, monkeypatch):
+        config = write_config(tmp_path, tmp_path / "run", **{key: value(tmp_path)})
+        return ["--config", str(config), "divide"], expect
+    return case
+
+
+def _not_utf8_file(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"id": "q\xe9"}\n')
+    return str(path)
+
+
+def _simulate(*args, expect):
+    def case(runner, tmp_path, monkeypatch):
+        argv = [a(tmp_path) if callable(a) else a for a in args]
+        return ["--cache-dir", str(tmp_path / "sim"), "simulate", *argv], expect
+    return case
+
+
+def _dataset_lacks_conquered_question(runner, tmp_path, monkeypatch):
+    base, run_dir = divided(runner, tmp_path)
+    partition = map(json.loads, (run_dir / "partition.jsonl").read_text().splitlines())
+    dropped = next(r["question_id"] for r in partition if r["subset"] != "high")
+    data = tmp_path / "fewer.jsonl"
+    data.write_text("".join(line for line in TOY_DATA.read_text().splitlines(keepends=True)
+                            if json.loads(line)["id"] != dropped))
+    write_config(tmp_path, run_dir, **{"dataset.path": str(data)})
+    return base + ["conquer", "--strategy", "fcr"], dropped
+
+
+def _corrupt(name, command, expect, index=0, conquer_first=False):
+    def case(runner, tmp_path, monkeypatch):
+        base, run_dir = divided(runner, tmp_path)
+        if conquer_first:
+            assert runner.invoke(main, base + ["conquer", "--strategy", "fcr"]).exit_code == 0
+        corrupt_line(run_dir / name, index)
+        return base + command, expect
+    return case
+
+
+def _transport_failure(runner, tmp_path, monkeypatch):
+    import requests
+
+    def refuse(self, *args, **kwargs):
+        raise requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr(requests.Session, "post", refuse)
+    monkeypatch.setenv("QTRIAGE_API_KEY", "test-key")
+    backend = {"kind": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m",
+               "max_attempts": 1}
+    config = write_config(tmp_path, tmp_path / "run", backend=backend)
+    return ["--config", str(config), "divide"], "failed after 1 attempts"
+
+
+FAILURES = {  # name -> (build the case, expected exit code)
+    "conquer-missing-dataset": (_missing_dataset(["conquer", "--strategy", "fcr"]), 1),
+    "report-missing-dataset": (_missing_dataset(["report", "--partial"]), 1),
+    "divide-replay-lacks-entry": (_replay_lacking_entry, 1),
+    "divide-unprofiled-question": (_unprofiled_question, 1),
+    "divide-missing-profiles": (
+        _divide_config("backend.profiles", lambda t: str(t / "gone.jsonl"), "gone.jsonl"), 1),
+    "divide-parallelism-not-int": (
+        _divide_config("parallelism", lambda t: "x", "parallelism"), 1),
+    "divide-dataset-not-utf8": (_divide_config("dataset.path", _not_utf8_file, "not UTF-8"), 1),
+    "divide-dataset-section-not-object": (_divide_config("dataset", lambda t: "x", "dataset"), 1),
+    "simulate-unknown-family": (_simulate("--family", "nope", expect="nope"), 1),
+    "simulate-divide-base-1": (
+        _simulate("--divide-base", "1", "--n-questions", "10", expect="divide_base"), 1),
+    "simulate-missing-profiles": (
+        _simulate("--profiles", lambda t: str(t / "gone.jsonl"), expect="gone.jsonl"), 1),
+    "fcr-dataset-lacks-question": (_dataset_lacks_conquered_question, 1),
+    "report-corrupt-manifest": (
+        _corrupt("manifest.json", ["report", "--partial"], "manifest.json"), 1),
+    "conquer-corrupt-transcript": (
+        _corrupt("transcript.jsonl", ["conquer", "--strategy", "fcr"], "line 3", index=2), 1),
+    "conquer-corrupt-partition": (
+        _corrupt("partition.jsonl", ["conquer", "--strategy", "fcr"], "partition.jsonl line 1"),
+        1),
+    "report-corrupt-partition": (
+        _corrupt("partition.jsonl", ["report", "--partial"], "partition.jsonl line 1"), 1),
+    "report-corrupt-outcomes": (
+        _corrupt("outcomes_fcr.jsonl", ["report"], "outcomes_fcr.jsonl line 1",
+                 conquer_first=True), 1),
+    "divide-transport-failure": (_transport_failure, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_every_failure_is_one_error_line(runner, tmp_path, monkeypatch, case):
+    build, code = FAILURES[case]
+    args, expect = build(runner, tmp_path, monkeypatch)
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, (result.output, result.exception)
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and expect in errors[0], result.output
