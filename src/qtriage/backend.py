@@ -9,6 +9,7 @@ issues a batch of requests.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import math
@@ -20,8 +21,6 @@ from concurrent import futures
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
-
-import requests
 
 from .model import QtriageError, read_jsonl
 
@@ -322,8 +321,10 @@ class HttpChatBackend(Backend):
         base_delay: float = 1.0,
         backoff_factor: float = 2.0,
         timeout: float = 120.0,
-        session: Optional[requests.Session] = None,
+        session: Optional["requests.Session"] = None,
     ) -> None:
+        import requests  # only the live backend pays for this import
+
         if not endpoint:
             raise ConfigError("live backend requires an endpoint URL")
         self.endpoint = endpoint
@@ -340,6 +341,8 @@ class HttpChatBackend(Backend):
         self._lock = threading.Lock()
 
     def complete(self, req: CompletionRequest) -> Completion:
+        import requests
+
         req.validate()
         payload = {
             "model": self.model,
@@ -386,17 +389,22 @@ class TranscriptCache:
     """Append-only JSONL store of (request key, request, completion).
 
     Each line of the file holds the full request; memory holds only
-    `key -> completion`, rebuilt on open. Writes are serialized and flushed
-    immediately so an interrupted run loses at most the entry in flight. An
-    unterminated last line is such an entry: it is dropped on load and cut
-    from the file before the next append.
+    `key -> completion`, rebuilt on open. The first `put` opens one append
+    handle, which holds an exclusive `flock` on the file until `close()`, so
+    one writer at a time. Each entry is flushed as it is written, so a
+    process crash loses at most the entry in flight; `close()` makes the
+    entries durable with one `fsync` and keeps the index, so a later `put`
+    opens the handle again. An unterminated last line is such a lost entry:
+    it is dropped on load and cut from the file when the handle opens.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._completions: dict[str, Completion] = {}
+        self._size = 0  # bytes of the file this cache has read or written
         self._torn_tail: Optional[int] = None  # file offset of an unterminated last line
+        self._fh = None  # the append handle, open from the first put to close()
         if self.path.exists():
             self._load()
         else:
@@ -427,12 +435,43 @@ class TranscriptCache:
                         f"{self.path}: corrupted entry for key {key!r}: {exc}"
                     ) from exc
                 self._completions[key] = completion
+            self._size = fh.tell()
 
     def __len__(self) -> int:
         return len(self._completions)
 
+    def __enter__(self) -> "TranscriptCache":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def get(self, key: str) -> Optional[Completion]:
         return self._completions.get(key)
+
+    def _open_for_append(self):
+        """The append handle, locked, over exactly the bytes this cache has indexed."""
+        fh = self.path.open("ab")
+        try:
+            try:
+                fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise CacheError(
+                    f"{self.path}: another writer holds this transcript; one writer per run dir"
+                ) from None
+            size = os.fstat(fh.fileno()).st_size
+            if size != self._size:
+                raise CacheError(
+                    f"{self.path}: changed since it was loaded "
+                    f"({size} bytes, not {self._size}); rerun to reload it"
+                )
+            if self._torn_tail is not None:
+                os.ftruncate(fh.fileno(), self._torn_tail)
+                self._size, self._torn_tail = self._torn_tail, None
+        except BaseException:
+            fh.close()
+            raise
+        return fh
 
     def put(self, req: CompletionRequest, completion: Completion) -> None:
         key = req.key()
@@ -449,16 +488,25 @@ class TranscriptCache:
             "completion": completion.to_dict(),
             "timestamp": time.time(),
         }
-        line = json.dumps(entry, ensure_ascii=False, sort_keys=True)
+        line = (json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
-            if self._torn_tail is not None:
-                os.truncate(self.path, self._torn_tail)
-                self._torn_tail = None
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+            if self._fh is None:
+                self._fh = self._open_for_append()
+            self._fh.write(line)
+            self._fh.flush()
+            self._size += len(line)
             self._completions[key] = completion
+
+    def close(self) -> None:
+        """`fsync` and close the append handle, if open; the index stays usable."""
+        with self._lock:
+            if self._fh is None:
+                return
+            try:
+                os.fsync(self._fh.fileno())
+            finally:
+                self._fh.close()
+                self._fh = None
 
 
 class CachingBackend(Backend):

@@ -208,18 +208,24 @@ def cmd_report(ctx, compare, partial):
         click.echo(f"{name}: {path}")
 
 
+def _report_strategies(run_dir: str) -> dict:
+    path = Path(run_dir) / "reports" / "report.json"
+    strategies = read_json(path, ReportError).get("strategies")
+    if not isinstance(strategies, dict):
+        raise ReportError(f"{path}: key 'strategies' missing or not an object")
+    return strategies
+
+
 def _compare_runs(dir_a: str, dir_b: str) -> None:
     rows = []
-    a, b = (read_json(Path(d) / "reports" / "report.json", ReportError) for d in (dir_a, dir_b))
-    strategies = sorted(set(a["strategies"]) | set(b["strategies"]))
+    a, b = _report_strategies(dir_a), _report_strategies(dir_b)
+    strategies = sorted(set(a) | set(b))
     click.echo(f"{'strategy':<14}{'subset':<12}{'a':>8}{'b':>8}{'delta':>8}")
     for strat in strategies:
-        subsets = sorted(
-            set(a["strategies"].get(strat, {})) | set(b["strategies"].get(strat, {}))
-        )
+        subsets = sorted(set(a.get(strat, {})) | set(b.get(strat, {})))
         for subset in subsets:
-            acc_a = a["strategies"].get(strat, {}).get(subset, {}).get("accuracy")
-            acc_b = b["strategies"].get(strat, {}).get(subset, {}).get("accuracy")
+            acc_a = a.get(strat, {}).get(subset, {}).get("accuracy")
+            acc_b = b.get(strat, {}).get(subset, {}).get("accuracy")
             fmt = lambda x: f"{x * 100:6.2f}" if x is not None else "     -"
             delta = (
                 f"{(acc_b - acc_a) * 100:+6.2f}"

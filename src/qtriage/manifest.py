@@ -7,9 +7,11 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
+from .backend import TranscriptCache
 from .model import QtriageError, read_json
 
 
@@ -29,6 +31,15 @@ class RunManifest:
     @property
     def transcript_path(self) -> Path:
         return Path(self.paths.get("transcript", Path(self.run_dir) / "transcript.jsonl"))
+
+    @cached_property
+    def transcript(self) -> TranscriptCache:
+        """The run's one transcript cache, loaded at first use and kept for the command.
+
+        Not a field: it is never written to manifest.json. Each phase closes it
+        when done, which syncs and closes its append handle but keeps its index.
+        """
+        return TranscriptCache(self.transcript_path)
 
     @property
     def partition_path(self) -> Path:

@@ -6,13 +6,15 @@ drivable from tests and notebooks.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import synth
 from .backend import (
     Backend,
+    CacheError,
     CachingBackend,
     ConfigError,
     HttpChatBackend,
@@ -144,6 +146,26 @@ def questions_from_profiles(profiles: dict[str, QuestionProfile]) -> list[Questi
     return questions
 
 
+@contextmanager
+def _phase(manifest: RunManifest, on_failure: dict[str, str]) -> Iterator[TranscriptCache]:
+    """The run's transcript for one phase's work, closed (and synced) when it ends.
+
+    A failure marks each phase in `on_failure` with its state and saves the
+    manifest. A `CacheError` leaves manifest.json as it is: the transcript is
+    unreadable, or another writer owns the run dir and its manifest.
+    """
+    with manifest.transcript as cache:
+        try:
+            yield cache
+        except CacheError:
+            raise
+        except Exception:
+            for phase, state in on_failure.items():
+                manifest.mark(phase, state)
+            manifest.save()
+            raise
+
+
 def run_divide_phase(
     questions: Sequence[Question],
     spec: DatasetSpec,
@@ -152,16 +174,11 @@ def run_divide_phase(
     parallelism: int = 1,
     progress=None,
 ) -> tuple[list[ConfidenceReport], list[InferenceRecord]]:
-    cache = TranscriptCache(manifest.transcript_path)
-    cached_backend = CachingBackend(backend, cache)
-    try:
+    with _phase(manifest, {"divide": "partial"}) as cache:
         reports, records = run_divide(
-            questions, spec, cached_backend, parallelism=parallelism, progress=progress
+            questions, spec, CachingBackend(backend, cache),
+            parallelism=parallelism, progress=progress,
         )
-    except Exception:
-        manifest.mark("divide", "partial")
-        manifest.save()
-        raise
     save_reports(manifest.partition_path, reports)
     manifest.mark("divide", "done")
     manifest.save()
@@ -183,19 +200,13 @@ def run_conquer_phase(
     rerun of it succeeds; `conquer` reads `done` only while none is marked.
     """
     name = f"{strategy.lower()}{'+sc' if self_consistency else ''}"
-    cache = TranscriptCache(manifest.transcript_path)
-    try:
+    with _phase(manifest, {f"conquer:{name}": "failed", "conquer": "partial"}) as cache:
         needs = strategy_needs_rationales(strategy)
         divide_records = records_from_transcript(cache, questions, reports) if needs else ()
         outcomes = run_conquer(
             questions, reports, strategy, CachingBackend(backend, cache),
             divide_records=divide_records, self_consistency=self_consistency, **options,
         )
-    except Exception:
-        manifest.mark(f"conquer:{name}", "failed")
-        manifest.mark("conquer", "partial")
-        manifest.save()
-        raise
     out_path = manifest.outcome_path(name)
     save_outcomes(out_path, outcomes)
     manifest.paths.setdefault("outcomes", {})[name] = str(out_path)
@@ -219,8 +230,7 @@ def run_report_phase(
             f"phases incomplete: {', '.join(incomplete)}; rerun or pass --partial"
         )
     reports = load_reports(manifest.partition_path)
-    cache = TranscriptCache(manifest.transcript_path)
-    divide_records = records_from_transcript(cache, questions, reports)
+    divide_records = records_from_transcript(manifest.transcript, questions, reports)
 
     prior = subset_prior_metrics(questions, reports, divide_records)
     strategies = {}

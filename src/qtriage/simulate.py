@@ -48,8 +48,10 @@ def load_profile_file(path: str | Path) -> tuple[dict[str, QuestionProfile], dic
     """Read a profile JSONL; a record with an 'assertions' key configures checks."""
     profiles = load_profiles(path)
     assertions: dict = {}
-    for _, rec in read_jsonl(path, ConfigError):
+    for lineno, rec in read_jsonl(path, ConfigError):
         if "assertions" in rec and "question_id" not in rec:
+            if not isinstance(rec["assertions"], dict):
+                raise ConfigError(f"{path} line {lineno}: assertions must be an object")
             assertions.update(rec["assertions"])
     return profiles, assertions
 

@@ -125,29 +125,29 @@ class TestMockBackend:
 
 class TestTranscriptCache:
     def test_miss_then_hit(self, tmp_path):
-        cache = TranscriptCache(tmp_path / "t.jsonl")
-        backend = MockBackend({"q1": profile()}, seed=0)
-        wrapped = CachingBackend(backend, cache)
-        c1 = wrapped.complete(req())
-        c2 = wrapped.complete(req())
+        with TranscriptCache(tmp_path / "t.jsonl") as cache:
+            backend = MockBackend({"q1": profile()}, seed=0)
+            wrapped = CachingBackend(backend, cache)
+            c1 = wrapped.complete(req())
+            c2 = wrapped.complete(req())
         assert c1 == c2
         assert backend.calls == 1
         assert wrapped.hits == 1 and wrapped.misses == 1
 
     def test_distinct_sample_index_distinct_entries(self, tmp_path):
-        cache = TranscriptCache(tmp_path / "t.jsonl")
-        backend = MockBackend({"q1": profile()}, seed=0)
-        wrapped = CachingBackend(backend, cache)
-        wrapped.complete(req(idx=0))
-        wrapped.complete(req(idx=1))
+        with TranscriptCache(tmp_path / "t.jsonl") as cache:
+            backend = MockBackend({"q1": profile()}, seed=0)
+            wrapped = CachingBackend(backend, cache)
+            wrapped.complete(req(idx=0))
+            wrapped.complete(req(idx=1))
         assert backend.calls == 2
         assert len(cache) == 2
 
     def test_cache_get_or_fetch(self, tmp_path):
-        cache = TranscriptCache(tmp_path / "t.jsonl")
-        backend = MockBackend({"q1": profile()}, seed=0)
-        CachingBackend(backend, cache).complete(req())
-        CachingBackend(backend, cache).complete(req())
+        with TranscriptCache(tmp_path / "t.jsonl") as cache:
+            backend = MockBackend({"q1": profile()}, seed=0)
+            CachingBackend(backend, cache).complete(req())
+            CachingBackend(backend, cache).complete(req())
         assert backend.calls == 1
 
     @given(
@@ -173,11 +173,38 @@ class TestTranscriptCache:
 
     def test_survives_reopen(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        cache = TranscriptCache(path)
-        backend = MockBackend({"q1": profile()}, seed=0)
-        completion = CachingBackend(backend, cache).complete(req())
+        with TranscriptCache(path) as cache:
+            backend = MockBackend({"q1": profile()}, seed=0)
+            completion = CachingBackend(backend, cache).complete(req())
         reopened = TranscriptCache(path)
         assert reopened.get(req().key()) == completion
+
+    def test_put_after_outside_append_raises(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        with TranscriptCache(path) as cache:
+            CachingBackend(MockBackend({"q1": profile()}, seed=0), cache).complete(req(idx=0))
+        stale = TranscriptCache(path)
+        with TranscriptCache(path) as other:
+            CachingBackend(MockBackend({"q1": profile()}, seed=0), other).complete(req(idx=1))
+        completion = stale.get(req(idx=0).key())
+        with pytest.raises(CacheError, match="changed since it was loaded"):
+            stale.put(req(idx=2), completion)
+        assert len(TranscriptCache(path)) == 2  # the stale cache wrote nothing
+
+    def test_second_writer_is_refused_until_the_first_closes(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        completion = MockBackend({"q1": profile()}, seed=0).complete(req())
+        first, second = TranscriptCache(path), TranscriptCache(path)
+        with first:
+            first.put(req(idx=0), completion)
+            with pytest.raises(CacheError, match="another writer"):
+                second.put(req(idx=1), completion)
+        assert second.get(req(idx=1).key()) is None
+        with pytest.raises(CacheError, match="changed since it was loaded"):
+            second.put(req(idx=1), completion)  # the first writer's entry is not in its index
+        with TranscriptCache(path) as third:
+            third.put(req(idx=1), completion)
+        assert len(TranscriptCache(path)) == 2
 
     def test_corrupted_line_raises_with_position(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -226,9 +253,9 @@ class TestExecute:
 
 class TestReplayBackend:
     def test_replays_verbatim(self, tmp_path):
-        cache = TranscriptCache(tmp_path / "t.jsonl")
-        backend = MockBackend({"q1": profile()}, seed=0)
-        recorded = CachingBackend(backend, cache).complete(req())
+        with TranscriptCache(tmp_path / "t.jsonl") as cache:
+            backend = MockBackend({"q1": profile()}, seed=0)
+            recorded = CachingBackend(backend, cache).complete(req())
         replay = CachingBackend(NoFetchBackend(), TranscriptCache(tmp_path / "t.jsonl"))
         assert replay.complete(req()) == recorded
         assert replay.hits == 1

@@ -100,11 +100,13 @@ class TestDivideCommand:
         path = tmp_path / "t.jsonl"
 
         first = MockBackend(profiles, seed=42)
-        run_divide(questions[:10], spec, CachingBackend(first, TranscriptCache(path)))
+        with TranscriptCache(path) as cache:
+            run_divide(questions[:10], spec, CachingBackend(first, cache))
         assert first.calls == 50
 
         second = MockBackend(profiles, seed=42)
-        run_divide(questions, spec, CachingBackend(second, TranscriptCache(path)))
+        with TranscriptCache(path) as cache:
+            run_divide(questions, spec, CachingBackend(second, cache))
         assert second.calls == 50  # only the remaining 10 x 5
 
 
@@ -183,6 +185,55 @@ class TestDivideCommand:
             assert backend.calls == 1, cut
             assert (run_dir / "partition.jsonl").read_bytes() == partition, cut
             assert len(TranscriptCache(path)) == 100, cut  # the fragment was cut, not glued
+
+    def test_crash_at_any_byte_refetches_only_lost_entries(self, tmp_path):
+        # A crash can leave the transcript cut at any byte; a rerun refetches
+        # exactly the entries not whole on disk and writes the same partition.
+        from bisect import bisect_right
+
+        from qtriage.backend import MockBackend, load_profiles
+        from qtriage.manifest import new_manifest
+        from qtriage.model import DatasetSpec, load_dataset
+        from qtriage.pipeline import run_divide_phase
+
+        questions = load_dataset(TOY_DATA)[:1]
+        profiles = load_profiles(TOY_PROFILES)
+        spec = DatasetSpec(name="toy", divide_base=3)
+        run_dir = tmp_path / "run"
+        path = run_dir / "transcript.jsonl"
+        run_divide_phase(questions, spec, MockBackend(profiles, seed=42),
+                         new_manifest({}, 42, run_dir))
+        whole = path.read_bytes()
+        partition = (run_dir / "partition.jsonl").read_bytes()
+        ends = [i + 1 for i, byte in enumerate(whole) if byte == ord("\n")]
+        assert len(ends) == 3
+        for cut in range(len(whole) + 1):
+            path.write_bytes(whole[:cut])
+            backend = MockBackend(profiles, seed=42)
+            run_divide_phase(questions, spec, backend, new_manifest({}, 42, run_dir))
+            whole_entries = bisect_right(ends, cut)
+            assert backend.calls == len(ends) - whole_entries, cut
+            assert (run_dir / "partition.jsonl").read_bytes() == partition, cut
+            rerun, kept = path.read_bytes(), ([0] + ends)[whole_entries]
+            assert rerun[:kept] == whole[:kept], cut  # whole entries stay as written
+            assert rerun.count(b"\n") == len(ends) and rerun.endswith(b"\n"), cut
+
+    def test_second_writer_exits_1_naming_the_transcript(self, runner, tmp_path):
+        import fcntl
+
+        run_dir = tmp_path / "run"
+        config = write_config(tmp_path, run_dir)
+        transcript = run_dir / "transcript.jsonl"
+        run_dir.mkdir()
+        with transcript.open("ab") as other_writer:
+            fcntl.flock(other_writer.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            result = runner.invoke(main, ["--config", str(config), "divide"])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and str(transcript) in errors[0], result.output
+        assert transcript.read_bytes() == b""
+        assert not (run_dir / "manifest.json").exists()  # the run dir is the other writer's
 
 
 class TestConquerCommand:
@@ -417,6 +468,24 @@ class TestSimulateCommand:
         ])
         assert result.exit_code == 0, result.output
 
+    def test_loads_the_transcript_once(self, runner, tmp_path, monkeypatch):
+        from qtriage.backend import TranscriptCache
+
+        loads = []
+        load = TranscriptCache.__init__
+
+        def counted(self, path):
+            loads.append(path)
+            load(self, path)
+
+        monkeypatch.setattr(TranscriptCache, "__init__", counted)
+        result = runner.invoke(main, [
+            "--seed", "7", "--cache-dir", str(tmp_path / "sim"),
+            "simulate", "--n-questions", "60",
+        ])
+        assert result.exit_code == 0, result.output
+        assert loads == [tmp_path / "sim" / "transcript.jsonl"]
+
     def test_degenerate_profiles_all_high(self, runner, tmp_path):
         result = runner.invoke(main, [
             "--seed", "3", "--cache-dir", str(tmp_path / "sim"),
@@ -571,6 +640,19 @@ def _corrupt(name, command, expect, index=0, conquer_first=False):
     return case
 
 
+def _assertions_not_object(tmp_path):
+    path = tmp_path / "profiles.jsonl"
+    path.write_text(json.dumps({"assertions": 5}) + "\n" + TOY_PROFILES.read_text())
+    return str(path)
+
+
+def _compare_without_strategies(runner, tmp_path, monkeypatch):
+    for name in ("a", "b"):
+        (tmp_path / name / "reports").mkdir(parents=True)
+        (tmp_path / name / "reports" / "report.json").write_text("{}")
+    return ["report", "--compare", str(tmp_path / "a"), str(tmp_path / "b")], "'strategies'"
+
+
 def _transport_failure(runner, tmp_path, monkeypatch):
     import requests
 
@@ -601,6 +683,9 @@ FAILURES = {  # name -> (build the case, expected exit code)
         _simulate("--divide-base", "1", "--n-questions", "10", expect="divide_base"), 1),
     "simulate-missing-profiles": (
         _simulate("--profiles", lambda t: str(t / "gone.jsonl"), expect="gone.jsonl"), 1),
+    "simulate-assertions-not-object": (
+        _simulate("--profiles", _assertions_not_object, expect="profiles.jsonl line 1"), 1),
+    "report-compare-without-strategies": (_compare_without_strategies, 1),
     "fcr-dataset-lacks-question": (_dataset_lacks_conquered_question, 1),
     "report-corrupt-manifest": (
         _corrupt("manifest.json", ["report", "--partial"], "manifest.json"), 1),

@@ -255,10 +255,9 @@ class TestConquerItem:
         answers = ["C", "E", "C", "E", "C"]
         report = report_for("q1", histogram_from_answers(answers), spec())
         path = tmp_path / "t.jsonl"
-        live = CachingBackend(
-            MockBackend(self.profiles({"C": 0.5, "E": 0.5}), seed=2), TranscriptCache(path)
-        )
-        first = conquer_item(q, report, "FCR", live, self_consistency=True, sc_samples=5)
+        with TranscriptCache(path) as cache:
+            live = CachingBackend(MockBackend(self.profiles({"C": 0.5, "E": 0.5}), seed=2), cache)
+            first = conquer_item(q, report, "FCR", live, self_consistency=True, sc_samples=5)
         replay = CachingBackend(NoFetchBackend(), TranscriptCache(path))
         second = conquer_item(q, report, "FCR", replay, self_consistency=True, sc_samples=5)
         assert first == second

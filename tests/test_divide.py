@@ -217,22 +217,21 @@ class TestRecordsFromTranscript:
         questions, profiles = generate_synthetic(n, family=family, seed=seed)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "transcript.jsonl"
-            backend = CachingBackend(
-                MockBackend(profiles, seed=seed, noise_rate=noise), TranscriptCache(path)
-            )
-            big_reports, big_records = run_divide(questions, spec(t + extra), backend)
-            try:
-                run_conquer(questions, big_reports, strategy, backend,
-                            divide_records=big_records, self_consistency=True, sc_samples=3)
-            except ConquerError:  # no parsed prior answer to filter or reuse
-                run_conquer(questions, big_reports, "ZTCOT", backend)
-            reports, records = run_divide(questions, spec(t), backend)
+            with TranscriptCache(path) as cache:
+                backend = CachingBackend(MockBackend(profiles, seed=seed, noise_rate=noise), cache)
+                big_reports, big_records = run_divide(questions, spec(t + extra), backend)
+                try:
+                    run_conquer(questions, big_reports, strategy, backend,
+                                divide_records=big_records, self_consistency=True, sc_samples=3)
+                except ConquerError:  # no parsed prior answer to filter or reuse
+                    run_conquer(questions, big_reports, "ZTCOT", backend)
+                reports, records = run_divide(questions, spec(t), backend)
             assert records_from_transcript(TranscriptCache(path), questions, reports) == records
 
     def test_question_missing_from_dataset_is_named(self, tmp_path):
         questions, profiles = generate_synthetic(3, family="uniform_correct", seed=1)
-        cache = TranscriptCache(tmp_path / "transcript.jsonl")
-        backend = CachingBackend(MockBackend(profiles, seed=1), cache)
-        reports, _ = run_divide(questions, spec(), backend)
+        with TranscriptCache(tmp_path / "transcript.jsonl") as cache:
+            backend = CachingBackend(MockBackend(profiles, seed=1), cache)
+            reports, _ = run_divide(questions, spec(), backend)
         with pytest.raises(DatasetError, match=questions[0].id):
             records_from_transcript(cache, questions[1:], reports)
