@@ -4,7 +4,8 @@ All backends implement a single `complete(request)` method and are safe to
 call from multiple threads. A persistent append-only transcript cache can
 wrap any backend so completed work is never refetched; replay is that cache
 over a backend that never fetches. `execute` is the one way every phase
-issues a batch of requests.
+issues a batch of requests; it starts threads only for a backend that
+`waits` outside the interpreter.
 """
 
 from __future__ import annotations
@@ -180,6 +181,9 @@ class Backend:
     """Interface: one blocking completion per request."""
 
     tag = "base"
+    waits = True
+    """`complete` spends its time waiting outside the interpreter (network), so
+    threads overlap it."""
 
     def complete(self, req: CompletionRequest) -> Completion:
         raise NotImplementedError
@@ -203,6 +207,7 @@ class MockBackend(Backend):
     """
 
     tag = "mock"
+    waits = False
 
     def __init__(
         self,
@@ -307,6 +312,13 @@ class MockBackend(Backend):
         )
 
 
+def _delay_seconds(retry_after: Optional[str]) -> Optional[int]:
+    """A `Retry-After` value in its delay-seconds form; None for an HTTP-date or no header."""
+    if retry_after is not None and retry_after.isascii() and retry_after.strip().isdigit():
+        return int(retry_after)
+    return None
+
+
 class HttpChatBackend(Backend):
     """Minimal HTTP JSON chat-completion client with retry and backoff."""
 
@@ -353,6 +365,7 @@ class HttpChatBackend(Backend):
         headers = {"Authorization": f"Bearer {self.api_key}"}
         last_error: Optional[Exception] = None
         for attempt in range(1, self.max_attempts + 1):
+            retry_after = None
             try:
                 with self._lock:
                     self.calls += 1
@@ -361,6 +374,8 @@ class HttpChatBackend(Backend):
                 )
                 if resp.status_code in (401, 403):
                     raise ConfigError(f"authentication failed ({resp.status_code})")
+                if resp.status_code == 429:
+                    retry_after = _delay_seconds(resp.headers.get("Retry-After"))
                 if resp.status_code == 429 or resp.status_code >= 500:
                     raise requests.RequestException(f"retryable status {resp.status_code}")
                 resp.raise_for_status()
@@ -378,8 +393,10 @@ class HttpChatBackend(Backend):
             except (requests.RequestException, KeyError, ValueError) as exc:
                 last_error = exc
                 if attempt < self.max_attempts:
-                    delay = self.base_delay * self.backoff_factor ** (attempt - 1)
-                    time.sleep(delay * (1.0 + random.random() * 0.25))
+                    if retry_after is None:
+                        delay = self.base_delay * self.backoff_factor ** (attempt - 1)
+                        retry_after = delay * (1.0 + random.random() * 0.25)
+                    time.sleep(retry_after)
         raise TransportError(
             f"request {req.key()} failed after {self.max_attempts} attempts: {last_error}"
         )
@@ -516,6 +533,7 @@ class CachingBackend(Backend):
         self.inner = inner
         self.cache = cache
         self.tag = inner.tag
+        self.waits = inner.waits
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
@@ -538,6 +556,7 @@ class NoFetchBackend(Backend):
     """Inner backend for replay: every request the transcript lacks is a miss."""
 
     tag = "replay"
+    waits = False
 
     def complete(self, req: CompletionRequest) -> Completion:
         raise CacheMissError(f"transcript has no entry for key {req.key()!r}")
@@ -548,10 +567,15 @@ def execute(
 ) -> list[Completion]:
     """Complete every request with at most `parallelism` in flight.
 
-    Each worker takes the next request as soon as it is free, and completions
-    come back in input order. After the first failure, or an interrupt, no
-    request starts; the failure is raised once those started have finished.
+    Completions come back in input order. After the first failure, or an
+    interrupt, no request starts; the failure is raised once those started
+    have finished. Threads are used only when `parallelism > 1` and the
+    backend `waits`: each worker then takes the next request as soon as it is
+    free. Otherwise the requests complete one by one on the calling thread,
+    because threads cannot overlap work that never leaves the interpreter.
     """
+    if parallelism <= 1 or not backend.waits:
+        return [backend.complete(r) for r in requests]
     completions: list = [None] * len(requests)
     todo = iter(range(len(requests)))
     lock = threading.Lock()

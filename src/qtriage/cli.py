@@ -213,6 +213,16 @@ def _report_strategies(run_dir: str) -> dict:
     strategies = read_json(path, ReportError).get("strategies")
     if not isinstance(strategies, dict):
         raise ReportError(f"{path}: key 'strategies' missing or not an object")
+    for strat, subsets in strategies.items():
+        if not isinstance(subsets, dict):
+            raise ReportError(f"{path}: strategies.{strat} is not an object")
+        for subset, entry in subsets.items():
+            where = f"strategies.{strat}.{subset}"
+            if not isinstance(entry, dict):
+                raise ReportError(f"{path}: {where} is not an object")
+            accuracy = entry.get("accuracy")
+            if accuracy is not None and not isinstance(accuracy, (int, float)):
+                raise ReportError(f"{path}: {where}.accuracy is not a number or null")
     return strategies
 
 

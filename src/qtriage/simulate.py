@@ -8,11 +8,10 @@ filtering beats a plain greedy re-query.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
-
-from scipy import stats
 
 from .backend import ConfigError, MockBackend, QuestionProfile, load_profiles
 from .divide import SUBSETS, ConfidenceReport, majority_answer
@@ -68,10 +67,39 @@ def spearman_cs_vs_correct(
         pred = majority_answer(r.histogram) if r.histogram.counts else None
         xs.append(float(r.cs))
         ys.append(1.0 if pred == gold else 0.0)
+    return spearman(xs, ys)
+
+
+def _doubled_ranks(values: Sequence[float]) -> list[int]:
+    """Twice each value's 1-based rank, ties sharing their average rank."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0] * len(values)
+    start = 0
+    while start < len(order):
+        end = start
+        while end + 1 < len(order) and values[order[end + 1]] == values[order[start]]:
+            end += 1
+        for i in order[start:end + 1]:
+            ranks[i] = start + end + 2
+        start = end + 1
+    return ranks
+
+
+def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Spearman's rho: Pearson over average ranks; 0.0 when either side is constant.
+
+    Ranks are doubled to make them integers, so every sum is exact and rounding
+    happens only in the final square root and division.
+    """
     if len(set(xs)) < 2 or len(set(ys)) < 2:
         return 0.0
-    rho, _ = stats.spearmanr(xs, ys)
-    return float(rho)
+    a, b = _doubled_ranks(xs), _doubled_ranks(ys)
+    n = len(a)
+    sa, sb = sum(a), sum(b)
+    cov = n * sum(x * y for x, y in zip(a, b)) - sa * sb
+    var_a = n * sum(x * x for x in a) - sa * sa
+    var_b = n * sum(y * y for y in b) - sb * sb
+    return cov / math.sqrt(var_a * var_b)
 
 
 def subset_accuracies(

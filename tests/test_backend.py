@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import threading
 import time
 
 import pytest
@@ -12,6 +13,7 @@ from qtriage.backend import (
     CachingBackend,
     CompletionRequest,
     ConfigError,
+    HttpChatBackend,
     MockBackend,
     NoFetchBackend,
     QuestionProfile,
@@ -222,6 +224,8 @@ class TestTranscriptCache:
 class TestExecute:
     def test_completions_come_back_in_input_order(self):
         class SlowFirst(MockBackend):
+            waits = True
+
             def complete(self, req):
                 time.sleep(0.0001 * (400 - req.sample_index) * (req.sample_index % 3 == 0))
                 return super().complete(req)
@@ -249,6 +253,106 @@ class TestExecute:
         with pytest.raises(TransportError):
             execute([req(idx=i) for i in range(20)], backend, parallelism=1)
         assert backend.calls < 10  # without cancellation all 19 others run
+
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_in_process_backend_completes_on_the_calling_thread(self, tmp_path, cached):
+        class ThreadRecording(MockBackend):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.threads = set()
+
+            def complete(self, req):
+                self.threads.add(threading.get_ident())
+                return super().complete(req)
+
+        requests = [req(idx=i) for i in range(40)]
+
+        def run(parallelism):
+            inner = ThreadRecording({"q1": profile(dist={"A": 0.5, "B": 0.5})}, seed=0)
+            with TranscriptCache(tmp_path / f"p{parallelism}.jsonl") as cache:
+                backend = CachingBackend(inner, cache) if cached else inner
+                return execute(requests, backend, parallelism), inner.threads
+
+        serial, _ = run(1)
+        parallel, threads = run(8)
+        assert parallel == serial
+        assert threads == {threading.get_ident()}
+
+
+class FakeResponse:
+    def __init__(self, status_code, body=None, headers=None):
+        self.status_code = status_code
+        self.headers = headers or {}
+        self._body = body
+
+    def json(self):
+        return self._body
+
+    def raise_for_status(self):
+        assert self.status_code < 400, "the backend handles error statuses first"
+
+
+def answered(payload):
+    prompt = payload["messages"][0]["content"]
+    body = {
+        "choices": [{"message": {"content": f"about {prompt}. So the answer is (A)."}}],
+        "usage": {"prompt_tokens": 3, "completion_tokens": 9},
+    }
+    return FakeResponse(200, body)
+
+
+class FakeSession:
+    """Stands in for `requests.Session`: serves `responses` in turn, then 200s."""
+
+    def __init__(self, responses=(), barrier=None):
+        self.responses = list(responses)
+        self.barrier = barrier
+        self.posts = 0
+        self._lock = threading.Lock()
+
+    def post(self, url, json, headers, timeout):
+        with self._lock:
+            self.posts += 1
+            response = self.responses.pop(0) if self.responses else None
+        if self.barrier is not None:
+            self.barrier.wait()
+        return response or answered(json)
+
+
+def http_backend(session, **kwargs):
+    return HttpChatBackend("http://llm.invalid/v1", "m", api_key="k", session=session, **kwargs)
+
+
+class TestHttpChatBackend:
+    def test_parallelism_puts_that_many_requests_in_flight(self):
+        session = FakeSession(barrier=threading.Barrier(4, timeout=5))
+        requests = [req(idx=i, prompt=f"p{i}") for i in range(8)]
+        completions = execute(requests, http_backend(session), parallelism=4)
+        assert [c.text for c in completions] == [
+            f"about p{i}. So the answer is (A)." for i in range(8)
+        ]
+        assert session.posts == 8
+
+    @pytest.mark.parametrize("retry_after, low, high", [
+        ("7", 7, 7),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 3.0, 3.75),  # HTTP-date: the backoff delay
+    ])
+    def test_429_waits_retry_after_seconds(self, monkeypatch, retry_after, low, high):
+        slept = []
+        monkeypatch.setattr("qtriage.backend.time.sleep", slept.append)
+        session = FakeSession([FakeResponse(429, headers={"Retry-After": retry_after})])
+        completion = http_backend(session, base_delay=3.0).complete(req())
+        assert completion.output_tokens == 9
+        assert len(slept) == 1 and low <= slept[0] <= high
+
+    def test_5xx_then_success_retries_once(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr("qtriage.backend.time.sleep", slept.append)
+        session = FakeSession([FakeResponse(503)])
+        backend = http_backend(session)
+        assert backend.complete(req()).text == "about p. So the answer is (A)."
+        assert session.posts == backend.calls == 2 and len(slept) == 1
 
 
 class TestReplayBackend:

@@ -653,6 +653,15 @@ def _compare_without_strategies(runner, tmp_path, monkeypatch):
     return ["report", "--compare", str(tmp_path / "a"), str(tmp_path / "b")], "'strategies'"
 
 
+def _compare_report(report, expect):
+    def case(runner, tmp_path, monkeypatch):
+        for name in ("a", "b"):
+            (tmp_path / name / "reports").mkdir(parents=True)
+            (tmp_path / name / "reports" / "report.json").write_text(json.dumps(report))
+        return ["report", "--compare", str(tmp_path / "a"), str(tmp_path / "b")], expect
+    return case
+
+
 def _transport_failure(runner, tmp_path, monkeypatch):
     import requests
 
@@ -686,6 +695,11 @@ FAILURES = {  # name -> (build the case, expected exit code)
     "simulate-assertions-not-object": (
         _simulate("--profiles", _assertions_not_object, expect="profiles.jsonl line 1"), 1),
     "report-compare-without-strategies": (_compare_without_strategies, 1),
+    "report-compare-strategy-not-object": (
+        _compare_report({"strategies": {"fcr": 5}}, "report.json: strategies.fcr is"), 1),
+    "report-compare-accuracy-not-number": (
+        _compare_report({"strategies": {"fcr": {"med": {"accuracy": "0.5"}}}},
+                        "report.json: strategies.fcr.med.accuracy"), 1),
     "fcr-dataset-lacks-question": (_dataset_lacks_conquered_question, 1),
     "report-corrupt-manifest": (
         _corrupt("manifest.json", ["report", "--partial"], "manifest.json"), 1),

@@ -1,5 +1,6 @@
 import random
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,7 +276,38 @@ class BarrierBackend(Backend):
         return self.inner.complete(req)
 
 
+class JitteryMock(MockBackend):
+    """A mock that waits like a network backend: a seeded 0-200 us per request."""
+
+    waits = True
+
+    def complete(self, req):
+        time.sleep(random.Random(f"{self.seed}|{req.key()}").uniform(0, 2e-4))
+        return super().complete(req)
+
+
 class TestRunConquer:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        family=st.sampled_from(PROFILE_FAMILIES),
+        seed=st.integers(min_value=0, max_value=10_000),
+        strategy=st.sampled_from(STRATEGIES),
+        sc=st.booleans(),
+    )
+    def test_threads_leave_outputs_unchanged(self, n, family, seed, strategy, sc):
+        questions, profiles = generate_synthetic(n, family=family, seed=seed)
+        backend = JitteryMock(profiles, seed=seed)
+        runs = []
+        for parallelism in (1, 8):
+            reports, records = run_divide(questions, spec(), backend, parallelism=parallelism)
+            outcomes = run_conquer(
+                questions, reports, strategy, backend, divide_records=records,
+                parallelism=parallelism, self_consistency=sc, sc_samples=3, seed=seed,
+            )
+            runs.append((reports, records, outcomes))
+        assert runs[0] == runs[1]
+
     def test_sc_samples_of_one_question_are_in_flight_together(self):
         q = question()
         report = report_for("q1", histogram_from_answers(["C", "E", "C", "E", "C"]), spec())
