@@ -335,8 +335,6 @@ class HttpChatBackend(Backend):
         timeout: float = 120.0,
         session: Optional["requests.Session"] = None,
     ) -> None:
-        import requests  # only the live backend pays for this import
-
         if not endpoint:
             raise ConfigError("live backend requires an endpoint URL")
         self.endpoint = endpoint
@@ -348,9 +346,19 @@ class HttpChatBackend(Backend):
         self.base_delay = base_delay
         self.backoff_factor = backoff_factor
         self.timeout = timeout
-        self.session = session or requests.Session()
+        self._session = session  # shared by every thread when injected
+        self._local = threading.local()  # else each thread gets its own Session
         self.calls = 0
         self._lock = threading.Lock()
+
+    def _thread_session(self) -> "requests.Session":
+        import requests  # only the live backend pays for this import
+
+        if self._session is not None:
+            return self._session
+        if not hasattr(self._local, "session"):
+            self._local.session = requests.Session()
+        return self._local.session
 
     def complete(self, req: CompletionRequest) -> Completion:
         import requests
@@ -369,7 +377,7 @@ class HttpChatBackend(Backend):
             try:
                 with self._lock:
                     self.calls += 1
-                resp = self.session.post(
+                resp = self._thread_session().post(
                     self.endpoint, json=payload, headers=headers, timeout=self.timeout
                 )
                 if resp.status_code in (401, 403):

@@ -111,7 +111,6 @@ def cmd_divide(ctx, mu, nu, divide_base):
     backend = build_backend(config, seed)
 
     manifest = new_manifest(config, seed, run_dir)
-    Path(run_dir).mkdir(parents=True, exist_ok=True)
     reports, _ = run_divide_phase(
         questions, spec, backend, manifest, parallelism=parallelism, progress=click.echo,
     )

@@ -34,6 +34,7 @@ from .model import (
     cloze_to_mcq,
     read_jsonl,
     relabel_choices,
+    write_atomic,
 )
 from .prompts import build_prompt, strategy_needs_filtered, strategy_needs_rationales
 
@@ -297,8 +298,7 @@ def run_conquer(
 
 
 def save_outcomes(path: str | Path, outcomes: Sequence[ConquerOutcome]) -> None:
-    lines = [json.dumps(o.to_dict(), sort_keys=True) for o in outcomes]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_atomic(path, "".join(json.dumps(o.to_dict(), sort_keys=True) + "\n" for o in outcomes))
 
 
 def load_outcomes(path: str | Path) -> list[dict]:

@@ -23,7 +23,7 @@ from .backend import (
     execute,
 )
 from .extraction import extract_choice_answer, extract_numeric_answer
-from .model import DatasetError, DatasetSpec, QtriageError, Question, read_jsonl
+from .model import DatasetError, DatasetSpec, QtriageError, Question, read_jsonl, write_atomic
 from .prompts import build_prompt
 
 DIVIDE_TEMPERATURE = 0.7
@@ -295,8 +295,7 @@ def records_from_transcript(
 
 
 def save_reports(path: str | Path, reports: Sequence[ConfidenceReport]) -> None:
-    lines = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_atomic(path, "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reports))
 
 
 def load_reports(path: str | Path) -> list[ConfidenceReport]:

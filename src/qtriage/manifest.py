@@ -1,18 +1,20 @@
-"""Run manifest: the single file that makes a run archivable and replayable."""
+"""Run manifest: the single file that makes a run archivable and replayable.
+
+This module alone knows the layout of a run directory. Every run file is
+named relative to the directory the manifest was created in or loaded from,
+so `manifest.json` stores no path and a run directory can be moved.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
 
 from .backend import TranscriptCache
-from .model import QtriageError, read_json
+from .model import QtriageError, read_json, write_atomic
 
 
 class ManifestError(QtriageError, ValueError):
@@ -24,13 +26,13 @@ class RunManifest:
     run_id: str
     config: dict  # credentials are never stored here
     seed: int
-    run_dir: str
-    paths: dict = field(default_factory=dict)
+    run_dir: Path  # where manifest.json lives; never written to it
+    outcomes: list[str] = field(default_factory=list)  # conquered outcome names, sorted
     status: dict = field(default_factory=dict)
 
     @property
     def transcript_path(self) -> Path:
-        return Path(self.paths.get("transcript", Path(self.run_dir) / "transcript.jsonl"))
+        return self.run_dir / "transcript.jsonl"
 
     @cached_property
     def transcript(self) -> TranscriptCache:
@@ -43,52 +45,48 @@ class RunManifest:
 
     @property
     def partition_path(self) -> Path:
-        return Path(self.paths.get("partition", Path(self.run_dir) / "partition.jsonl"))
+        return self.run_dir / "partition.jsonl"
 
     def outcome_path(self, name: str) -> Path:
-        return Path(self.paths.get("outcomes", {}).get(
-            name, str(Path(self.run_dir) / f"outcomes_{name}.jsonl")
-        ))
+        return self.run_dir / f"outcomes_{name}.jsonl"
 
     def report_dir(self) -> Path:
-        return Path(self.paths.get("reports", Path(self.run_dir) / "reports"))
+        return self.run_dir / "reports"
 
     def mark(self, phase: str, state: str) -> None:
         self.status[phase] = state
 
     def to_dict(self) -> dict:
         return {
-            "run_id": self.run_id,
             "config": self.config,
+            "outcomes": self.outcomes,
+            "run_id": self.run_id,
             "seed": self.seed,
-            "run_dir": self.run_dir,
-            "paths": self.paths,
             "status": self.status,
         }
 
-    def save(self, path: Optional[str | Path] = None) -> Path:
-        path = Path(path) if path else Path(self.run_dir) / "manifest.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        data = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix="manifest", suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-        return path
+    def save(self) -> None:
+        text = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        write_atomic(self.run_dir / "manifest.json", text)
 
     @staticmethod
-    def load(path: str | Path) -> "RunManifest":
-        path = Path(path)
-        if path.is_dir():
-            path = path / "manifest.json"
+    def load(run_dir: str | Path) -> "RunManifest":
+        run_dir = Path(run_dir)
+        path = run_dir / "manifest.json"
         d = read_json(path, ManifestError)
+        outcomes = d.get("outcomes")
+        if not isinstance(outcomes, list) or not all(isinstance(n, str) for n in outcomes):
+            raise ManifestError(
+                f"{path}: no 'outcomes' list; written before run directories named"
+                " their own files; rerun divide and each conquer to rebuild it"
+            )
         try:
             return RunManifest(
                 run_id=d["run_id"],
                 config=d["config"],
                 seed=int(d["seed"]),
-                run_dir=d["run_dir"],
-                paths=d.get("paths", {}),
+                run_dir=run_dir,
+                outcomes=outcomes,
                 status=d.get("status", {}),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -112,20 +110,14 @@ def _without_credentials(node):
 
 
 def new_manifest(config: dict, seed: int, run_dir: str | Path) -> RunManifest:
-    run_dir = str(run_dir)
-    safe_config = _without_credentials(config)
-    # run_id reflects what was computed, not where it was written or how fast
-    semantic = {k: v for k, v in safe_config.items() if k not in ("run_dir", "parallelism")}
+    # the stored config keeps neither credentials nor where the run was written
+    safe_config = {k: v for k, v in _without_credentials(config).items() if k != "run_dir"}
+    # run_id reflects what was computed, not how fast
+    semantic = {k: v for k, v in safe_config.items() if k != "parallelism"}
     return RunManifest(
         run_id=derive_run_id(semantic, seed),
         config=safe_config,
         seed=seed,
-        run_dir=run_dir,
-        paths={
-            "transcript": str(Path(run_dir) / "transcript.jsonl"),
-            "partition": str(Path(run_dir) / "partition.jsonl"),
-            "outcomes": {},
-            "reports": str(Path(run_dir) / "reports"),
-        },
+        run_dir=Path(run_dir),
         status={"divide": "pending", "conquer": "pending", "report": "pending"},
     )

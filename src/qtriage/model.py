@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import string
+import tempfile
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -211,6 +213,25 @@ def read_json(path: str | Path, error: type[QtriageError]) -> dict:
     """The JSON object a file holds; a missing file or anything else raises `error`."""
     path = Path(path)
     return _json_object(_read_text(path, error), error, path)
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Replace `path` with `text` in one rename, so a reader sees the old or the new bytes.
+
+    The text goes to a temporary file beside `path`, which is removed if
+    anything fails before the rename. The parent directory is created first.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_jsonl(path: str | Path, error: type[QtriageError]) -> list[tuple[int, dict]]:

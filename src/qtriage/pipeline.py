@@ -116,11 +116,8 @@ def build_backend(config: dict, seed: int) -> Backend:
             max_attempts=config_number(config, "backend.max_attempts", 5),
             base_delay=config_number(config, "backend.base_delay", 1.0, float),
         )
-    if kind == "replay":
-        transcript = bc.get("transcript")
-        if not transcript:
-            raise ConfigError("replay backend requires backend.transcript path")
-        return CachingBackend(NoFetchBackend(), TranscriptCache(transcript))
+    if kind == "replay":  # every phase reads the run's own transcript.jsonl first
+        return NoFetchBackend()
     raise ConfigError(f"unknown backend kind {kind!r}")
 
 
@@ -207,9 +204,8 @@ def run_conquer_phase(
             questions, reports, strategy, CachingBackend(backend, cache),
             divide_records=divide_records, self_consistency=self_consistency, **options,
         )
-    out_path = manifest.outcome_path(name)
-    save_outcomes(out_path, outcomes)
-    manifest.paths.setdefault("outcomes", {})[name] = str(out_path)
+    save_outcomes(manifest.outcome_path(name), outcomes)
+    manifest.outcomes = sorted({*manifest.outcomes, name})
     manifest.status.pop(f"conquer:{name}", None)
     failed = any(phase.startswith("conquer:") for phase in manifest.status)
     manifest.mark("conquer", "partial" if failed else "done")
@@ -233,10 +229,10 @@ def run_report_phase(
     divide_records = records_from_transcript(manifest.transcript, questions, reports)
 
     prior = subset_prior_metrics(questions, reports, divide_records)
-    strategies = {}
-    for name, path in sorted(manifest.paths.get("outcomes", {}).items()):
-        if Path(path).exists():
-            strategies[name] = strategy_metrics(questions, reports, load_outcomes(path))
+    strategies = {
+        name: strategy_metrics(questions, reports, load_outcomes(manifest.outcome_path(name)))
+        for name in manifest.outcomes
+    }
     cost = cost_summary(divide_records, reports, sc_budget=spec.divide_base)
     curves = accuracy_curves(questions, reports, divide_records)
     files = emit_report(

@@ -5,8 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +17,7 @@ from .divide import (
     histogram_from_answers,
     majority_answer,
 )
-from .model import QtriageError, Question
+from .model import QtriageError, Question, write_atomic
 
 
 class ReportError(QtriageError, ValueError):
@@ -200,18 +198,6 @@ def _fmt_pct(value: Optional[Fraction]) -> str:
     return f"{float(value) * 100:.2f}"
 
 
-def _atomic_write(path: Path, data: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _metrics_to_dict(m: SubsetMetrics) -> dict:
     return {
         "n": m.n,
@@ -236,7 +222,6 @@ def emit_report(
     """Write report.json, summary.csv, and curves.csv; byte-stable given
     identical inputs."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     tree = {
         "run_id": run_id,
@@ -250,7 +235,7 @@ def emit_report(
         "cost": cost,
     }
     report_path = out_dir / "report.json"
-    _atomic_write(report_path, json.dumps(tree, indent=2, sort_keys=True) + "\n")
+    write_atomic(report_path, json.dumps(tree, indent=2, sort_keys=True) + "\n")
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -273,7 +258,7 @@ def emit_report(
                  f"{float(m.unparsed_rate):.4f}", m.queries, m.prompt_tokens, m.output_tokens]
             )
     summary_path = out_dir / "summary.csv"
-    _atomic_write(summary_path, buf.getvalue())
+    write_atomic(summary_path, buf.getvalue())
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -281,6 +266,6 @@ def emit_report(
     for subset, k, acc in curves:
         writer.writerow([dataset_name, subset, k, "" if acc is None else f"{acc:.6f}"])
     curves_path = out_dir / "curves.csv"
-    _atomic_write(curves_path, buf.getvalue())
+    write_atomic(curves_path, buf.getvalue())
 
     return {"report": report_path, "summary": summary_path, "curves": curves_path}

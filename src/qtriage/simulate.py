@@ -145,7 +145,6 @@ def run_simulation(
         "backend": {"kind": "mock", "noise_rate": noise_rate},
     }
     manifest = new_manifest(config, seed, run_dir)
-    Path(run_dir).mkdir(parents=True, exist_ok=True)
 
     backend = MockBackend(profiles, seed=seed, noise_rate=noise_rate)
     reports, _records = run_divide_phase(

@@ -334,6 +334,30 @@ class TestHttpChatBackend:
         ]
         assert session.posts == 8
 
+    def test_each_thread_posts_through_its_own_session(self, monkeypatch):
+        barrier = threading.Barrier(4, timeout=5)
+        sessions = []
+
+        class RecordingSession:
+            def __init__(self):
+                self.threads = set()
+                sessions.append(self)
+
+            def post(self, url, json, headers, timeout):
+                self.threads.add(threading.get_ident())
+                barrier.wait()
+                return answered(json)
+
+        monkeypatch.setattr("requests.Session", RecordingSession)
+        backend = HttpChatBackend("http://llm.invalid/v1", "m", api_key="k")
+        completions = execute([req(idx=i, prompt=f"p{i}") for i in range(8)], backend, 4)
+        assert [c.text for c in completions] == [
+            f"about p{i}. So the answer is (A)." for i in range(8)
+        ]
+        assert len(sessions) == 4
+        assert [len(s.threads) for s in sessions] == [1, 1, 1, 1]
+        assert len(set.union(*(s.threads for s in sessions))) == 4
+
     @pytest.mark.parametrize("retry_after, low, high", [
         ("7", 7, 7),
         ("Wed, 21 Oct 2015 07:28:00 GMT", 3.0, 3.75),  # HTTP-date: the backoff delay

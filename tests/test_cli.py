@@ -1,4 +1,8 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -562,6 +566,102 @@ class TestReportCommand:
         assert result.exit_code == 0, result.output
 
 
+class TestRunDirLayout:
+    def test_moved_run_reports_the_same_bytes(self, runner, tmp_path, monkeypatch):
+        config = write_config(tmp_path, "runs/a")
+        base = ["--config", str(config), "--seed", "42"]
+        (tmp_path / "w").mkdir()
+        monkeypatch.chdir(tmp_path / "w")
+        for args in (["divide"], ["conquer", "--strategy", "pkr"],
+                     ["conquer", "--strategy", "fcr", "--sc"], ["report"]):
+            result = runner.invoke(main, base + args)
+            assert result.exit_code == 0, result.output
+        reports = tmp_path / "w" / "runs" / "a" / "reports"
+        before = {p.name: p.read_bytes() for p in reports.iterdir()}
+        assert sorted(before) == ["curves.csv", "report.json", "summary.csv"]
+
+        (tmp_path / "moved").mkdir()
+        (tmp_path / "w" / "runs" / "a").rename(tmp_path / "moved" / "b")
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        result = runner.invoke(main, base + ["--cache-dir", "../moved/b", "report"])
+        assert result.exit_code == 0, result.output
+        run_dir = tmp_path / "moved" / "b"
+        assert {p.name: p.read_bytes() for p in (run_dir / "reports").iterdir()} == before
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert sorted(manifest) == ["config", "outcomes", "run_id", "seed", "status"]
+        assert manifest["outcomes"] == ["fcr+sc", "pkr"]
+        assert "run_dir" not in manifest["config"]
+        assert "runs/a" not in (run_dir / "manifest.json").read_text()
+
+    def test_conquer_of_another_run_leaves_this_one_untouched(
+        self, runner, tmp_path, monkeypatch
+    ):
+        from qtriage.manifest import RunManifest
+
+        config = write_config(tmp_path, "runs/a")
+        for name, seed in (("w", "1"), ("other", "2")):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            result = runner.invoke(main, ["--config", str(config), "--seed", seed, "divide"])
+            assert result.exit_code == 0, result.output
+        other = tmp_path / "other"
+        before = {p: p.read_bytes() for p in other.rglob("*") if p.is_file()}
+
+        result = runner.invoke(main, ["--cache-dir", "../w/runs/a", "conquer", "--strategy", "pkr"])
+        assert result.exit_code == 0, result.output
+        assert {p: p.read_bytes() for p in other.rglob("*") if p.is_file()} == before
+        run_dir = tmp_path / "w" / "runs" / "a"
+        assert (run_dir / "outcomes_pkr.jsonl").is_file()
+        assert RunManifest.load(run_dir).outcomes == ["pkr"]
+
+    def test_failed_replace_keeps_the_previous_partition(self, runner, tmp_path, monkeypatch):
+        from qtriage.divide import load_reports, save_reports
+
+        _, run_dir = divided(runner, tmp_path)
+        partition = run_dir / "partition.jsonl"
+        before = partition.read_bytes()
+        names = sorted(p.name for p in run_dir.iterdir())
+
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr("os.replace", refuse)
+        with pytest.raises(OSError, match="no space left"):
+            save_reports(partition, load_reports(partition)[:3])
+        assert partition.read_bytes() == before
+        assert sorted(p.name for p in run_dir.iterdir()) == names
+
+    def test_no_credential_reaches_any_run_file(self, runner, tmp_path, monkeypatch):
+        import requests
+
+        answers = itertools.cycle("AABACBA")
+        posts = []
+
+        def post(self, url, json, headers, timeout):
+            posts.append(headers["Authorization"])
+            text = f"So the answer is ({next(answers)})."
+            return _Response(200, {"choices": [{"message": {"content": text}}]})
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setenv("QTRIAGE_API_KEY", "SECRET-env-51c2")
+        backend = {"kind": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m",
+                   "api_key": "SECRET-config-9d0e"}
+        run_dir = tmp_path / "run"
+        base = ["--config", str(write_config(tmp_path, run_dir, backend=backend)), "--seed", "42"]
+        for args in (["divide"], ["conquer", "--strategy", "fcr"], ["report"]):
+            result = runner.invoke(main, base + args)
+            assert result.exit_code == 0, result.output
+        assert len(posts) > 100 and set(posts) == {"Bearer SECRET-env-51c2"}
+        files = [p for p in run_dir.rglob("*") if p.is_file()]
+        assert {"manifest.json", "transcript.jsonl", "outcomes_fcr.jsonl", "report.json"} <= {
+            p.name for p in files
+        }
+        for path in files:
+            data = path.read_bytes()
+            assert b"SECRET-env-51c2" not in data and b"SECRET-config-9d0e" not in data, path
+
+
 def divided(runner, tmp_path):
     """Divide the toy run under `tmp_path` at seed 42; returns its CLI args and run dir."""
     run_dir = tmp_path / "run"
@@ -586,8 +686,7 @@ def _missing_dataset(command):
 
 
 def _replay_lacking_entry(runner, tmp_path, monkeypatch):
-    (tmp_path / "empty.jsonl").write_text("")
-    backend = {"kind": "replay", "transcript": str(tmp_path / "empty.jsonl")}
+    backend = {"kind": "replay"}
     config = write_config(tmp_path, tmp_path / "run", backend=backend)
     return ["--config", str(config), "divide"], "no entry for key"
 
@@ -676,6 +775,72 @@ def _transport_failure(runner, tmp_path, monkeypatch):
     return ["--config", str(config), "divide"], "failed after 1 attempts"
 
 
+def _listed_outcome_missing(runner, tmp_path, monkeypatch):
+    base, run_dir = divided(runner, tmp_path)
+    assert runner.invoke(main, base + ["conquer", "--strategy", "fcr"]).exit_code == 0
+    (run_dir / "outcomes_fcr.jsonl").unlink()
+    return base + ["report"], "outcomes_fcr.jsonl"
+
+
+def _manifest_without_outcomes(runner, tmp_path, monkeypatch):
+    base, run_dir = divided(runner, tmp_path)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest.pop("outcomes", None)  # the layout before run dirs named their own files
+    manifest.update(run_dir=str(run_dir), paths={"outcomes": {}})
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    return base + ["report", "--partial"], "manifest.json: no 'outcomes'"
+
+
+class _Response:
+    def __init__(self, status_code, body=None):
+        self.status_code = status_code
+        self.headers = {}
+        self._body = body
+
+    def json(self):
+        return self._body
+
+    def raise_for_status(self):
+        assert self.status_code < 400, "the backend handles error statuses first"
+
+
+def _http(post, expect, **settings):
+    """A divide over `kind: http` whose `requests.Session.post` is `post`; no socket opens."""
+    def case(runner, tmp_path, monkeypatch):
+        import requests
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setattr("qtriage.backend.time.sleep", lambda seconds: None)
+        monkeypatch.setenv("QTRIAGE_API_KEY", "test-key")
+        backend = {"kind": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m", **settings}
+        config = write_config(tmp_path, tmp_path / "run", backend=backend)
+        return ["--config", str(config), "divide"], expect() if callable(expect) else expect
+    return case
+
+
+def _unauthorized_once(self, *args, **kwargs):
+    """401 on the first post; a retry would hit a refused connection and exit 2."""
+    import requests
+
+    if getattr(self, "_posted", False):
+        raise requests.ConnectionError("posted again after a 401")
+    self._posted = True
+    return _Response(401)
+
+
+def _timeout(self, *args, **kwargs):
+    import requests
+
+    raise requests.Timeout("read timed out")
+
+
+def _first_divide_key():
+    from qtriage.divide import divide_requests
+    from qtriage.model import load_dataset
+
+    return f"request {divide_requests(load_dataset(TOY_DATA)[0], 5)[0].key()} failed after 2"
+
+
 FAILURES = {  # name -> (build the case, expected exit code)
     "conquer-missing-dataset": (_missing_dataset(["conquer", "--strategy", "fcr"]), 1),
     "report-missing-dataset": (_missing_dataset(["report", "--partial"]), 1),
@@ -714,6 +879,13 @@ FAILURES = {  # name -> (build the case, expected exit code)
         _corrupt("outcomes_fcr.jsonl", ["report"], "outcomes_fcr.jsonl line 1",
                  conquer_first=True), 1),
     "divide-transport-failure": (_transport_failure, 2),
+    "divide-http-401": (_http(_unauthorized_once, "authentication failed (401)"), 1),
+    "divide-http-timeout": (_http(_timeout, _first_divide_key, max_attempts=2), 2),
+    "divide-http-empty-body": (
+        _http(lambda self, *a, **k: _Response(200, {}), "failed after 2 attempts",
+              max_attempts=2), 2),
+    "report-listed-outcome-missing": (_listed_outcome_missing, 1),
+    "report-manifest-without-outcomes": (_manifest_without_outcomes, 1),
 }
 
 
@@ -727,3 +899,14 @@ def test_every_failure_is_one_error_line(runner, tmp_path, monkeypatch, case):
     assert "Traceback" not in result.output
     errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and expect in errors[0], result.output
+
+
+def test_import_loads_neither_requests_nor_scipy():
+    import qtriage
+
+    code = ("import sys, qtriage, qtriage.cli, qtriage.simulate; "
+            "print(sorted(m for m in ('requests', 'scipy') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(qtriage.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
