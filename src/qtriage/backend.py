@@ -498,8 +498,11 @@ class TranscriptCache:
             raise
         return fh
 
-    def put(self, req: CompletionRequest, completion: Completion) -> None:
-        key = req.key()
+    def put(
+        self, req: CompletionRequest, completion: Completion, key: Optional[str] = None
+    ) -> None:
+        """Append one entry; `key` is `req.key()`, passed by a caller that already has it."""
+        key = req.key() if key is None else key
         entry = {
             "key": key,
             "request": {
@@ -554,7 +557,7 @@ class CachingBackend(Backend):
                 self.hits += 1
             return cached
         completion = self.inner.complete(req)
-        self.cache.put(req, completion)
+        self.cache.put(req, completion, key)
         with self._lock:
             self.misses += 1
         return completion

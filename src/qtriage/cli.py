@@ -111,6 +111,11 @@ def cmd_divide(ctx, mu, nu, divide_base):
     backend = build_backend(config, seed)
 
     manifest = new_manifest(config, seed, run_dir)
+    # Later commands may run from another directory: store the input paths
+    # absolute, after run_id is derived from the config as given.
+    for section, key in (("dataset", "path"), ("backend", "profiles")):
+        if manifest.config.get(section, {}).get(key):
+            manifest.config[section][key] = str(Path(manifest.config[section][key]).resolve())
     reports, _ = run_divide_phase(
         questions, spec, backend, manifest, parallelism=parallelism, progress=click.echo,
     )

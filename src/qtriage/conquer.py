@@ -189,8 +189,14 @@ def _plan_item(
     seed: Optional[int] = None,
     tail_override: Optional[str] = None,
 ) -> _Plan:
-    """Plan one question's requests; `own_records` are its divide records."""
+    """Plan one question's requests; `own_records` are its divide records.
+
+    A question with no parsed divide answer has no choice to filter by and no
+    rationale to reuse, so every strategy asks it with the ZTCOT prompt.
+    """
     base = ConquerOutcome(q.id, strategy, self_consistency, final_answer=None, records=())
+    if not report.histogram.counts:
+        strategy = "ZTCOT"
     working = q
     mapping: Optional[LabelMapping] = None
     if strategy_needs_filtered(strategy):

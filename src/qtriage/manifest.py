@@ -2,7 +2,7 @@
 
 This module alone knows the layout of a run directory. Every run file is
 named relative to the directory the manifest was created in or loaded from,
-so `manifest.json` stores no path and a run directory can be moved.
+so `manifest.json` stores no run file path and a run directory can be moved.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Optional
 
 from .backend import TranscriptCache
 from .model import QtriageError, read_json, write_atomic
@@ -29,6 +30,10 @@ class RunManifest:
     run_dir: Path  # where manifest.json lives; never written to it
     outcomes: list[str] = field(default_factory=list)  # conquered outcome names, sorted
     status: dict = field(default_factory=dict)
+    # (basis, records): the divide records last folded for this run, and the
+    # (question, total_samples) per report they were folded for. Held for the
+    # command so later phases need not rebuild them; never written.
+    divide_records: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def transcript_path(self) -> Path:

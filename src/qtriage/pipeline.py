@@ -29,6 +29,7 @@ from .divide import (
     ConfidenceReport,
     InferenceRecord,
     load_reports,
+    questions_for,
     records_from_transcript,
     run_divide,
     save_reports,
@@ -163,6 +164,32 @@ def _phase(manifest: RunManifest, on_failure: dict[str, str]) -> Iterator[Transc
             raise
 
 
+def _records_basis(
+    questions: Sequence[Question], reports: Sequence[ConfidenceReport]
+) -> tuple:
+    """What a report's divide records depend on: its question and sample count."""
+    return tuple(zip(questions, (r.histogram.total_samples for r in reports)))
+
+
+def _divide_records(
+    manifest: RunManifest,
+    questions: Sequence[Question],
+    reports: Sequence[ConfidenceReport],
+) -> tuple[InferenceRecord, ...]:
+    """The divide records behind `reports`, as the run holds them.
+
+    Records held for equal questions and sample counts are handed out as they
+    are; otherwise they are rebuilt once from the run's transcript and held.
+    Raises `DatasetError` for a report whose question is not in `questions`.
+    """
+    basis = _records_basis(questions_for(questions, reports), reports)
+    held = manifest.divide_records
+    if held is None or held[0] != basis:
+        records = records_from_transcript(manifest.transcript, questions, reports)
+        manifest.divide_records = (basis, tuple(records))
+    return manifest.divide_records[1]
+
+
 def run_divide_phase(
     questions: Sequence[Question],
     spec: DatasetSpec,
@@ -176,6 +203,7 @@ def run_divide_phase(
             questions, spec, CachingBackend(backend, cache),
             parallelism=parallelism, progress=progress,
         )
+    manifest.divide_records = (_records_basis(questions, reports), tuple(records))
     save_reports(manifest.partition_path, reports)
     manifest.mark("divide", "done")
     manifest.save()
@@ -199,7 +227,7 @@ def run_conquer_phase(
     name = f"{strategy.lower()}{'+sc' if self_consistency else ''}"
     with _phase(manifest, {f"conquer:{name}": "failed", "conquer": "partial"}) as cache:
         needs = strategy_needs_rationales(strategy)
-        divide_records = records_from_transcript(cache, questions, reports) if needs else ()
+        divide_records = _divide_records(manifest, questions, reports) if needs else ()
         outcomes = run_conquer(
             questions, reports, strategy, CachingBackend(backend, cache),
             divide_records=divide_records, self_consistency=self_consistency, **options,
@@ -226,7 +254,7 @@ def run_report_phase(
             f"phases incomplete: {', '.join(incomplete)}; rerun or pass --partial"
         )
     reports = load_reports(manifest.partition_path)
-    divide_records = records_from_transcript(manifest.transcript, questions, reports)
+    divide_records = _divide_records(manifest, questions, reports)
 
     prior = subset_prior_metrics(questions, reports, divide_records)
     strategies = {

@@ -7,16 +7,11 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .divide import (
-    SUBSETS,
-    ConfidenceReport,
-    InferenceRecord,
-    histogram_from_answers,
-    majority_answer,
-)
+from .divide import SUBSETS, ConfidenceReport, InferenceRecord, majority_answer
 from .model import QtriageError, Question, write_atomic
 
 
@@ -164,6 +159,28 @@ def strategy_metrics(
     return out
 
 
+def _prefix_votes(answers: Sequence[tuple[int, Optional[str]]], t: int) -> list[Optional[str]]:
+    """The first-k majority vote of `(sample_index, answer)` pairs for k = 1..t.
+
+    One pass in sample order keeps the counts, each answer's first occurrence
+    and the leader, which is `majority_answer` of the answers so far: the
+    highest count, ties to the earliest first occurrence; None while nothing
+    parsed. Past the last answer the vote stays the same.
+    """
+    counts: dict[str, int] = {}
+    first_seen: dict[str, int] = {}
+    leader: Optional[str] = None
+    votes: list[Optional[str]] = []
+    for idx, (_, ans) in enumerate(sorted(answers, key=itemgetter(0))):
+        if ans is not None:
+            count = counts[ans] = counts.get(ans, 0) + 1
+            first = first_seen.setdefault(ans, idx)
+            if leader is None or (count, -first) > (counts[leader], -first_seen[leader]):
+                leader = ans
+        votes.append(leader)
+    return votes + [leader] * (t - len(votes))
+
+
 def accuracy_curves(
     questions: Sequence[Question],
     reports: Sequence[ConfidenceReport],
@@ -171,24 +188,25 @@ def accuracy_curves(
 ) -> list[tuple[str, int, Optional[float]]]:
     """Accuracy of the first-k-sample majority vote, per subset and k."""
     golds = {q.id: q.gold for q in questions}
-    answers_by_q: dict[str, list[Optional[str]]] = {}
-    for rec in sorted(records, key=lambda r: (r.question_id, r.sample_index)):
+    answers_by_q: dict[str, list[tuple[int, Optional[str]]]] = {}
+    for rec in records:
         if rec.phase == "divide":
-            answers_by_q.setdefault(rec.question_id, []).append(rec.answer)
+            answers_by_q.setdefault(rec.question_id, []).append((rec.sample_index, rec.answer))
 
     t = max((len(v) for v in answers_by_q.values()), default=0)
     rows: list[tuple[str, int, Optional[float]]] = []
     for subset in SUBSETS:
-        qids = [r.question_id for r in reports if r.subset == subset]
-        for k in range(1, t + 1):
-            preds = []
-            for qid in qids:
-                if golds.get(qid) is None:
-                    continue
-                h = histogram_from_answers(answers_by_q.get(qid, [])[:k])
-                preds.append((qid, majority_answer(h) if h.counts else None))
-            acc = float(em_accuracy(preds, golds)) if preds else None
-            rows.append((subset, k, acc))
+        correct, n = [0] * t, 0
+        for r in reports:
+            gold = golds.get(r.question_id)
+            if r.subset != subset or gold is None:
+                continue
+            n += 1
+            for k, vote in enumerate(_prefix_votes(answers_by_q.get(r.question_id, ()), t)):
+                correct[k] += vote == gold
+        rows += [
+            (subset, k, float(Fraction(c, n)) if n else None) for k, c in enumerate(correct, 1)
+        ]
     return rows
 
 

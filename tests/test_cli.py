@@ -615,6 +615,37 @@ class TestRunDirLayout:
         assert (run_dir / "outcomes_pkr.jsonl").is_file()
         assert RunManifest.load(run_dir).outcomes == ["pkr"]
 
+    def test_later_commands_find_relative_inputs_from_another_dir(
+        self, runner, tmp_path, monkeypatch
+    ):
+        work = tmp_path / "w"
+        work.mkdir()
+        (tmp_path / "other").mkdir()
+        for src in (TOY_DATA, TOY_PROFILES):
+            (work / src.name).write_bytes(src.read_bytes())
+        config = {
+            "dataset": {"path": TOY_DATA.name, "name": "toy20", "divide_base": 5},
+            "backend": {"kind": "mock", "profiles": TOY_PROFILES.name},
+        }
+        (work / "config.json").write_text(json.dumps(config))
+        base = ["--config", "config.json", "--seed", "42"]
+        monkeypatch.chdir(work)
+        for run, args in (("a", ["divide"]), ("b", ["divide"]),
+                          ("b", ["conquer", "--strategy", "pkr"]), ("b", ["report"])):
+            result = runner.invoke(main, base + ["--cache-dir", f"runs/{run}"] + args)
+            assert result.exit_code == 0, result.output
+
+        monkeypatch.chdir(tmp_path / "other")
+        for args in (["conquer", "--strategy", "pkr"], ["report"]):
+            result = runner.invoke(main, ["--cache-dir", "../w/runs/a"] + args)
+            assert result.exit_code == 0, result.output
+        for name in ("report.json", "summary.csv", "curves.csv"):
+            a, b = (work / "runs" / run / "reports" / name for run in "ab")
+            assert a.read_bytes() == b.read_bytes(), name
+        stored = json.loads((work / "runs" / "a" / "manifest.json").read_text())["config"]
+        assert stored["dataset"]["path"] == str(work.resolve() / TOY_DATA.name)
+        assert stored["backend"]["profiles"] == str(work.resolve() / TOY_PROFILES.name)
+
     def test_failed_replace_keeps_the_previous_partition(self, runner, tmp_path, monkeypatch):
         from qtriage.divide import load_reports, save_reports
 

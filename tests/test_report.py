@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qtriage.backend import MockBackend, QuestionProfile
-from qtriage.divide import histogram_from_answers, report_for, run_divide
+from qtriage.divide import (
+    SUBSETS,
+    ConfidenceReport,
+    InferenceRecord,
+    histogram_from_answers,
+    majority_answer,
+    report_for,
+    run_divide,
+)
 from qtriage.model import DatasetSpec, Question
 from qtriage.report import (
     ReportError,
@@ -185,3 +193,58 @@ class TestEmitReport:
         emit_report(b, "toy", prior, {}, cost, curves, run_id="r1")
         for name in ("report.json", "summary.csv", "curves.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _curves_materials(items):
+    """Questions, reports and shuffled divide records for (answers, subset, gold) items."""
+    questions, reports, records = [], [], []
+    for i, (answers, subset, gold) in enumerate(items):
+        qid = f"q{i}"
+        questions.append(
+            Question(id=qid, text="?", choices=(("A", "x"), ("B", "y"), ("C", "z")), gold=gold)
+        )
+        hist = histogram_from_answers(answers or [None])
+        reports.append(ConfidenceReport(qid, hist, Fraction(0), subset, subset))
+        records += [
+            InferenceRecord(qid, "divide", j, "", "", ans, 0, 0) for j, ans in enumerate(answers)
+        ]
+    return questions, reports, records
+
+
+def _first_k_oracle(items):
+    """Brute force: vote on each question's first k answers, for every subset and k."""
+    t = max((len(answers) for answers, _, _ in items), default=0)
+    rows = []
+    for subset in SUBSETS:
+        for k in range(1, t + 1):
+            hits = []
+            for answers, own_subset, gold in items:
+                if own_subset != subset or gold is None:
+                    continue
+                h = histogram_from_answers(answers[:k])
+                hits.append((majority_answer(h) if h.counts else None) == gold)
+            rows.append((subset, k, float(Fraction(sum(hits), len(hits))) if hits else None))
+    return rows
+
+
+class TestAccuracyCurves:
+    answer = st.sampled_from(["A", "B", "C", None])
+    item = st.tuples(
+        st.lists(answer, max_size=7),
+        st.sampled_from(SUBSETS),
+        st.sampled_from(["A", "B", None]),
+    )
+
+    @given(items=st.lists(item, max_size=8), order=st.randoms(use_true_random=False))
+    def test_matches_first_k_vote(self, items, order):
+        questions, reports, records = _curves_materials(items)
+        order.shuffle(records)
+        assert accuracy_curves(questions, reports, records) == _first_k_oracle(items)
+
+    def test_tie_goes_to_the_earliest_first_occurrence(self):
+        # At k=4 A and B both have two votes; B was seen first, so B wins,
+        # though A reached two votes first.
+        items = [(["B", "A", "A", "B"], "low", "B")]
+        rows = accuracy_curves(*_curves_materials(items))
+        assert [acc for subset, _, acc in rows if subset == "low"] == [1.0, 1.0, 0.0, 1.0]
+        assert rows == _first_k_oracle(items)
