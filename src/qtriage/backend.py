@@ -26,6 +26,8 @@ from typing import Optional, Sequence
 from .model import QtriageError, read_jsonl
 
 API_KEY_ENV = "QTRIAGE_API_KEY"
+BACKOFF_FACTOR = 2.0  # each retry of a live request waits this many times longer
+REQUEST_TIMEOUT_S = 120.0
 
 
 class BackendError(QtriageError):
@@ -319,6 +321,27 @@ def _delay_seconds(retry_after: Optional[str]) -> Optional[int]:
     return None
 
 
+def _chat_completion(body, tag: str) -> Completion:
+    """The completion a chat-completion response body holds.
+
+    Raises `ValueError` for a body without a string `choices[0].message.content`,
+    or with a `usage` that is present but not an object of non-negative integer
+    counts; a missing `usage` counts zero tokens.
+    """
+    try:
+        text = body["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError):
+        text = None
+    if not isinstance(text, str):
+        raise ValueError("response has no string choices[0].message.content")
+    usage = body.get("usage", {})
+    counts = [usage.get(k, 0) if isinstance(usage, dict) else None
+              for k in ("prompt_tokens", "completion_tokens")]
+    if not all(type(n) is int and n >= 0 for n in counts):
+        raise ValueError(f"response usage is not an object of integer counts: {usage!r}")
+    return Completion(text, prompt_tokens=counts[0], output_tokens=counts[1], backend_tag=tag)
+
+
 class HttpChatBackend(Backend):
     """Minimal HTTP JSON chat-completion client with retry and backoff."""
 
@@ -331,8 +354,6 @@ class HttpChatBackend(Backend):
         api_key: Optional[str] = None,
         max_attempts: int = 5,
         base_delay: float = 1.0,
-        backoff_factor: float = 2.0,
-        timeout: float = 120.0,
         session: Optional["requests.Session"] = None,
     ) -> None:
         if not endpoint:
@@ -344,8 +365,6 @@ class HttpChatBackend(Backend):
             raise ConfigError(f"missing API credential; set {API_KEY_ENV}")
         self.max_attempts = max_attempts
         self.base_delay = base_delay
-        self.backoff_factor = backoff_factor
-        self.timeout = timeout
         self._session = session  # shared by every thread when injected
         self._local = threading.local()  # else each thread gets its own Session
         self.calls = 0
@@ -378,7 +397,7 @@ class HttpChatBackend(Backend):
                 with self._lock:
                     self.calls += 1
                 resp = self._thread_session().post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
+                    self.endpoint, json=payload, headers=headers, timeout=REQUEST_TIMEOUT_S
                 )
                 if resp.status_code in (401, 403):
                     raise ConfigError(f"authentication failed ({resp.status_code})")
@@ -387,22 +406,14 @@ class HttpChatBackend(Backend):
                 if resp.status_code == 429 or resp.status_code >= 500:
                     raise requests.RequestException(f"retryable status {resp.status_code}")
                 resp.raise_for_status()
-                body = resp.json()
-                text = body["choices"][0]["message"]["content"]
-                usage = body.get("usage", {})
-                return Completion(
-                    text=text,
-                    prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                    output_tokens=int(usage.get("completion_tokens", 0)),
-                    backend_tag=self.tag,
-                )
+                return _chat_completion(resp.json(), self.tag)
             except ConfigError:
                 raise
-            except (requests.RequestException, KeyError, ValueError) as exc:
+            except (requests.RequestException, ValueError) as exc:
                 last_error = exc
                 if attempt < self.max_attempts:
                     if retry_after is None:
-                        delay = self.base_delay * self.backoff_factor ** (attempt - 1)
+                        delay = self.base_delay * BACKOFF_FACTOR ** (attempt - 1)
                         retry_after = delay * (1.0 + random.random() * 0.25)
                     time.sleep(retry_after)
         raise TransportError(

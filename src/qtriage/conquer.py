@@ -33,7 +33,7 @@ from .model import (
     Question,
     cloze_to_mcq,
     read_jsonl,
-    relabel_choices,
+    restrict_choices,
     write_atomic,
 )
 from .prompts import build_prompt, strategy_needs_filtered, strategy_needs_rationales
@@ -147,18 +147,7 @@ def filter_choices(q: Question, h: AnswerHistogram) -> tuple[Question, LabelMapp
     bad = [a for a in h.counts if a not in labels]
     if bad:
         raise ConquerError(f"question {q.id}: prior answers {bad} are not valid labels")
-    survivors = [lab for lab in labels if lab in h.counts]
-    contents = [q.content_of(lab) for lab in survivors]
-    new_choices = relabel_choices(contents)
-    mapping = LabelMapping(
-        forward=tuple((new, orig) for (new, _), orig in zip(new_choices, survivors)),
-        origin=q.id,
-    )
-    new_gold = None
-    if q.gold is not None and q.gold in survivors:
-        new_gold = new_choices[survivors.index(q.gold)][0]
-    filtered = replace(q, choices=tuple(new_choices), gold=new_gold)
-    return filtered, mapping
+    return restrict_choices(q, [(lab, content) for lab, content in q.choices if lab in h.counts])
 
 
 def _map_rationale_labels(

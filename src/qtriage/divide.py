@@ -31,6 +31,7 @@ DEFAULT_MAX_OUTPUT_TOKENS = 512
 FINE_SPLIT = Fraction(2, 5)  # low subset splits into top/bottom at 0.4
 
 SUBSETS = ("high", "med", "low")
+LOW_BINS = ("low_top", "low_bottom")  # the fine bins the low subset splits into
 
 
 class DivideError(QtriageError, ValueError):

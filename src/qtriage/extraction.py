@@ -19,7 +19,6 @@ from .model import normalize_number
 class ExtractedAnswer:
     kind: str  # "label" | "number" | "unparsed"
     value: object = None
-    matched_span: Optional[tuple[int, int]] = None
     rule_id: Optional[str] = None
 
     @property
@@ -43,14 +42,12 @@ _ANSWER_NUM = re.compile(
 _NUM = re.compile(r"-?[\d][\d,]*(?:\.\d+)?")
 
 
-def _last_nonempty_line(text: str) -> tuple[str, int]:
-    """Return the final non-blank line and its start offset in text."""
-    offset = 0
-    best = ("", 0)
+def _last_nonempty_line(text: str) -> str:
+    """Return the final non-blank line of text, its line ending kept."""
+    best = ""
     for line in text.splitlines(keepends=True):
         if line.strip():
-            best = (line, offset)
-        offset += len(line)
+            best = line
     return best
 
 
@@ -59,33 +56,15 @@ def extract_choice_answer(text: str, labels: set[str]) -> ExtractedAnswer:
     if not labels:
         return UNPARSED
 
-    matches = [m for m in _ANSWER_PHRASE.finditer(text) if m.group(1).upper() in labels]
-    if matches:
-        m = matches[-1]
-        return ExtractedAnswer(
-            kind="label", value=m.group(1).upper(),
-            matched_span=m.span(), rule_id="answer-phrase",
-        )
+    found = [m.group(1) for m in _ANSWER_PHRASE.finditer(text) if m.group(1) in labels]
+    if found:
+        return ExtractedAnswer(kind="label", value=found[-1], rule_id="answer-phrase")
 
-    line, offset = _last_nonempty_line(text)
-    matches = [m for m in _PAREN_LABEL.finditer(line) if m.group(1) in labels]
-    if matches:
-        m = matches[-1]
-        return ExtractedAnswer(
-            kind="label", value=m.group(1),
-            matched_span=(offset + m.start(), offset + m.end()),
-            rule_id="paren-label",
-        )
-
-    matches = [m for m in _BARE_LABEL.finditer(line) if m.group(1) in labels]
-    if matches:
-        m = matches[-1]
-        return ExtractedAnswer(
-            kind="label", value=m.group(1),
-            matched_span=(offset + m.start(), offset + m.end()),
-            rule_id="bare-label",
-        )
-
+    line = _last_nonempty_line(text)
+    for rule_id, pattern in (("paren-label", _PAREN_LABEL), ("bare-label", _BARE_LABEL)):
+        found = [m.group(1) for m in pattern.finditer(line) if m.group(1) in labels]
+        if found:
+            return ExtractedAnswer(kind="label", value=found[-1], rule_id=rule_id)
     return UNPARSED
 
 
@@ -96,19 +75,13 @@ def extract_numeric_answer(text: str) -> ExtractedAnswer:
         m = matches[-1]
         value = normalize_number(m.group(1))
         if value is not None:
-            return ExtractedAnswer(
-                kind="number", value=value, matched_span=m.span(1), rule_id="answer-cue"
-            )
+            return ExtractedAnswer(kind="number", value=value, rule_id="answer-cue")
 
-    line, offset = _last_nonempty_line(text)
+    line = _last_nonempty_line(text)
     nums = list(_NUM.finditer(line))
     if nums:
         m = nums[-1]
         value = normalize_number(m.group(0))
         if value is not None:
-            return ExtractedAnswer(
-                kind="number", value=value,
-                matched_span=(offset + m.start(), offset + m.end()),
-                rule_id="last-number",
-            )
+            return ExtractedAnswer(kind="number", value=value, rule_id="last-number")
     return UNPARSED

@@ -31,7 +31,7 @@ def normalize_number(raw: str) -> Optional[str]:
     Strips commas, currency symbols and surrounding whitespace, drops a
     trailing ".0" style fractional part, and renders the value canonically
     so e.g. "1,000", "$1000" and "1000.0" all compare equal. Returns None
-    if the string is not a number.
+    if the string is not a finite number.
     """
     s = raw.strip().strip(_CURRENCY).strip()
     s = s.replace(",", "")
@@ -41,6 +41,8 @@ def normalize_number(raw: str) -> Optional[str]:
     try:
         value = Decimal(s)
     except InvalidOperation:
+        return None
+    if not value.is_finite():
         return None
     value = value.normalize()
     # Decimal.normalize renders 1000 as 1E+3; force plain notation.
@@ -159,6 +161,21 @@ def relabel_choices(contents: list[str]) -> list[tuple[str, str]]:
     return [(LABELS[i], content) for i, content in enumerate(contents)]
 
 
+def restrict_choices(q: Question, kept: list[tuple[str, str]]) -> tuple[Question, LabelMapping]:
+    """`q` as an MCQ over the `(original key, content)` pairs in `kept`, in their order.
+
+    The contents are relabeled from 'A', and the mapping records new label ->
+    original key. The gold becomes the new label of the pair whose key is the
+    old gold, or None when no kept pair has it.
+    """
+    choices = relabel_choices([content for _, content in kept])
+    mapping = LabelMapping(
+        forward=tuple((new, key) for (new, _), (key, _) in zip(choices, kept)), origin=q.id
+    )
+    gold = next((new for new, key in mapping.forward if key == q.gold), None)
+    return replace(q, kind="mcq", choices=tuple(choices), gold=gold), mapping
+
+
 def cloze_to_mcq(q: Question, prior_answers: list[str]) -> tuple[Question, LabelMapping]:
     """Build an MCQ from a cloze question using previously sampled answers.
 
@@ -173,17 +190,7 @@ def cloze_to_mcq(q: Question, prior_answers: list[str]) -> tuple[Question, Label
     for ans in prior_answers:
         if ans not in uniq:
             uniq.append(ans)
-    choices = relabel_choices(uniq)
-    gold_label = None
-    if q.gold is not None:
-        for label, content in choices:
-            if content == q.gold:
-                gold_label = label
-                break
-    mapping = LabelMapping(
-        forward=tuple((label, content) for label, content in choices), origin=q.id
-    )
-    mcq = replace(q, kind="mcq", choices=tuple(choices), gold=gold_label)
+    mcq, mapping = restrict_choices(q, [(ans, ans) for ans in uniq])
     mcq.validate()
     return mcq, mapping
 
@@ -220,18 +227,22 @@ def write_atomic(path: str | Path, text: str) -> None:
 
     The text goes to a temporary file beside `path`, which is removed if
     anything fails before the rename. The parent directory is created first.
+    An OS error raises `QtriageError` naming the path.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise QtriageError(f"cannot write {path}: {exc}") from exc
 
 
 def read_jsonl(path: str | Path, error: type[QtriageError]) -> list[tuple[int, dict]]:

@@ -7,6 +7,7 @@ drivable from tests and notebooks.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -127,20 +128,14 @@ def questions_from_profiles(profiles: dict[str, QuestionProfile]) -> list[Questi
     questions = []
     for qid in sorted(profiles):
         p = profiles[qid]
-        support = sorted(p.answer_distribution)
-        n_choices = max(LABELS.index(lab) for lab in support) + 1
+        n_choices = max(LABELS.index(lab) for lab in p.answer_distribution) + 1
         q = synth._make_question(
             int(qid.lstrip("q") or 0) if qid.lstrip("q").isdigit() else 0,
             n_choices,
-            p.gold or support[0],
+            p.gold,
             source="profile",
         )
-        questions.append(
-            Question(
-                id=qid, text=q.text, choices=q.choices, gold=p.gold,
-                source="profile", kind="mcq",
-            )
-        )
+        questions.append(replace(q, id=qid))
     return questions
 
 
@@ -206,6 +201,7 @@ def run_divide_phase(
     manifest.divide_records = (_records_basis(questions, reports), tuple(records))
     save_reports(manifest.partition_path, reports)
     manifest.mark("divide", "done")
+    manifest.mark("report", "pending")
     manifest.save()
     return reports, records
 
@@ -237,6 +233,7 @@ def run_conquer_phase(
     manifest.status.pop(f"conquer:{name}", None)
     failed = any(phase.startswith("conquer:") for phase in manifest.status)
     manifest.mark("conquer", "partial" if failed else "done")
+    manifest.mark("report", "pending")
     manifest.save()
     return outcomes
 
@@ -263,6 +260,9 @@ def run_report_phase(
     }
     cost = cost_summary(divide_records, reports, sc_budget=spec.divide_base)
     curves = accuracy_curves(questions, reports, divide_records)
+    # A write that fails part way must not leave the old report reading done.
+    manifest.mark("report", "pending")
+    manifest.save()
     files = emit_report(
         manifest.report_dir(), spec.name, prior, strategies, cost, curves,
         run_id=manifest.run_id, partial=bool(incomplete),

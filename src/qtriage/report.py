@@ -11,7 +11,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .divide import SUBSETS, ConfidenceReport, InferenceRecord, majority_answer
+from .divide import LOW_BINS, SUBSETS, ConfidenceReport, InferenceRecord, majority_answer
 from .model import QtriageError, Question, write_atomic
 
 
@@ -86,44 +86,57 @@ def prior_predictions(
     return out
 
 
+def _subset_metrics(subset: str, rows: Sequence[tuple], golds: dict) -> SubsetMetrics:
+    """One subset's metrics from per-question rows.
+
+    A row is `(question_id, prediction, unparsed, samples, queries,
+    prompt_tokens, output_tokens)`. Accuracy is over the questions with a gold
+    (None when none has one); the unparsed rate is unparsed over samples.
+    """
+    scorable = [(qid, pred) for qid, pred, *_ in rows if golds.get(qid) is not None]
+    unparsed, samples, queries, ptok, otok = (sum(row[i] for row in rows) for i in range(2, 7))
+    return SubsetMetrics(
+        subset=subset,
+        n=len(rows),
+        accuracy=em_accuracy(scorable, golds) if scorable else None,
+        unparsed_rate=Fraction(unparsed, samples) if samples else Fraction(0),
+        queries=queries,
+        prompt_tokens=ptok,
+        output_tokens=otok,
+    )
+
+
+def _prior_metrics(
+    reports: Sequence[ConfidenceReport],
+    golds: dict,
+    records: Sequence[InferenceRecord] = (),
+) -> dict[str, SubsetMetrics]:
+    """Divide-stage metrics per subset and per low fine bin, from one pass over `reports`."""
+    cost: dict[str, tuple[int, int, int]] = {}
+    for rec in records:
+        if rec.phase != "divide":
+            continue
+        n, p, o = cost.get(rec.question_id, (0, 0, 0))
+        cost[rec.question_id] = (n + 1, p + rec.prompt_tokens, o + rec.output_tokens)
+
+    groups: dict[str, list[tuple]] = {name: [] for name in (*SUBSETS, *LOW_BINS)}
+    for r, (qid, pred) in zip(reports, prior_predictions(reports)):
+        h = r.histogram
+        row = (qid, pred, h.unparsed_count, h.total_samples, *cost.get(qid, (0, 0, 0)))
+        if r.subset in SUBSETS:
+            groups[r.subset].append(row)
+        if r.fine_bin in LOW_BINS:
+            groups[r.fine_bin].append(row)
+    return {name: _subset_metrics(name, rows, golds) for name, rows in groups.items()}
+
+
 def subset_prior_metrics(
     questions: Sequence[Question],
     reports: Sequence[ConfidenceReport],
     records: Sequence[InferenceRecord] = (),
 ) -> dict[str, SubsetMetrics]:
     """Prior (divide-stage) metrics per subset and per fine bin."""
-    golds = {q.id: q.gold for q in questions}
-    rec_tokens: dict[str, tuple[int, int, int]] = {}
-    for rec in records:
-        if rec.phase != "divide":
-            continue
-        p, o, n = rec_tokens.get(rec.question_id, (0, 0, 0))
-        rec_tokens[rec.question_id] = (p + rec.prompt_tokens, o + rec.output_tokens, n + 1)
-
-    out: dict[str, SubsetMetrics] = {}
-    bins = [("subset", s) for s in SUBSETS]
-    bins += [("fine_bin", b) for b in ("low_top", "low_bottom")]
-    for attr, name in bins:
-        group = [r for r in reports if getattr(r, attr) == name]
-        n = len(group)
-        preds = prior_predictions(group)
-        scorable = [(qid, p) for qid, p in preds if golds.get(qid) is not None]
-        accuracy = em_accuracy(scorable, golds) if scorable else None
-        unparsed_total = sum(r.histogram.unparsed_count for r in group)
-        sample_total = sum(r.histogram.total_samples for r in group)
-        queries = sum(rec_tokens.get(r.question_id, (0, 0, 0))[2] for r in group)
-        ptok = sum(rec_tokens.get(r.question_id, (0, 0, 0))[0] for r in group)
-        otok = sum(rec_tokens.get(r.question_id, (0, 0, 0))[1] for r in group)
-        out[name] = SubsetMetrics(
-            subset=name,
-            n=n,
-            accuracy=accuracy,
-            unparsed_rate=Fraction(unparsed_total, sample_total) if sample_total else Fraction(0),
-            queries=queries,
-            prompt_tokens=ptok,
-            output_tokens=otok,
-        )
-    return out
+    return _prior_metrics(reports, {q.id: q.gold for q in questions}, records)
 
 
 def strategy_metrics(
@@ -134,29 +147,14 @@ def strategy_metrics(
     """Per-subset metrics for one conquer outcomes file."""
     golds = {q.id: q.gold for q in questions}
     subset_of = {r.question_id: r.subset for r in reports}
-    grouped: dict[str, list[dict]] = {}
+    grouped: dict[str, list[tuple]] = {}
     for o in outcomes:
-        grouped.setdefault(subset_of.get(o["question_id"], "unknown"), []).append(o)
-
-    out: dict[str, SubsetMetrics] = {}
-    for subset, items in sorted(grouped.items()):
-        preds = [(o["question_id"], o["final_answer"]) for o in items]
-        scorable = [(qid, p) for qid, p in preds if golds.get(qid) is not None]
-        accuracy = em_accuracy(scorable, golds) if scorable else None
-        unparsed = sum(1 for _, p in preds if p is None)
-        queries = sum(len(o["records"]) for o in items)
-        ptok = sum(r["prompt_tokens"] for o in items for r in o["records"])
-        otok = sum(r["output_tokens"] for o in items for r in o["records"])
-        out[subset] = SubsetMetrics(
-            subset=subset,
-            n=len(items),
-            accuracy=accuracy,
-            unparsed_rate=Fraction(unparsed, len(items)) if items else Fraction(0),
-            queries=queries,
-            prompt_tokens=ptok,
-            output_tokens=otok,
-        )
-    return out
+        records = o["records"]
+        grouped.setdefault(subset_of.get(o["question_id"], "unknown"), []).append((
+            o["question_id"], o["final_answer"], o["final_answer"] is None, 1, len(records),
+            sum(r["prompt_tokens"] for r in records), sum(r["output_tokens"] for r in records),
+        ))
+    return {name: _subset_metrics(name, rows, golds) for name, rows in sorted(grouped.items())}
 
 
 def _prefix_votes(answers: Sequence[tuple[int, Optional[str]]], t: int) -> list[Optional[str]]:
@@ -261,20 +259,16 @@ def emit_report(
         ["dataset", "subset", "strategy", "sc", "n", "accuracy_pct",
          "unparsed_rate", "queries", "prompt_tokens", "output_tokens"]
     )
-    for subset in (*SUBSETS, "low_top", "low_bottom"):
-        if subset in prior:
-            m = prior[subset]
-            writer.writerow(
-                [dataset_name, subset, "prior", "", m.n, _fmt_pct(m.accuracy),
-                 f"{float(m.unparsed_rate):.4f}", m.queries, m.prompt_tokens, m.output_tokens]
-            )
+    rows = [(subset, "prior", "", prior[subset]) for subset in (*SUBSETS, *LOW_BINS)
+            if subset in prior]
     for name in sorted(strategies):
         strat, _, sc = name.partition("+")
-        for subset, m in sorted(strategies[name].items()):
-            writer.writerow(
-                [dataset_name, subset, strat, sc, m.n, _fmt_pct(m.accuracy),
-                 f"{float(m.unparsed_rate):.4f}", m.queries, m.prompt_tokens, m.output_tokens]
-            )
+        rows += [(subset, strat, sc, m) for subset, m in sorted(strategies[name].items())]
+    for subset, strat, sc, m in rows:
+        writer.writerow(
+            [dataset_name, subset, strat, sc, m.n, _fmt_pct(m.accuracy),
+             f"{float(m.unparsed_rate):.4f}", m.queries, m.prompt_tokens, m.output_tokens]
+        )
     summary_path = out_dir / "summary.csv"
     write_atomic(summary_path, buf.getvalue())
 

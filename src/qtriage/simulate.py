@@ -14,16 +14,16 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .backend import ConfigError, MockBackend, QuestionProfile, load_profiles
-from .divide import SUBSETS, ConfidenceReport, majority_answer
+from .divide import SUBSETS, ConfidenceReport
 from .manifest import new_manifest
-from .model import DatasetSpec, Question, read_jsonl
+from .model import DatasetSpec, read_jsonl
 from .pipeline import (
     questions_from_profiles,
     run_conquer_phase,
     run_divide_phase,
     run_report_phase,
 )
-from .report import em_accuracy, prior_predictions
+from .report import _prior_metrics, em_accuracy, prior_predictions
 from .synth import generate_synthetic
 
 DEFAULT_ASSERTIONS = {
@@ -60,11 +60,10 @@ def spearman_cs_vs_correct(
 ) -> float:
     """Rank correlation between confidence score and majority-vote correctness."""
     xs, ys = [], []
-    for r in reports:
-        gold = golds.get(r.question_id)
+    for r, (qid, pred) in zip(reports, prior_predictions(reports)):
+        gold = golds.get(qid)
         if gold is None:
             continue
-        pred = majority_answer(r.histogram) if r.histogram.counts else None
         xs.append(float(r.cs))
         ys.append(1.0 if pred == gold else 0.0)
     return spearman(xs, ys)
@@ -105,21 +104,14 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 def subset_accuracies(
     reports: Sequence[ConfidenceReport], golds: dict[str, Optional[str]]
 ) -> dict[str, Optional[float]]:
-    out: dict[str, Optional[float]] = {}
-    for subset in SUBSETS:
-        scorable = [
-            r for r in reports if r.subset == subset and golds.get(r.question_id) is not None
-        ]
-        preds = prior_predictions(scorable)
-        out[subset] = float(em_accuracy(preds, golds)) if preds else None
-    return out
+    prior = _prior_metrics(reports, golds)
+    return {s: None if prior[s].accuracy is None else float(prior[s].accuracy) for s in SUBSETS}
 
 
 def run_simulation(
     run_dir: str | Path,
     seed: int,
     profiles: Optional[dict[str, QuestionProfile]] = None,
-    questions: Optional[Sequence[Question]] = None,
     family: str = "uniform_correct",
     n_questions: int = 500,
     divide_base: int = 5,
@@ -127,7 +119,6 @@ def run_simulation(
     parallelism: int = 1,
     noise_rate: float = 0.0,
     strategies: Sequence[tuple[str, bool]] = (("ZTCOT", False), ("FCR", True)),
-    progress=None,
 ) -> SimulationResult:
     """Divide, conquer, and report on the mock backend, then run assertions."""
     assertions = {**DEFAULT_ASSERTIONS, **(assertions or {})}
@@ -135,7 +126,7 @@ def run_simulation(
     spec.validate()
     if profiles is None:
         questions, profiles = generate_synthetic(n_questions, family=family, seed=seed)
-    elif questions is None:
+    else:
         questions = questions_from_profiles(profiles)
 
     config = {
@@ -148,7 +139,7 @@ def run_simulation(
 
     backend = MockBackend(profiles, seed=seed, noise_rate=noise_rate)
     reports, _records = run_divide_phase(
-        questions, spec, backend, manifest, parallelism=parallelism, progress=progress
+        questions, spec, backend, manifest, parallelism=parallelism
     )
 
     golds = {q.id: q.gold for q in questions}

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -377,6 +378,20 @@ class TestHttpChatBackend:
         backend = http_backend(session)
         assert backend.complete(req()).text == "about p. So the answer is (A)."
         assert session.posts == backend.calls == 2 and len(slept) == 1
+
+
+    @pytest.mark.parametrize("body", [
+        {"choices": []},
+        [{"message": {"content": "So the answer is (A)."}}],
+        {"choices": [{"message": {"content": "So the answer is (A)."}}], "usage": None},
+        {"choices": [{"message": {"content": None}}]},
+    ])
+    def test_malformed_200_body_is_retried_then_a_transport_error(self, monkeypatch, body):
+        monkeypatch.setattr("qtriage.backend.time.sleep", lambda seconds: None)
+        session = FakeSession([FakeResponse(200, body)] * 3)
+        with pytest.raises(TransportError, match=re.escape(req().key())):
+            http_backend(session, max_attempts=3).complete(req())
+        assert session.posts == 3
 
 
 class TestReplayBackend:

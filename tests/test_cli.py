@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from qtriage.cli import main
-from qtriage.model import LABELS
+from qtriage.model import LABELS, QtriageError
 from qtriage.synth import bundled_data_path
 
 TOY_DATA = bundled_data_path("toy20.jsonl")
@@ -566,6 +566,46 @@ class TestReportCommand:
         assert result.exit_code == 0, result.output
 
 
+def status(run_dir):
+    return json.loads((run_dir / "manifest.json").read_text())["status"]
+
+
+class TestReportStatus:
+    def test_a_later_conquer_leaves_the_report_pending(self, runner, tmp_path):
+        base, run_dir = divided(runner, tmp_path)
+        for args in (["conquer", "--strategy", "fcr"], ["report"]):
+            assert runner.invoke(main, base + args).exit_code == 0
+        assert status(run_dir)["report"] == "done"
+        assert runner.invoke(main, base + ["conquer", "--strategy", "pkr"]).exit_code == 0
+        assert status(run_dir)["report"] == "pending"
+        assert runner.invoke(main, base + ["report"]).exit_code == 0
+        assert status(run_dir)["report"] == "done"
+        report = json.loads((run_dir / "reports" / "report.json").read_text())
+        assert sorted(report["strategies"]) == ["fcr", "pkr"]
+
+    def test_a_failed_report_write_is_one_error_line_and_leaves_it_pending(
+        self, runner, tmp_path, monkeypatch
+    ):
+        import errno
+
+        run_dir = run_pipeline(runner, tmp_path, tmp_path / "run")
+        assert status(run_dir)["report"] == "done"
+        replace = os.replace
+
+        def no_space_for_summary(src, dst):
+            if Path(dst).name == "summary.csv":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            replace(src, dst)
+
+        monkeypatch.setattr("os.replace", no_space_for_summary)
+        result = runner.invoke(main, ["--config", str(tmp_path / "config.json"), "report"])
+        assert result.exit_code == 1, (result.output, result.exception)
+        assert isinstance(result.exception, SystemExit), repr(result.exception)
+        errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and "summary.csv" in errors[0], result.output
+        assert status(run_dir)["report"] != "done"
+
+
 class TestRunDirLayout:
     def test_moved_run_reports_the_same_bytes(self, runner, tmp_path, monkeypatch):
         config = write_config(tmp_path, "runs/a")
@@ -658,7 +698,7 @@ class TestRunDirLayout:
             raise OSError("no space left on device")
 
         monkeypatch.setattr("os.replace", refuse)
-        with pytest.raises(OSError, match="no space left"):
+        with pytest.raises(QtriageError, match="partition.jsonl: no space left"):
             save_reports(partition, load_reports(partition)[:3])
         assert partition.read_bytes() == before
         assert sorted(p.name for p in run_dir.iterdir()) == names

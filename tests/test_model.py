@@ -89,6 +89,12 @@ class TestLoadDataset:
         qs = load_dataset(p, schema="cloze-jsonl")
         assert qs[0].gold == "1000"
 
+    @pytest.mark.parametrize("gold", ["inf", "-Infinity", "nan", "sNaN", float("nan")])
+    def test_non_finite_cloze_gold_is_not_numeric(self, tmp_path, gold):
+        p = self.write(tmp_path, [{"id": "g1", "question": "how many?", "gold": gold}])
+        with pytest.raises(DatasetError, match="line 1: field 'gold' is not numeric"):
+            load_dataset(p, schema="cloze-jsonl")
+
     def test_round_trip(self, tmp_path):
         p = self.write(tmp_path, [
             {"id": "q1", "question": "a?", "choices": ["x", "y"], "gold": "A"},

@@ -1,4 +1,4 @@
-"""The divide records a run holds, and the conquer fallback for unparsed questions."""
+"""Held divide records, the conquer fallback for unparsed questions, and report status."""
 
 import json
 
@@ -133,3 +133,15 @@ class TestUnparsedDivideFallsBackToZtcot:
             assert o.strategy == strategy and o.mapping is None
             assert [r.prompt for r in o.records] == [build_prompt(by_id[o.question_id], "ZTCOT")]
         assert RunManifest.load(tmp_path / "run").status["conquer"] == "done"
+
+
+class TestReportStatus:
+    def test_a_second_divide_leaves_the_report_pending(self, tmp_path):
+        questions, backend, manifest = toy_run(tmp_path / "run")
+        spec = DatasetSpec(name="toy20", divide_base=5)
+        reports, _ = run_divide_phase(questions, spec, backend, manifest)
+        run_conquer_phase(questions, reports, "FCR", backend, manifest)
+        run_report_phase(questions, spec, manifest)
+        assert RunManifest.load(tmp_path / "run").status["report"] == "done"
+        run_divide_phase(questions, DatasetSpec(name="toy20", divide_base=3), backend, manifest)
+        assert RunManifest.load(tmp_path / "run").status["report"] == "pending"
