@@ -133,8 +133,15 @@ class QuestionProfile:
 
 def load_profiles(path: str | Path) -> dict[str, QuestionProfile]:
     """Read a profile JSONL; a simulator assertions record is skipped."""
+    return _profiles_from_records(path, read_jsonl(path, ConfigError))
+
+
+def _profiles_from_records(
+    path: str | Path, records: Sequence[tuple[int, dict]]
+) -> dict[str, QuestionProfile]:
+    """The profiles among the `read_jsonl` records of `path`."""
     profiles: dict[str, QuestionProfile] = {}
-    for lineno, rec in read_jsonl(path, ConfigError):
+    for lineno, rec in records:
         if "assertions" in rec and "question_id" not in rec:
             continue
         where = f"{path} line {lineno}"
@@ -189,6 +196,9 @@ class Backend:
 
     def complete(self, req: CompletionRequest) -> Completion:
         raise NotImplementedError
+
+    def end_batch(self) -> None:
+        """Release what `complete` opened for the batch `execute` has just run."""
 
 
 _FILLER_WORDS = (
@@ -365,8 +375,8 @@ class HttpChatBackend(Backend):
             raise ConfigError(f"missing API credential; set {API_KEY_ENV}")
         self.max_attempts = max_attempts
         self.base_delay = base_delay
-        self._session = session  # shared by every thread when injected
-        self._local = threading.local()  # else each thread gets its own Session
+        self._session = session  # shared by every thread when injected; the caller closes it
+        self._sessions: dict[int, "requests.Session"] = {}  # else one per thread and batch
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -375,9 +385,18 @@ class HttpChatBackend(Backend):
 
         if self._session is not None:
             return self._session
-        if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
-        return self._local.session
+        thread = threading.get_ident()
+        with self._lock:
+            if thread not in self._sessions:
+                self._sessions[thread] = requests.Session()
+            return self._sessions[thread]
+
+    def end_batch(self) -> None:
+        """Close the sessions this batch's threads opened."""
+        with self._lock:
+            sessions, self._sessions = self._sessions, {}
+        for session in sessions.values():
+            session.close()
 
     def complete(self, req: CompletionRequest) -> Completion:
         import requests
@@ -560,6 +579,9 @@ class CachingBackend(Backend):
         self.misses = 0
         self._lock = threading.Lock()
 
+    def end_batch(self) -> None:
+        self.inner.end_batch()
+
     def complete(self, req: CompletionRequest) -> Completion:
         key = req.key()
         cached = self.cache.get(key)
@@ -595,29 +617,33 @@ def execute(
     backend `waits`: each worker then takes the next request as soon as it is
     free. Otherwise the requests complete one by one on the calling thread,
     because threads cannot overlap work that never leaves the interpreter.
+    Either way the batch ends with `backend.end_batch()`.
     """
-    if parallelism <= 1 or not backend.waits:
-        return [backend.complete(r) for r in requests]
-    completions: list = [None] * len(requests)
-    todo = iter(range(len(requests)))
-    lock = threading.Lock()
-    stop = threading.Event()
+    try:
+        if parallelism <= 1 or not backend.waits:
+            return [backend.complete(r) for r in requests]
+        completions: list = [None] * len(requests)
+        todo = iter(range(len(requests)))
+        lock = threading.Lock()
+        stop = threading.Event()
 
-    def work() -> None:
-        while True:
-            with lock:
-                i = None if stop.is_set() else next(todo, None)
-            if i is None:
-                return
-            completions[i] = backend.complete(requests[i])
+        def work() -> None:
+            while True:
+                with lock:
+                    i = None if stop.is_set() else next(todo, None)
+                if i is None:
+                    return
+                completions[i] = backend.complete(requests[i])
 
-    workers = max(1, min(parallelism, len(requests)))
-    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        running = [pool.submit(work) for _ in range(workers)]
-        try:
-            futures.wait(running, return_when=futures.FIRST_EXCEPTION)
-        finally:
-            stop.set()  # after a failure, or an interrupt of the caller
-        for future in running:
-            future.result()
-    return completions
+        workers = max(1, min(parallelism, len(requests)))
+        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            running = [pool.submit(work) for _ in range(workers)]
+            try:
+                futures.wait(running, return_when=futures.FIRST_EXCEPTION)
+            finally:
+                stop.set()  # after a failure, or an interrupt of the caller
+            for future in running:
+                future.result()
+        return completions
+    finally:
+        backend.end_batch()

@@ -2,8 +2,9 @@
 
 Strategies: plain re-query (ZTCOT), rationale reuse (PKR), choice filtering
 (FCR), and their combinations (COM1/COM2), each optionally wrapped in
-self-consistency voting. A cloze question is conquered as an MCQ whose
-choices are its divide-phase answers.
+self-consistency voting, which stops sampling once the vote is decided. A
+cloze question is conquered as an MCQ whose choices are its divide-phase
+answers.
 """
 
 from __future__ import annotations
@@ -11,11 +12,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from itertools import islice
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .backend import Backend, Completion, CompletionRequest, execute
+from .backend import Backend, CompletionRequest, execute
 from .divide import (
     DEFAULT_MAX_OUTPUT_TOKENS,
     AnswerHistogram,
@@ -25,6 +25,7 @@ from .divide import (
     histogram_from_answers,
     majority_answer,
     questions_for,
+    vote_decided,
 )
 from .extraction import extract_choice_answer  # unused here; bench/tracing.py wraps this name
 from .model import (
@@ -226,13 +227,8 @@ def _plan_item(
     return _Plan(base, working, requests)
 
 
-def _fold_item(plan: _Plan, completions: Iterable[Completion]) -> ConquerOutcome:
-    """Vote over one question's completions and map the answer back."""
-    records = []
-    for req, comp in zip(plan.requests, completions):
-        answer = extract_for(plan.asked, comp.text)
-        records.append(InferenceRecord.from_completion(req, comp, answer))
-
+def _fold_item(plan: _Plan, records: Sequence[InferenceRecord]) -> ConquerOutcome:
+    """Vote over the records of one question's issued samples and map the answer back."""
     hist = histogram_from_answers([r.answer for r in records])
     if not hist.counts:
         return replace(plan.outcome, records=tuple(records))
@@ -240,6 +236,33 @@ def _fold_item(plan: _Plan, completions: Iterable[Completion]) -> ConquerOutcome
     mapping = plan.outcome.mapping
     final = mapping.to_original(emitted) if mapping else emitted
     return replace(plan.outcome, final_answer=final, records=tuple(records))
+
+
+def _conquer_plans(
+    plans: Sequence[_Plan], backend: Backend, parallelism: int = 1
+) -> list[ConquerOutcome]:
+    """Issue each plan's samples in rounds until its vote is decided, then fold.
+
+    Round 1 issues the first ceil(n/2) of a plan's n samples, since that many
+    equal answers already win; each later round issues the next sample of
+    every plan whose vote is not yet decided. Each round is one `execute`
+    batch, and the issued samples are a prefix of the plan's requests.
+    """
+    records: list[list[InferenceRecord]] = [[] for _ in plans]
+    batch = [(i, r) for i, p in enumerate(plans) for r in p.requests[: (len(p.requests) + 1) // 2]]
+    while batch:
+        for (i, req), comp in zip(batch, execute([r for _, r in batch], backend, parallelism)):
+            answer = extract_for(plans[i].asked, comp.text)
+            records[i].append(InferenceRecord.from_completion(req, comp, answer))
+        batch = [
+            (i, plans[i].requests[len(records[i])])
+            for i in dict.fromkeys(i for i, _ in batch)
+            if not vote_decided(
+                histogram_from_answers([r.answer for r in records[i]]),
+                len(plans[i].requests) - len(records[i]),
+            )
+        ]
+    return [_fold_item(p, recs) for p, recs in zip(plans, records)]
 
 
 def conquer_item(
@@ -256,8 +279,7 @@ def conquer_item(
     sc_samples, rationale_select, seed, tail_override.
     """
     own = [r for r in divide_records if r.question_id == q.id]
-    plan = _plan_item(q, report, strategy, own, **options)
-    return _fold_item(plan, execute(plan.requests, backend))
+    return _conquer_plans([_plan_item(q, report, strategy, own, **options)], backend)[0]
 
 
 def run_conquer(
@@ -273,8 +295,9 @@ def run_conquer(
     """Conquer every question routed to one of the selected subsets.
 
     The high subset is never touched: its divide-phase majority stands.
-    Every selected question's requests, SC samples included, run as one
-    batch with at most `parallelism` in flight.
+    Each round's requests, over every selected question, run as one batch
+    with at most `parallelism` in flight; an SC question stops sampling once
+    its vote is decided.
     """
     if "high" in subsets:
         raise ConquerError("the high confidence subset is fixed, not conquered")
@@ -286,8 +309,7 @@ def run_conquer(
         _plan_item(q, r, strategy, records_by_id.get(r.question_id, ()), **options)
         for q, r in zip(questions_for(questions, selected), selected)
     ]
-    completions = iter(execute([r for p in plans for r in p.requests], backend, parallelism))
-    outcomes = [_fold_item(p, islice(completions, len(p.requests))) for p in plans]
+    outcomes = _conquer_plans(plans, backend, parallelism)
     outcomes.sort(key=lambda o: o.question_id)
     return outcomes
 

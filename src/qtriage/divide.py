@@ -128,6 +128,23 @@ def majority_answer(h: AnswerHistogram) -> str:
     return min(tied, key=lambda a: h.first_seen.get(a, 0))
 
 
+def vote_decided(h: AnswerHistogram, remaining: int) -> bool:
+    """True when no answers of `remaining` more samples can change `majority_answer(h)`.
+
+    A rival overtakes only if every remaining sample goes to it; an answer not
+    seen yet would be first seen after the leader, so it must pass it outright.
+    """
+    if not h.counts:
+        return remaining == 0
+    lead = majority_answer(h)
+    top = h.counts[lead]
+    return remaining <= top and all(
+        c + remaining < top or (c + remaining == top and h.first_seen[lead] < h.first_seen[a])
+        for a, c in h.counts.items()
+        if a != lead
+    )
+
+
 def assign_subset(cs: Fraction, mu: Fraction, nu: Fraction) -> str:
     if cs > mu:
         return "high"

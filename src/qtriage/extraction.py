@@ -43,9 +43,9 @@ _NUM = re.compile(r"-?[\d][\d,]*(?:\.\d+)?")
 
 
 def _last_nonempty_line(text: str) -> str:
-    """Return the final non-blank line of text, its line ending kept."""
+    """Return the final non-blank line of text, without its line ending."""
     best = ""
-    for line in text.splitlines(keepends=True):
+    for line in text.splitlines():
         if line.strip():
             best = line
     return best

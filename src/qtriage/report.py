@@ -59,7 +59,10 @@ def cost_summary(
     reports: Sequence[ConfidenceReport] = (),
     sc_budget: int = 0,
 ) -> dict:
-    """Exact query/token counts per phase, plus queries avoided by fixing high."""
+    """Exact query/token counts per phase, plus queries avoided by fixing high.
+
+    The avoided queries are an upper bound: an SC vote may stop before `sc_budget`.
+    """
     queries: dict[str, int] = {}
     tokens: dict[str, dict[str, int]] = {}
     for rec in records:

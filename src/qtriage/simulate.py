@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backend import ConfigError, MockBackend, QuestionProfile, load_profiles
+from .backend import ConfigError, MockBackend, QuestionProfile, _profiles_from_records
 from .divide import SUBSETS, ConfidenceReport
 from .manifest import new_manifest
 from .model import DatasetSpec, read_jsonl
@@ -45,9 +45,10 @@ class SimulationResult:
 
 def load_profile_file(path: str | Path) -> tuple[dict[str, QuestionProfile], dict]:
     """Read a profile JSONL; a record with an 'assertions' key configures checks."""
-    profiles = load_profiles(path)
+    records = read_jsonl(path, ConfigError)
+    profiles = _profiles_from_records(path, records)
     assertions: dict = {}
-    for lineno, rec in read_jsonl(path, ConfigError):
+    for lineno, rec in records:
         if "assertions" in rec and "question_id" not in rec:
             if not isinstance(rec["assertions"], dict):
                 raise ConfigError(f"{path} line {lineno}: assertions must be an object")

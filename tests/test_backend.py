@@ -349,6 +349,9 @@ class TestHttpChatBackend:
                 barrier.wait()
                 return answered(json)
 
+            def close(self):
+                pass
+
         monkeypatch.setattr("requests.Session", RecordingSession)
         backend = HttpChatBackend("http://llm.invalid/v1", "m", api_key="k")
         completions = execute([req(idx=i, prompt=f"p{i}") for i in range(8)], backend, 4)
@@ -358,6 +361,32 @@ class TestHttpChatBackend:
         assert len(sessions) == 4
         assert [len(s.threads) for s in sessions] == [1, 1, 1, 1]
         assert len(set.union(*(s.threads for s in sessions))) == 4
+
+    def test_each_batch_closes_the_sessions_it_opened(self, monkeypatch):
+        barrier = threading.Barrier(4, timeout=5)
+        opened, closed = [], []
+
+        class CountingSession(FakeSession):
+            def __init__(self):
+                super().__init__(barrier=barrier)
+                opened.append(self)
+
+            def close(self):
+                closed.append(self)
+
+        monkeypatch.setattr("requests.Session", CountingSession)
+        backend = HttpChatBackend("http://llm.invalid/v1", "m", api_key="k")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often, so a lost session would show
+        try:
+            for batch in (1, 2):
+                execute([req(idx=i, prompt=f"b{batch}p{i}") for i in range(8)], backend, 4)
+                assert len(opened) == 4 * batch and closed == opened
+        finally:
+            sys.setswitchinterval(interval)
+        injected = CountingSession()
+        execute([req(idx=i) for i in range(4)], http_backend(injected), 4)
+        assert injected.posts == 4 and injected not in closed  # the caller owns it
 
     @pytest.mark.parametrize("retry_after, low, high", [
         ("7", 7, 7),
@@ -419,3 +448,21 @@ class TestProfileIO:
         save_profiles(path, profiles)
         loaded = load_profiles(path)
         assert loaded == profiles
+
+    def test_profile_file_is_read_once(self, monkeypatch):
+        from qtriage import model
+        from qtriage.simulate import load_profile_file
+        from qtriage.synth import bundled_data_path
+
+        path = bundled_data_path("toy20_profiles.jsonl")
+        reads = []
+        read_text = model._read_text
+
+        def counted(*args):
+            reads.append(args[0])
+            return read_text(*args)
+
+        monkeypatch.setattr(model, "_read_text", counted)
+        profiles, assertions = load_profile_file(path)
+        assert reads == [path]
+        assert profiles == load_profiles(path) and assertions == {}

@@ -314,8 +314,63 @@ class TestConquerCommand:
         before = len(transcript.read_text().splitlines())
         result = runner.invoke(main, base + ["conquer", "--strategy", "fcr", "--sc"])
         assert result.exit_code == 0, result.output
-        sc = (run_dir / "outcomes_fcr+sc.jsonl").read_text().splitlines()
-        assert len(transcript.read_text().splitlines()) - before == 5 * len(sc) == 75
+        lines = (run_dir / "outcomes_fcr+sc.jsonl").read_text().splitlines()
+        sc = [json.loads(line) for line in lines]
+        # Every issued sample is a new entry; decided votes stop 14 of the 75 short.
+        issued = sum(len(o["records"]) for o in sc)
+        assert len(sc) == 15 and all(o["records"][0]["sample_index"] == 0 for o in sc)
+        assert len(transcript.read_text().splitlines()) - before == issued == 61
+
+    def test_sc_outage_in_round_2_resumes_with_exactly_the_missing_calls(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # FCR+SC round 1 issues samples 0-2 of every question; the outage hits
+        # round 2 (sample 3) once one of its requests has gone through.
+        from qtriage.backend import MockBackend, TransportError
+
+        complete, issued = MockBackend.complete, []
+        outage = {"armed": False, "round_2_calls": 0}
+
+        def flaky(self, req):
+            if outage["armed"] and req.phase == "conquer" and req.sample_index == 3:
+                outage["round_2_calls"] += 1
+                if outage["round_2_calls"] == 2:
+                    raise TransportError("injected outage")
+            issued.append(req.key())
+            return complete(self, req)
+
+        def keys(run_dir):
+            lines = (run_dir / "transcript.jsonl").read_text().splitlines()
+            return {json.loads(line)["key"] for line in lines}
+
+        def divided_run(name):
+            (tmp_path / name).mkdir()
+            run_dir = tmp_path / name / "run"
+            base = ["--config", str(write_config(tmp_path / name, run_dir)), "--seed", "42"]
+            assert runner.invoke(main, base + ["divide"]).exit_code == 0
+            return run_dir, base
+
+        def conquer_and_report(base):
+            for args in (["conquer", "--strategy", "fcr", "--sc"], ["report"]):
+                result = runner.invoke(main, base + args)
+                assert result.exit_code == 0, result.output
+
+        monkeypatch.setattr(MockBackend, "complete", flaky)
+        whole, base = divided_run("whole")
+        conquer_and_report(base)
+        resumed, base = divided_run("resumed")
+        outage["armed"] = True
+        result = runner.invoke(main, base + ["conquer", "--strategy", "fcr", "--sc"])
+        assert result.exit_code == 2 and "injected outage" in result.output
+        outage["armed"] = False
+        missing = keys(whole) - keys(resumed)
+        assert sum(key.split("|")[1:3] == ["conquer", "3"] for key in keys(resumed)) == 1
+        issued.clear()
+        conquer_and_report(base)
+        assert sorted(issued) == sorted(missing)
+        for rel in ("outcomes_fcr+sc.jsonl", "reports/report.json",
+                    "reports/summary.csv", "reports/curves.csv"):
+            assert (whole / rel).read_bytes() == (resumed / rel).read_bytes(), rel
 
     def test_conquer_without_seed_uses_the_run_seed(self, runner, tmp_path):
         outcomes = []

@@ -1,21 +1,32 @@
 import random
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtriage.backend import Backend, MockBackend, QuestionProfile
+from qtriage.backend import Backend, Completion, MockBackend, QuestionProfile, execute
 from qtriage.conquer import (
     ConquerError,
     RationaleCluster,
+    _fold_item,
+    _plan_item,
     clusters_from_records,
     conquer_item,
     filter_choices,
     run_conquer,
     select_rationales,
 )
-from qtriage.divide import InferenceRecord, histogram_from_answers, report_for, run_divide
+from qtriage.divide import (
+    InferenceRecord,
+    extract_for,
+    histogram_from_answers,
+    majority_answer,
+    report_for,
+    run_divide,
+    vote_decided,
+)
 from qtriage.model import LABELS, Question, DatasetSpec
 from qtriage.prompts import STRATEGIES, PromptError, build_prompt
 from qtriage.synth import PROFILE_FAMILIES, generate_synthetic
@@ -212,8 +223,9 @@ class TestConquerItem:
         outcome = conquer_item(
             q, report, "FCR", backend, self_consistency=True, sc_samples=5
         )
-        assert outcome.final_answer in ("C", "E")
-        assert len(outcome.records) == 5
+        # A, A, B leaves the vote open (B could still reach 3); the 4th A decides it
+        assert [r.answer for r in outcome.records] == ["A", "A", "B", "A"]
+        assert outcome.final_answer == "C" and backend.calls == 4
         assert outcome.mapping.forward == (("A", "C"), ("B", "E"))
 
     def test_ztcot_greedy_modal_answer(self):
@@ -311,12 +323,13 @@ class TestRunConquer:
     def test_sc_samples_of_one_question_are_in_flight_together(self):
         q = question()
         report = report_for("q1", histogram_from_answers(["C", "E", "C", "E", "C"]), spec())
-        inner = MockBackend({"q1": QuestionProfile("q1", {"C": 0.5, "E": 0.5}, 80)}, seed=1)
+        inner = MockBackend({"q1": QuestionProfile("q1", {"C": 1.0}, 80)}, seed=1)
+        # round 1 issues ceil(5/2) = 3 samples; three equal answers decide the vote
         outcomes = run_conquer(
-            [q], [report], "FCR", BarrierBackend(inner, 5),
+            [q], [report], "FCR", BarrierBackend(inner, 3),
             self_consistency=True, sc_samples=5, parallelism=5,
         )
-        assert len(outcomes[0].records) == 5 and inner.calls == 5
+        assert len(outcomes[0].records) == 3 and inner.calls == 3
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -346,3 +359,105 @@ class TestRunConquer:
                 questions, reports, strategy, backend, divide_records=records,
                 subsets=subsets, parallelism=parallelism, **options,
             ) == expected
+
+
+class ScriptedBackend(Backend):
+    """Answers sample j of a question with its j-th scripted answer; None is no answer."""
+
+    waits = False
+
+    def __init__(self, answers: dict) -> None:
+        self.answers = answers
+        self.calls = 0
+
+    def complete(self, req):
+        self.calls += 1
+        answer = self.answers[req.question_id][req.sample_index]
+        text = "no idea." if answer is None else f"So the answer is ({answer})."
+        return Completion(text, prompt_tokens=1, output_tokens=1, backend_tag="scripted")
+
+
+def vote(answers):
+    h = histogram_from_answers(answers)
+    return majority_answer(h) if h.counts else None
+
+
+def decided(prefix, n):
+    """Whether no answers of the other n - len(prefix) samples change the vote.
+
+    Giving them all to one answer, seen or new, is the strongest challenge.
+    """
+    rest = n - len(prefix)
+    return all(vote(prefix + [a] * rest) == vote(prefix) for a in {*prefix, "D", None})
+
+
+def answer_lists(n):
+    """Lists of n answers over A, B, C and None (unparsed)."""
+    return st.lists(st.sampled_from(["A", "B", "C", None]), min_size=n, max_size=n)
+
+
+sample_counts = st.integers(min_value=1, max_value=10)
+
+
+class TestStopRule:
+    @settings(max_examples=150, deadline=None)
+    @given(answers=sample_counts.flatmap(answer_lists))
+    def test_vote_decided_is_exact(self, answers):
+        for k in range(len(answers) + 1):
+            prefix = answers[:k]
+            assert vote_decided(histogram_from_answers(prefix), len(answers) - k) == decided(
+                prefix, len(answers)
+            ), k
+
+    @settings(max_examples=60, deadline=None)
+    @given(lists=sample_counts.flatmap(lambda n: st.lists(answer_lists(n), min_size=1, max_size=4)))
+    def test_stopped_vote_is_the_full_vote_at_the_earliest_decided_prefix(self, lists):
+        scripts = {f"q{i}": answers for i, answers in enumerate(lists)}
+        low = report_for("q", histogram_from_answers(list("ABCDE")), spec())
+        reports = [replace(low, question_id=qid) for qid in scripts]
+        backend = ScriptedBackend(scripts)
+        outcomes = run_conquer(
+            [question(qid) for qid in scripts], reports, "ZTCOT", backend,
+            self_consistency=True, sc_samples=len(lists[0]),
+        )
+        for outcome in outcomes:
+            answers = scripts[outcome.question_id]
+            n, k = len(answers), len(outcome.records)
+            assert [r.sample_index for r in outcome.records] == list(range(k))
+            assert outcome.final_answer == vote(answers)
+            assert decided(answers[:k], n)
+            assert not any(decided(answers[:j], n) for j in range((n + 1) // 2, k))
+        assert backend.calls == sum(len(o.records) for o in outcomes)
+
+
+class TestSCPrefix:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        family=st.sampled_from(PROFILE_FAMILIES),
+        seed=st.integers(min_value=0, max_value=10_000),
+        strategy=st.sampled_from(STRATEGIES),
+        sc_samples=st.integers(min_value=1, max_value=10),
+    )
+    def test_records_are_a_prefix_of_one_full_batch(self, n, family, seed, strategy, sc_samples):
+        questions, profiles = generate_synthetic(n, family=family, seed=seed)
+        backend = MockBackend(profiles, seed=seed)
+        reports, records = run_divide(questions, spec(), backend)
+        options = dict(self_consistency=True, sc_samples=sc_samples, seed=seed)
+        outcomes = run_conquer(questions, reports, strategy, backend,
+                               divide_records=records, **options)
+        by_id = {q.id: q for q in questions}
+        for outcome, report in zip(outcomes, sorted(
+            (r for r in reports if r.subset != "high"), key=lambda r: r.question_id
+        )):
+            # Every sample of the question in one batch, as before votes could stop early.
+            own = [r for r in records if r.question_id == report.question_id]
+            plan = _plan_item(by_id[report.question_id], report, strategy, own, **options)
+            full = [
+                InferenceRecord.from_completion(req, comp, extract_for(plan.asked, comp.text))
+                for req, comp in zip(plan.requests, execute(plan.requests, backend))
+            ]
+            assert outcome.question_id == report.question_id
+            assert outcome.records == tuple(full[: len(outcome.records)])
+            assert len(outcome.records) >= min(1, len(full))
+            assert outcome.final_answer == _fold_item(plan, full).final_answer

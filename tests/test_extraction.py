@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from qtriage.extraction import (
@@ -31,6 +32,11 @@ class TestChoiceExtraction:
     def test_bare_label_adjacent_to_punctuation(self):
         text = "Reasoning...\nTherefore B."
         assert extract_choice_answer(text, LABELS_AE).value == "B"
+
+    @pytest.mark.parametrize("ending", ["", "\n", "\r\n", "\r"])
+    def test_bare_label_on_last_line_with_any_line_ending(self, ending):
+        r = extract_choice_answer(f"Reasoning...\nI pick B{ending}", LABELS_AE)
+        assert r.value == "B" and r.rule_id == "bare-label"
 
     def test_label_outside_set_ignored(self):
         r = extract_choice_answer("the answer is F", set("AB"))
@@ -68,6 +74,10 @@ class TestNumericExtraction:
 
     def test_last_number_of_final_line_fallback(self):
         assert extract_numeric_answer("step 1\nwe get 12 then 42").value == "42"
+
+    def test_last_number_of_a_crlf_final_line(self):
+        r = extract_numeric_answer("step 1\r\nwe get 12 then 42\r\n")
+        assert r.value == "42" and r.rule_id == "last-number"
 
     def test_trailing_decimal_normalized(self):
         assert extract_numeric_answer("the answer is 16.0").value == "16"
