@@ -54,6 +54,11 @@ def _short_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+def _params_hash(prompt: str, temperature: float, max_output_tokens: int) -> str:
+    """The last field of a request key: hashes temperature, token limit and prompt."""
+    return _short_hash(f"{float(temperature)!r}|{max_output_tokens}|{prompt}")
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     prompt: str
@@ -71,8 +76,8 @@ class CompletionRequest:
 
         The backend and model are not part of the key.
         """
-        params = f"{float(self.temperature)!r}|{self.max_output_tokens}|{self.prompt}"
-        return f"{self.question_id}|{self.phase}|{self.sample_index}|{_short_hash(params)}"
+        h = _params_hash(self.prompt, self.temperature, self.max_output_tokens)
+        return f"{self.question_id}|{self.phase}|{self.sample_index}|{h}"
 
     def validate(self) -> None:
         if not (0 <= self.temperature <= 2):
@@ -441,22 +446,33 @@ class HttpChatBackend(Backend):
 
 
 class TranscriptCache:
-    """Append-only JSONL store of (request key, request, completion).
+    """Append-only JSONL store of request keys and completions.
 
-    Each line of the file holds the full request; memory holds only
-    `key -> completion`, rebuilt on open. The first `put` opens one append
-    handle, which holds an exclusive `flock` on the file until `close()`, so
-    one writer at a time. Each entry is flushed as it is written, so a
-    process crash loses at most the entry in flight; `close()` makes the
-    entries durable with one `fsync` and keeps the index, so a later `put`
-    opens the handle again. An unterminated last line is such a lost entry:
-    it is dropped on load and cut from the file when the handle opens.
+    Each line is `{"key", "completion"}`; the key holds the question id, phase,
+    sample index and params hash. The first line for a params hash also
+    carries `"request": {"prompt", "temperature", "max_output_tokens"}`, the
+    fields that hash covers, so a prompt sampled t times is written once. On
+    load, a line's request must hash to its key, else the transcript predates
+    the current key format and loading fails; a line without a request is
+    taken as it is, so a transcript that repeats the request on every line
+    loads the same way.
+
+    Memory holds `key -> completion` and the hashes whose request is in the
+    file, rebuilt on open. The first `put` opens one append handle, which
+    holds an exclusive `flock` on the file until `close()`, so one writer at a
+    time. Each entry is flushed as it is written, so a process crash loses at
+    most the entry in flight; a hash counts as written only once its line is
+    flushed, so the refetched entry carries the lost one's request. `close()`
+    makes the entries durable with one `fsync` and keeps the index, so a later
+    `put` opens the handle again. An unterminated last line is such a lost
+    entry: it is dropped on load and cut from the file when the handle opens.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._completions: dict[str, Completion] = {}
+        self._requested: set[str] = set()  # params hashes whose request is in the file
         self._size = 0  # bytes of the file this cache has read or written
         self._torn_tail: Optional[int] = None  # file offset of an unterminated last line
         self._fh = None  # the append handle, open from the first put to close()
@@ -483,6 +499,8 @@ class TranscriptCache:
                 key = rec.get("key")
                 if not key:
                     raise CacheError(f"{self.path}: entry at line {lineno} has no key")
+                if "request" in rec:
+                    self._requested.add(self._check_request(rec["request"], key, lineno))
                 try:
                     completion = Completion.from_dict(rec["completion"])
                 except (KeyError, TypeError, ValueError) as exc:
@@ -491,6 +509,24 @@ class TranscriptCache:
                     ) from exc
                 self._completions[key] = completion
             self._size = fh.tell()
+
+    def _check_request(self, request, key: str, lineno: int) -> str:
+        """The key's params hash, once the request on its line is shown to hash to it."""
+        h = key.rsplit("|", 1)[-1]
+        try:
+            actual = _params_hash(
+                request["prompt"], request["temperature"], request["max_output_tokens"]
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CacheError(
+                f"{self.path}: corrupted request at line {lineno} for key {key!r}: {exc!r}"
+            ) from exc
+        if actual != h:
+            raise CacheError(
+                f"{self.path}: line {lineno}: key {key!r} does not match its request's "
+                f"hash {actual}; the transcript predates the current key format"
+            )
+        return h
 
     def __len__(self) -> int:
         return len(self._completions)
@@ -533,27 +569,23 @@ class TranscriptCache:
     ) -> None:
         """Append one entry; `key` is `req.key()`, passed by a caller that already has it."""
         key = req.key() if key is None else key
-        entry = {
-            "key": key,
-            "request": {
-                "prompt": req.prompt,
-                "temperature": req.temperature,
-                "max_output_tokens": req.max_output_tokens,
-                "sample_index": req.sample_index,
-                "question_id": req.question_id,
-                "phase": req.phase,
-            },
-            "completion": completion.to_dict(),
-            "timestamp": time.time(),
-        }
-        line = (json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+        h = key.rsplit("|", 1)[-1]
+        entry = {"key": key, "completion": completion.to_dict()}
         with self._lock:
+            if h not in self._requested:
+                entry["request"] = {
+                    "prompt": req.prompt,
+                    "temperature": req.temperature,
+                    "max_output_tokens": req.max_output_tokens,
+                }
+            line = (json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
             if self._fh is None:
                 self._fh = self._open_for_append()
             self._fh.write(line)
             self._fh.flush()
             self._size += len(line)
             self._completions[key] = completion
+            self._requested.add(h)
 
     def close(self) -> None:
         """`fsync` and close the append handle, if open; the index stays usable."""

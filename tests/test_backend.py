@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
 import re
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -220,6 +223,118 @@ class TestTranscriptCache:
         path.write_text(json.dumps({"key": "k1", "completion": {"text": "x"}}) + "\n")
         with pytest.raises(CacheError, match="k1"):
             TranscriptCache(path)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["q1", "q2"]),
+                st.sampled_from(["divide", "conquer"]),
+                st.integers(0, 3),
+                st.sampled_from(["p", "other prompt", "\u00e9 prompt"]),
+                st.sampled_from([0.0, 0.7]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.data(),
+    )
+    def test_each_params_hash_carries_its_request_on_its_first_line_only(self, draws, data):
+        requests = [
+            req(qid=qid, phase=phase, idx=idx, prompt=prompt, temperature=temperature)
+            for qid, phase, idx, prompt, temperature in draws
+        ]
+        # A first run stops after `stop_at` requests; the rerun issues them all.
+        stop_at = data.draw(st.integers(0, len(requests)))
+        torn = data.draw(st.booleans())  # the first run's last line was cut short
+        profiles = {"q1": profile("q1"), "q2": profile("q2")}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.jsonl"
+            for part in (requests[:stop_at], requests):
+                if torn and path.exists() and path.stat().st_size:
+                    path.write_bytes(path.read_bytes()[:-1])
+                with TranscriptCache(path) as cache:
+                    backend = CachingBackend(MockBackend(profiles, seed=0), cache)
+                    for r in part:
+                        backend.complete(r)
+            lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+            assert len(TranscriptCache(path)) == len(lines)
+        assert sorted(line["key"] for line in lines) == sorted({r.key() for r in requests})
+        by_key = {r.key(): r for r in requests}
+        seen = set()
+        for line in lines:
+            h = line["key"].rsplit("|", 1)[1]
+            assert set(line) == ({"key", "completion"} if h in seen
+                                 else {"key", "completion", "request"}), line
+            if h not in seen:
+                r = by_key[line["key"]]
+                assert line["request"] == {"prompt": r.prompt, "temperature": r.temperature,
+                                           "max_output_tokens": r.max_output_tokens}
+            seen.add(h)
+
+    def test_concurrent_puts_write_each_request_once(self, tmp_path):
+        class Waiting(MockBackend):
+            waits = True
+
+            def complete(self, req):
+                time.sleep(0.005)  # the workers' puts of one prompt then race
+                return super().complete(req)
+
+        # Each prompt is sampled once per worker, so all eight race to write it first.
+        prompts = [f"p{i}" for i in range(25)]
+        requests = [req(idx=i, prompt=prompts[i // 8]) for i in range(200)]
+        path = tmp_path / "t.jsonl"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with TranscriptCache(path) as cache:
+                execute(requests, CachingBackend(Waiting({"q1": profile()}, seed=0), cache), 8)
+        finally:
+            sys.setswitchinterval(interval)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(lines) == len(requests)
+        written = sorted(line["request"]["prompt"] for line in lines if "request" in line)
+        assert written == sorted(prompts)
+
+    def test_legacy_lines_load_serve_hits_and_keep_their_requests(self, tmp_path):
+        # Older transcripts repeat the full request and a timestamp on every line.
+        path = tmp_path / "t.jsonl"
+        completion = MockBackend({"q1": profile()}, seed=0).complete(req())
+        legacy = [
+            {"key": r.key(), "completion": completion.to_dict(), "timestamp": 1.0e9,
+             "request": {"prompt": r.prompt, "temperature": r.temperature,
+                         "max_output_tokens": r.max_output_tokens, "sample_index": r.sample_index,
+                         "question_id": r.question_id, "phase": r.phase}}
+            for r in (req(idx=0), req(idx=1))
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in legacy))
+        inner = MockBackend({"q1": profile()}, seed=0)
+        with TranscriptCache(path) as cache:
+            backend = CachingBackend(inner, cache)
+            assert backend.complete(req(idx=1)) == completion
+            backend.complete(req(idx=2))
+            backend.complete(req(idx=0, prompt="new"))
+        assert backend.hits == 1 and inner.calls == 2
+        appended = [json.loads(line) for line in path.read_text().splitlines()[2:]]
+        assert "request" not in appended[0]  # its hash is already in the file
+        assert appended[1]["request"]["prompt"] == "new"
+        assert len(TranscriptCache(path)) == 4
+
+    def test_key_from_before_params_hashing_raises_naming_path_and_line(self, tmp_path):
+        # Keys once hashed the prompt alone; such a transcript must not just refetch.
+        path = tmp_path / "t.jsonl"
+        completion = MockBackend({"q1": profile()}, seed=0).complete(req()).to_dict()
+        request = {"prompt": "p", "temperature": 0.7, "max_output_tokens": 256}
+        stale_key = "q1|divide|1|" + hashlib.sha256(b"p").hexdigest()[:16]
+        path.write_text(
+            json.dumps({"key": req(idx=0).key(), "request": request, "completion": completion})
+            + "\n"
+            + json.dumps({"key": stale_key, "request": request, "completion": completion})
+            + "\n"
+        )
+        with pytest.raises(CacheError) as excinfo:
+            TranscriptCache(path)
+        message = str(excinfo.value)
+        assert str(path) in message and "line 2" in message and stale_key in message
 
 
 class TestExecute:

@@ -221,6 +221,7 @@ class TestDivideCommand:
             rerun, kept = path.read_bytes(), ([0] + ends)[whole_entries]
             assert rerun[:kept] == whole[:kept], cut  # whole entries stay as written
             assert rerun.count(b"\n") == len(ends) and rerun.endswith(b"\n"), cut
+            assert rerun == whole, cut  # a lost first entry's prompt lands on its refetch
 
     def test_second_writer_exits_1_naming_the_transcript(self, runner, tmp_path):
         import fcntl
@@ -605,7 +606,7 @@ class TestReportCommand:
         run_dir = run_pipeline(runner, tmp_path, tmp_path / "run")
         transcript = run_dir / "transcript.jsonl"
         lines = transcript.read_text().splitlines(keepends=True)
-        phases = [json.loads(line)["request"]["phase"] for line in lines]
+        phases = [json.loads(line)["key"].split("|")[1] for line in lines]
         key = json.loads(lines.pop(phases.index("divide")))["key"]
         transcript.write_text("".join(lines))
         base = ["--config", str(tmp_path / "config.json"), "--seed", "42"]
