@@ -95,14 +95,12 @@ class Completion:
     text: str
     prompt_tokens: int
     output_tokens: int
-    backend_tag: str
 
     def to_dict(self) -> dict:
         return {
             "text": self.text,
             "prompt_tokens": self.prompt_tokens,
             "output_tokens": self.output_tokens,
-            "backend_tag": self.backend_tag,
         }
 
     @staticmethod
@@ -111,7 +109,6 @@ class Completion:
             text=d["text"],
             prompt_tokens=int(d["prompt_tokens"]),
             output_tokens=int(d["output_tokens"]),
-            backend_tag=d["backend_tag"],
         )
 
 
@@ -137,19 +134,21 @@ class QuestionProfile:
 
 
 def load_profiles(path: str | Path) -> dict[str, QuestionProfile]:
-    """Read a profile JSONL; a simulator assertions record is skipped."""
-    return _profiles_from_records(path, read_jsonl(path, ConfigError))
+    """Read a profile JSONL's profiles; its assertions records are checked and skipped."""
+    return load_profile_file(path)[0]
 
 
-def _profiles_from_records(
-    path: str | Path, records: Sequence[tuple[int, dict]]
-) -> dict[str, QuestionProfile]:
-    """The profiles among the `read_jsonl` records of `path`."""
+def load_profile_file(path: str | Path) -> tuple[dict[str, QuestionProfile], dict]:
+    """Read a profile JSONL; a record with an 'assertions' key configures simulator checks."""
     profiles: dict[str, QuestionProfile] = {}
-    for lineno, rec in records:
-        if "assertions" in rec and "question_id" not in rec:
-            continue
+    assertions: dict = {}
+    for lineno, rec in read_jsonl(path, ConfigError):
         where = f"{path} line {lineno}"
+        if "assertions" in rec and "question_id" not in rec:
+            if not isinstance(rec["assertions"], dict):
+                raise ConfigError(f"{where}: assertions must be an object")
+            assertions.update(rec["assertions"])
+            continue
         missing = [k for k in ("question_id", "answer_distribution") if k not in rec]
         if missing:
             raise ConfigError(f"{where}: missing {', '.join(missing)}")
@@ -174,7 +173,7 @@ def _profiles_from_records(
         )
         profile.validate()
         profiles[profile.question_id] = profile
-    return profiles
+    return profiles, assertions
 
 
 def save_profiles(path: str | Path, profiles: dict[str, QuestionProfile]) -> None:
@@ -194,7 +193,6 @@ def save_profiles(path: str | Path, profiles: dict[str, QuestionProfile]) -> Non
 class Backend:
     """Interface: one blocking completion per request."""
 
-    tag = "base"
     waits = True
     """`complete` spends its time waiting outside the interpreter (network), so
     threads overlap it."""
@@ -223,7 +221,6 @@ class MockBackend(Backend):
     omit the answer sentinel to exercise extraction fallbacks.
     """
 
-    tag = "mock"
     waits = False
 
     def __init__(
@@ -325,7 +322,6 @@ class MockBackend(Backend):
             text=text,
             prompt_tokens=max(1, len(req.prompt) // 4),
             output_tokens=max(1, len(text) // 4),
-            backend_tag=self.tag,
         )
 
 
@@ -336,7 +332,7 @@ def _delay_seconds(retry_after: Optional[str]) -> Optional[int]:
     return None
 
 
-def _chat_completion(body, tag: str) -> Completion:
+def _chat_completion(body) -> Completion:
     """The completion a chat-completion response body holds.
 
     Raises `ValueError` for a body without a string `choices[0].message.content`,
@@ -354,13 +350,11 @@ def _chat_completion(body, tag: str) -> Completion:
               for k in ("prompt_tokens", "completion_tokens")]
     if not all(type(n) is int and n >= 0 for n in counts):
         raise ValueError(f"response usage is not an object of integer counts: {usage!r}")
-    return Completion(text, prompt_tokens=counts[0], output_tokens=counts[1], backend_tag=tag)
+    return Completion(text, prompt_tokens=counts[0], output_tokens=counts[1])
 
 
 class HttpChatBackend(Backend):
     """Minimal HTTP JSON chat-completion client with retry and backoff."""
-
-    tag = "http"
 
     def __init__(
         self,
@@ -430,7 +424,7 @@ class HttpChatBackend(Backend):
                 if resp.status_code == 429 or resp.status_code >= 500:
                     raise requests.RequestException(f"retryable status {resp.status_code}")
                 resp.raise_for_status()
-                return _chat_completion(resp.json(), self.tag)
+                return _chat_completion(resp.json())
             except ConfigError:
                 raise
             except (requests.RequestException, ValueError) as exc:
@@ -605,7 +599,6 @@ class CachingBackend(Backend):
     def __init__(self, inner: Backend, cache: TranscriptCache) -> None:
         self.inner = inner
         self.cache = cache
-        self.tag = inner.tag
         self.waits = inner.waits
         self.hits = 0
         self.misses = 0
@@ -631,7 +624,6 @@ class CachingBackend(Backend):
 class NoFetchBackend(Backend):
     """Inner backend for replay: every request the transcript lacks is a miss."""
 
-    tag = "replay"
     waits = False
 
     def complete(self, req: CompletionRequest) -> Completion:

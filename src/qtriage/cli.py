@@ -7,7 +7,7 @@ from pathlib import Path
 
 import click
 
-from .backend import TransportError
+from .backend import TransportError, load_profile_file
 from .conquer import RATIONALE_SELECT_MODES
 from .divide import SUBSETS, load_reports
 from .manifest import RunManifest, new_manifest
@@ -165,7 +165,7 @@ def cmd_conquer(ctx, strategy, sc, rationale_select, subsets, tail):
 @click.pass_context
 def cmd_simulate(ctx, profiles_path, family, n_questions, divide_base, noise_rate):
     """Run the full pipeline on the deterministic mock backend."""
-    from .simulate import load_profile_file, run_simulation
+    from .simulate import run_simulation
 
     config, run_dir = _prepare(ctx)
     profiles = None

@@ -18,6 +18,8 @@ from typing import NamedTuple, Optional, Sequence
 from .backend import Backend, CompletionRequest, execute
 from .divide import (
     DEFAULT_MAX_OUTPUT_TOKENS,
+    LOW_BINS,
+    SUBSETS,
     AnswerHistogram,
     ConfidenceReport,
     InferenceRecord,
@@ -47,6 +49,18 @@ RATIONALE_SELECT_MODES = ("longest", "random", "shortest")
 
 class ConquerError(QtriageError, ValueError):
     pass
+
+
+def check_subsets(subsets: Sequence[str]) -> None:
+    """Raise `ConquerError` unless `subsets` is a non-empty list of conquerable names."""
+    allowed = ", ".join(s for s in SUBSETS + LOW_BINS if s != "high")
+    if not subsets:
+        raise ConquerError(f"no subset given to conquer; choose from {allowed}")
+    for name in subsets:
+        if name == "high":
+            raise ConquerError("subset 'high' is fixed, not conquered")
+        if name not in SUBSETS + LOW_BINS:
+            raise ConquerError(f"unknown subset {name!r}; choose from {allowed}")
 
 
 @dataclass(frozen=True)
@@ -299,8 +313,7 @@ def run_conquer(
     with at most `parallelism` in flight; an SC question stops sampling once
     its vote is decided.
     """
-    if "high" in subsets:
-        raise ConquerError("the high confidence subset is fixed, not conquered")
+    check_subsets(subsets)
     records_by_id: dict[str, list[InferenceRecord]] = {}
     for rec in divide_records:
         records_by_id.setdefault(rec.question_id, []).append(rec)

@@ -25,7 +25,7 @@ from .backend import (
     TranscriptCache,
     load_profiles,
 )
-from .conquer import ConquerOutcome, load_outcomes, run_conquer, save_outcomes
+from .conquer import ConquerOutcome, check_subsets, load_outcomes, run_conquer, save_outcomes
 from .divide import (
     ConfidenceReport,
     InferenceRecord,
@@ -57,16 +57,21 @@ def load_config(path: Optional[str | Path]) -> dict:
     if path is None:
         return {}
     config = read_json(path, ConfigError)
-    for section in ("dataset", "backend"):
+    for section in ("dataset", "backend", "assertions"):
         if not isinstance(config.get(section, {}), dict):
             raise ConfigError(f"{path}: config {section} must be an object")
+    for node, dotted in ((config, "run_dir"), (config.get("dataset", {}), "dataset.path"),
+                         (config.get("backend", {}), "backend.profiles")):
+        if not isinstance(node.get(dotted.rsplit(".", 1)[-1], ""), str):
+            raise ConfigError(f"{path}: config {dotted} must be a string")
     return config
 
 
 def config_number(config: dict, dotted: str, default, cast=int):
     """The number at a dotted key of `config`, or `default` when the key is absent.
 
-    Raises `ConfigError` naming the key for a value `cast` rejects.
+    Raises `ConfigError` naming the key for a value `cast` rejects, a boolean,
+    and a number with a fractional part for an integer key.
     """
     node = config
     *parents, leaf = dotted.split(".")
@@ -74,8 +79,11 @@ def config_number(config: dict, dotted: str, default, cast=int):
         node = node.get(part, {})
     value = node.get(leaf, default)
     try:
-        return cast(value)
-    except (TypeError, ValueError):
+        number = cast(value)
+        if isinstance(value, bool) or (isinstance(value, float) and number != value):
+            raise ValueError(value)
+        return number
+    except (TypeError, ValueError, OverflowError):
         kind = "an integer" if cast is int else "a number"
         raise ConfigError(f"config {dotted} is not {kind}: {value!r}") from None
 
@@ -83,8 +91,8 @@ def config_number(config: dict, dotted: str, default, cast=int):
 def dataset_spec_from_config(config: dict) -> DatasetSpec:
     ds = config.get("dataset", {})
     try:
-        mu = _as_fraction(ds.get("mu", "0.8"))
-        nu = _as_fraction(ds.get("nu", "0.6"))
+        mu = _as_fraction(ds.get("mu", DatasetSpec.mu))
+        nu = _as_fraction(ds.get("nu", DatasetSpec.nu))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"dataset thresholds invalid: {exc}") from exc
     spec = DatasetSpec(
@@ -128,6 +136,12 @@ def questions_from_profiles(profiles: dict[str, QuestionProfile]) -> list[Questi
     questions = []
     for qid in sorted(profiles):
         p = profiles[qid]
+        for answer in p.answer_distribution:
+            if len(answer) != 1 or answer not in LABELS:
+                raise ConfigError(
+                    f"profile {qid}: answer {answer!r} is not a choice label to derive "
+                    "a question from"
+                )
         n_choices = max(LABELS.index(lab) for lab in p.answer_distribution) + 1
         q = synth._make_question(
             int(qid.lstrip("q") or 0) if qid.lstrip("q").isdigit() else 0,
@@ -219,7 +233,10 @@ def run_conquer_phase(
 
     A failed strategy stays marked `conquer:<outcome name>: failed` until a
     rerun of it succeeds; `conquer` reads `done` only while none is marked.
+    Rejected subsets leave the manifest as it is.
     """
+    if "subsets" in options:
+        check_subsets(options["subsets"])
     name = f"{strategy.lower()}{'+sc' if self_consistency else ''}"
     with _phase(manifest, {f"conquer:{name}": "failed", "conquer": "partial"}) as cache:
         needs = strategy_needs_rationales(strategy)

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backend import ConfigError, MockBackend, QuestionProfile, _profiles_from_records
+from .backend import ConfigError, MockBackend, QuestionProfile
 from .divide import SUBSETS, ConfidenceReport
 from .manifest import new_manifest
-from .model import DatasetSpec, read_jsonl
+from .model import DatasetSpec
 from .pipeline import (
     questions_from_profiles,
     run_conquer_phase,
@@ -41,19 +41,6 @@ class SimulationResult:
     @property
     def ok(self) -> bool:
         return all(passed for _, passed, _ in self.checks)
-
-
-def load_profile_file(path: str | Path) -> tuple[dict[str, QuestionProfile], dict]:
-    """Read a profile JSONL; a record with an 'assertions' key configures checks."""
-    records = read_jsonl(path, ConfigError)
-    profiles = _profiles_from_records(path, records)
-    assertions: dict = {}
-    for lineno, rec in records:
-        if "assertions" in rec and "question_id" not in rec:
-            if not isinstance(rec["assertions"], dict):
-                raise ConfigError(f"{path} line {lineno}: assertions must be an object")
-            assertions.update(rec["assertions"])
-    return profiles, assertions
 
 
 def spearman_cs_vs_correct(
@@ -123,6 +110,10 @@ def run_simulation(
 ) -> SimulationResult:
     """Divide, conquer, and report on the mock backend, then run assertions."""
     assertions = {**DEFAULT_ASSERTIONS, **(assertions or {})}
+    for key in ("spearman_min", "fcr_uplift_min_pp"):
+        value = assertions[key]
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ConfigError(f"assertions {key} is not a number: {value!r}")
     spec = DatasetSpec(name=f"sim-{family}", divide_base=divide_base)
     spec.validate()
     if profiles is None:
@@ -144,10 +135,9 @@ def run_simulation(
     )
 
     golds = {q.id: q.gold for q in questions}
-    outcome_sets: dict[str, list] = {}
+    outcome_sets: dict[tuple[str, bool], list] = {}
     for strategy, sc in strategies:
-        name = f"{strategy.lower()}{'+sc' if sc else ''}"
-        outcome_sets[name] = run_conquer_phase(
+        outcome_sets[strategy, sc] = run_conquer_phase(
             questions, reports, strategy, backend, manifest,
             self_consistency=sc, sc_samples=divide_base,
             parallelism=parallelism, seed=seed,
@@ -172,8 +162,8 @@ def run_simulation(
 
     if assertions.get("fcr_uplift_min_pp") is not None:
         min_pp = float(assertions["fcr_uplift_min_pp"])
-        base = outcome_sets.get("ztcot")
-        fcr = outcome_sets.get("fcr+sc") or outcome_sets.get("fcr")
+        base = outcome_sets.get(("ZTCOT", False))
+        fcr = outcome_sets.get(("FCR", True)) or outcome_sets.get(("FCR", False))
         if base is None or fcr is None:
             result.checks.append(("fcr_uplift", False, "needs ztcot and fcr strategies"))
         else:

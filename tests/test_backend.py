@@ -24,6 +24,7 @@ from qtriage.backend import (
     TranscriptCache,
     TransportError,
     execute,
+    load_profile_file,
     load_profiles,
     save_profiles,
 )
@@ -296,11 +297,13 @@ class TestTranscriptCache:
         assert written == sorted(prompts)
 
     def test_legacy_lines_load_serve_hits_and_keep_their_requests(self, tmp_path):
-        # Older transcripts repeat the full request and a timestamp on every line.
+        # Older transcripts repeat the full request and a timestamp on every line,
+        # and tag each completion with the backend that made it.
         path = tmp_path / "t.jsonl"
         completion = MockBackend({"q1": profile()}, seed=0).complete(req())
+        tagged = {**completion.to_dict(), "backend_tag": "mock"}
         legacy = [
-            {"key": r.key(), "completion": completion.to_dict(), "timestamp": 1.0e9,
+            {"key": r.key(), "completion": tagged, "timestamp": 1.0e9,
              "request": {"prompt": r.prompt, "temperature": r.temperature,
                          "max_output_tokens": r.max_output_tokens, "sample_index": r.sample_index,
                          "question_id": r.question_id, "phase": r.phase}}
@@ -369,6 +372,24 @@ class TestExecute:
         with pytest.raises(TransportError):
             execute([req(idx=i) for i in range(20)], backend, parallelism=1)
         assert backend.calls < 10  # without cancellation all 19 others run
+
+    def test_first_failure_stops_threads_taking_requests(self):
+        started = []
+
+        class FailsFirstWaiting(MockBackend):
+            waits = True
+
+            def complete(self, req):
+                started.append(req.sample_index)
+                time.sleep(0.01 if req.sample_index == 0 else 0.05)
+                if req.sample_index == 0:
+                    raise TransportError("injected outage")
+                return super().complete(req)
+
+        backend = FailsFirstWaiting({"q1": profile()}, seed=0)
+        with pytest.raises(TransportError):
+            execute([req(idx=i) for i in range(40)], backend, parallelism=4)
+        assert len(started) < 10  # the other workers stop after their first request
 
 
     @pytest.mark.parametrize("cached", [False, True])
@@ -566,7 +587,6 @@ class TestProfileIO:
 
     def test_profile_file_is_read_once(self, monkeypatch):
         from qtriage import model
-        from qtriage.simulate import load_profile_file
         from qtriage.synth import bundled_data_path
 
         path = bundled_data_path("toy20_profiles.jsonl")

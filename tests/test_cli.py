@@ -385,14 +385,22 @@ class TestConquerCommand:
             outcomes.append((tmp_path / name / "run" / "outcomes_ztcot.jsonl").read_bytes())
         assert outcomes[0] == outcomes[1]
 
-    def test_high_subset_rejected(self, runner, tmp_path):
-        run_dir = tmp_path / "run"
-        config = write_config(tmp_path, run_dir)
-        base = ["--config", str(config), "--seed", "42"]
-        assert runner.invoke(main, base + ["divide"]).exit_code == 0
-        result = runner.invoke(main, base + ["conquer", "--subsets", "high,med"])
+    @pytest.mark.parametrize("subsets, named", [
+        ("high,med", "'high'"), ("mid", "'mid'"), ("", "no subset"), (",", "no subset"),
+    ], ids=["high-med", "mid", "empty", "comma"])
+    def test_high_subset_rejected(self, runner, tmp_path, subsets, named):
+        # After a complete report, so a rejected list must not undo its `done` states.
+        run_dir = run_pipeline(runner, tmp_path, tmp_path / "run")
+        config = tmp_path / "config.json"
+        manifest = (run_dir / "manifest.json").read_bytes()
+        args = ["--config", str(config), "--seed", "42", "conquer", "--subsets", subsets]
+        result = runner.invoke(main, args)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and named in errors[0], result.output
+        assert (run_dir / "manifest.json").read_bytes() == manifest
+        assert not (run_dir / "outcomes_fcr.jsonl").exists()  # the run conquered fcr+sc only
 
 
 def write_cloze(tmp_path):
@@ -825,11 +833,34 @@ def _unprofiled_question(runner, tmp_path, monkeypatch):
     return ["--config", str(config), "divide"], "q0000"
 
 
-def _divide_config(key, value, expect):
+def _configured(command, expect, **settings):
+    """`command` under the toy config with each dotted key of `settings` set.
+
+    A callable value is called with `tmp_path`.
+    """
     def case(runner, tmp_path, monkeypatch):
-        config = write_config(tmp_path, tmp_path / "run", **{key: value(tmp_path)})
-        return ["--config", str(config), "divide"], expect
+        values = {k: v(tmp_path) if callable(v) else v for k, v in settings.items()}
+        config = write_config(tmp_path, tmp_path / "run", **values)
+        return ["--config", str(config), *command], expect
     return case
+
+
+def _divide_config(key, value, expect):
+    return _configured(["divide"], expect, **{key: value})
+
+
+def _run_dir_not_string(runner, tmp_path, monkeypatch):
+    config = write_config(tmp_path, tmp_path / "run")
+    config.write_text(json.dumps({**json.loads(config.read_text()), "run_dir": 5}))
+    return ["--config", str(config), "report"], "run_dir"
+
+
+def _numeric_profiles(tmp_path):
+    """Profiles whose answers are numbers, not choice labels."""
+    path = tmp_path / "numbers.jsonl"
+    dist = {"12": 0.6, "13": 0.4}
+    path.write_text(json.dumps({"question_id": "n1", "answer_distribution": dist}) + "\n")
+    return str(path)
 
 
 def _not_utf8_file(tmp_path):
@@ -979,6 +1010,21 @@ FAILURES = {  # name -> (build the case, expected exit code)
         _divide_config("parallelism", lambda t: "x", "parallelism"), 1),
     "divide-dataset-not-utf8": (_divide_config("dataset.path", _not_utf8_file, "not UTF-8"), 1),
     "divide-dataset-section-not-object": (_divide_config("dataset", lambda t: "x", "dataset"), 1),
+    "divide-dataset-path-not-string": (_divide_config("dataset.path", 5, "dataset.path"), 1),
+    "divide-profiles-not-string": (_divide_config("backend.profiles", 5, "backend.profiles"), 1),
+    "divide-divide-base-fractional": (_divide_config("dataset.divide_base", 5.9, "divide_base"), 1),
+    "divide-parallelism-boolean": (_divide_config("parallelism", True, "parallelism"), 1),
+    "divide-profile-answer-not-label": (
+        _configured(["divide"], "answer '12'", **{"backend.profiles": _numeric_profiles,
+                                                  "dataset.path": ""}), 1),
+    "report-run-dir-not-string": (_run_dir_not_string, 1),
+    "simulate-config-assertions-not-object": (
+        _configured(["simulate", "--n-questions", "10"], "config assertions", assertions="x"), 1),
+    "simulate-config-threshold-not-number": (
+        _configured(["simulate", "--n-questions", "10"], "spearman_min",
+                    assertions={"spearman_min": "abc"}), 1),
+    "simulate-profile-answer-not-label": (
+        _simulate("--profiles", _numeric_profiles, expect="profile n1: answer '12'"), 1),
     "simulate-unknown-family": (_simulate("--family", "nope", expect="nope"), 1),
     "simulate-divide-base-1": (
         _simulate("--divide-base", "1", "--n-questions", "10", expect="divide_base"), 1),

@@ -374,7 +374,7 @@ class ScriptedBackend(Backend):
         self.calls += 1
         answer = self.answers[req.question_id][req.sample_index]
         text = "no idea." if answer is None else f"So the answer is ({answer})."
-        return Completion(text, prompt_tokens=1, output_tokens=1, backend_tag="scripted")
+        return Completion(text, prompt_tokens=1, output_tokens=1)
 
 
 def vote(answers):
