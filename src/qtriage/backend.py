@@ -10,6 +10,7 @@ issues a batch of requests; it starts threads only for a backend that
 
 from __future__ import annotations
 
+import bisect
 import fcntl
 import hashlib
 import json
@@ -212,6 +213,29 @@ _FILLER_WORDS = (
 _NOISE_ENDING = "i cannot settle on a single option here."
 
 
+def _rotation(start: int) -> tuple[str, list[int]]:
+    """The filler words read from word `start` round the cycle, each followed by
+    a space, and the offset just past each word's space, after a leading 0."""
+    words = _FILLER_WORDS[start:] + _FILLER_WORDS[:start]
+    ends = [0]
+    for word in words:
+        ends.append(ends[-1] + len(word) + 1)
+    return " ".join(words) + " ", ends
+
+
+_ROTATIONS = tuple(_rotation(start) for start in range(len(_FILLER_WORDS)))
+_CYCLE = len(_ROTATIONS[0][0])  # characters in one pass over the words, spaces included
+
+
+def _filler(start: int, target: int) -> str:
+    """The fewest filler words, cycling from word `start`, whose lengths plus one
+    each sum to at least `target`, joined by spaces."""
+    text, ends = _ROTATIONS[start]
+    cycles, rest = divmod(target, _CYCLE)
+    size = cycles * _CYCLE + ends[bisect.bisect_left(ends, rest)]
+    return (text * (cycles + 1))[:size - 1] if size else ""
+
+
 class MockBackend(Backend):
     """Deterministic simulator: draws answers from per-question profiles.
 
@@ -289,14 +313,7 @@ class MockBackend(Backend):
 
     def _rationale(self, mean_len: int, rng: random.Random) -> str:
         target = max(20, int(-mean_len * math.log(1.0 - rng.random())))
-        words = []
-        size = 0
-        i = rng.randrange(len(_FILLER_WORDS))
-        while size < target:
-            word = _FILLER_WORDS[(i + len(words)) % len(_FILLER_WORDS)]
-            words.append(word)
-            size += len(word) + 1
-        return " ".join(words)
+        return _filler(rng.randrange(len(_FILLER_WORDS)), target)
 
     def complete(self, req: CompletionRequest) -> Completion:
         req.validate()
@@ -439,6 +456,17 @@ class HttpChatBackend(Backend):
         )
 
 
+_json_string = json.encoder.encode_basestring  # json.dumps' quoting when ensure_ascii=False
+
+
+def _json_number(value) -> str:
+    """`value` as `json.dumps` writes it; `repr` for an int or a finite float."""
+    kind = type(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    return json.dumps(value, ensure_ascii=False, sort_keys=True)
+
+
 class TranscriptCache:
     """Append-only JSONL store of request keys and completions.
 
@@ -564,15 +592,20 @@ class TranscriptCache:
         """Append one entry; `key` is `req.key()`, passed by a caller that already has it."""
         key = req.key() if key is None else key
         h = key.rsplit("|", 1)[-1]
-        entry = {"key": key, "completion": completion.to_dict()}
+        # What json.dumps(entry, ensure_ascii=False, sort_keys=True) writes, built directly.
+        line = (
+            f'{{"completion": {{"output_tokens": {_json_number(completion.output_tokens)}, '
+            f'"prompt_tokens": {_json_number(completion.prompt_tokens)}, '
+            f'"text": {_json_string(completion.text)}}}, "key": {_json_string(key)}'
+        )
         with self._lock:
             if h not in self._requested:
-                entry["request"] = {
-                    "prompt": req.prompt,
-                    "temperature": req.temperature,
-                    "max_output_tokens": req.max_output_tokens,
-                }
-            line = (json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+                line += (
+                    f', "request": {{"max_output_tokens": {_json_number(req.max_output_tokens)}, '
+                    f'"prompt": {_json_string(req.prompt)}, '
+                    f'"temperature": {_json_number(req.temperature)}}}'
+                )
+            line = (line + "}\n").encode("utf-8")
             if self._fh is None:
                 self._fh = self._open_for_append()
             self._fh.write(line)

@@ -47,12 +47,6 @@ from .report import (
 )
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return Fraction(int(value[0]), int(value[1]))
-    return Fraction(str(value))
-
-
 def load_config(path: Optional[str | Path]) -> dict:
     if path is None:
         return {}
@@ -60,7 +54,9 @@ def load_config(path: Optional[str | Path]) -> dict:
     for section in ("dataset", "backend", "assertions"):
         if not isinstance(config.get(section, {}), dict):
             raise ConfigError(f"{path}: config {section} must be an object")
-    for node, dotted in ((config, "run_dir"), (config.get("dataset", {}), "dataset.path"),
+    dataset = config.get("dataset", {})
+    for node, dotted in ((config, "run_dir"), (dataset, "dataset.path"),
+                         (dataset, "dataset.name"),
                          (config.get("backend", {}), "backend.profiles")):
         if not isinstance(node.get(dotted.rsplit(".", 1)[-1], ""), str):
             raise ConfigError(f"{path}: config {dotted} must be a string")
@@ -79,27 +75,40 @@ def config_number(config: dict, dotted: str, default, cast=int):
         node = node.get(part, {})
     value = node.get(leaf, default)
     try:
-        number = cast(value)
-        if isinstance(value, bool) or (isinstance(value, float) and number != value):
-            raise ValueError(value)
-        return number
+        return _number(value, cast)
     except (TypeError, ValueError, OverflowError):
         kind = "an integer" if cast is int else "a number"
         raise ConfigError(f"config {dotted} is not {kind}: {value!r}") from None
 
 
+def _number(value, cast):
+    """`cast(value)`; raises `ValueError` for a boolean, and for an integer `cast`
+    of a float with a fractional part."""
+    number = cast(value)
+    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise ValueError(value)
+    return number
+
+
+def _threshold(dataset: dict, key: str) -> Fraction:
+    """`dataset[key]` as a fraction: a number, a fraction string, or a
+    `[numerator, denominator]` pair of integers or integer strings."""
+    value = dataset.get(key, getattr(DatasetSpec, key))
+    try:
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return Fraction(*(_number(member, int) for member in value))
+        return Fraction(str(value))
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"config dataset.{key} is not a fraction: {value!r}") from None
+
+
 def dataset_spec_from_config(config: dict) -> DatasetSpec:
     ds = config.get("dataset", {})
-    try:
-        mu = _as_fraction(ds.get("mu", DatasetSpec.mu))
-        nu = _as_fraction(ds.get("nu", DatasetSpec.nu))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"dataset thresholds invalid: {exc}") from exc
     spec = DatasetSpec(
         name=ds.get("name", Path(ds.get("path", "dataset")).stem),
         divide_base=config_number(config, "dataset.divide_base", 5),
-        mu=mu,
-        nu=nu,
+        mu=_threshold(ds, "mu"),
+        nu=_threshold(ds, "nu"),
     )
     spec.validate()
     return spec

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import re
 import sys
 import tempfile
@@ -12,9 +13,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qtriage.backend import (
+    _CYCLE,
+    _FILLER_WORDS,
     CacheError,
     CacheMissError,
     CachingBackend,
+    Completion,
     CompletionRequest,
     ConfigError,
     HttpChatBackend,
@@ -23,6 +27,7 @@ from qtriage.backend import (
     QuestionProfile,
     TranscriptCache,
     TransportError,
+    _filler,
     execute,
     load_profile_file,
     load_profiles,
@@ -47,7 +52,42 @@ def profile(qid="q1", dist=None, gold=None, mean=120):
     )
 
 
+def loop_filler(start, target):
+    """The word loop the mock's rationale once ran, kept as the reference."""
+    words = []
+    size = 0
+    while size < target:
+        word = _FILLER_WORDS[(start + len(words)) % len(_FILLER_WORDS)]
+        words.append(word)
+        size += len(word) + 1
+    return " ".join(words)
+
+
+def loop_rationale(mean_len, rng):
+    target = max(20, int(-mean_len * math.log(1.0 - rng.random())))
+    return loop_filler(rng.randrange(len(_FILLER_WORDS)), target)
+
+
+# Text with what JSON must escape or may pass through raw, beside arbitrary characters.
+json_text = st.text(st.characters(codec="utf-8") | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\r", "\t", "\u2028", "\ufeff", "\U0001f600", "|"]))
+
+
 class TestMockBackend:
+    @given(st.integers(1, 5000), st.integers(0, 2**64 - 1))
+    def test_rationale_equals_the_word_loop(self, mean_len, seed):
+        sliced, looped = random.Random(seed), random.Random(seed)
+        text = MockBackend({}, seed=0)._rationale(mean_len, sliced)
+        assert text == loop_rationale(mean_len, looped)
+        assert sliced.random() == looped.random()  # both drew the same numbers
+
+    @pytest.mark.parametrize("start", range(len(_FILLER_WORDS)))
+    def test_filler_equals_the_word_loop(self, start):
+        # Every target over three cycles, then cycle multiples and their neighbours further out.
+        far = [cycles * _CYCLE + d for cycles in (7, 40) for d in (-1, 0, 1)]
+        for target in [*range(3 * _CYCLE + 2), *far]:
+            assert _filler(start, target) == loop_filler(start, target), target
+
     def test_deterministic_per_key(self):
         b1 = MockBackend({"q1": profile(dist={"A": 0.5, "B": 0.5})}, seed=3)
         b2 = MockBackend({"q1": profile(dist={"A": 0.5, "B": 0.5})}, seed=3)
@@ -271,6 +311,38 @@ class TestTranscriptCache:
                 assert line["request"] == {"prompt": r.prompt, "temperature": r.temperature,
                                            "max_output_tokens": r.max_output_tokens}
             seen.add(h)
+
+    @given(
+        texts=st.tuples(json_text, json_text),
+        prompt=json_text,
+        key_head=json_text,
+        counts=st.lists(st.integers(min_value=0), min_size=5, max_size=5),
+        temperature=st.integers(0, 2) | st.floats() | st.sampled_from([math.inf, math.nan]),
+    )
+    def test_put_writes_the_bytes_json_dumps_writes(
+        self, texts, prompt, key_head, counts, temperature
+    ):
+        max_output_tokens, *tokens = counts
+        r = CompletionRequest(prompt=prompt, temperature=temperature,
+                              max_output_tokens=max_output_tokens, sample_index=0,
+                              question_id="q", phase="divide")
+        h = r.key().rsplit("|", 1)[1]
+        keys = [f"{key_head}|0|{h}", f"{key_head}|1|{h}"]  # the second line has no request
+        completions = [Completion(texts[0], *tokens[:2]), Completion(texts[1], *tokens[2:])]
+        request = {"prompt": prompt, "temperature": temperature,
+                   "max_output_tokens": max_output_tokens}
+        entries = [{"key": keys[0], "completion": completions[0].to_dict(), "request": request},
+                   {"key": keys[1], "completion": completions[1].to_dict()}]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.jsonl"
+            with TranscriptCache(path) as cache:
+                for key, completion in zip(keys, completions):
+                    cache.put(r, completion, key)
+            written = path.read_bytes()
+            loaded = TranscriptCache(path)
+        assert written == b"".join(
+            (json.dumps(e, ensure_ascii=False, sort_keys=True) + "\n").encode() for e in entries)
+        assert [loaded.get(key) for key in keys] == completions
 
     def test_concurrent_puts_write_each_request_once(self, tmp_path):
         class Waiting(MockBackend):

@@ -85,6 +85,20 @@ class TestDivideCommand:
         assert "nu" in result.output
         assert not (run_dir / "transcript.jsonl").exists()
 
+    def test_fraction_flags_divide_like_the_decimal_config(self, runner, tmp_path):
+        # `--mu 4/5` reaches the config as the integer strings ["4", "5"].
+        partitions = []
+        for name, settings, flags in (
+            ("decimal", {}, []),
+            ("flags", {"dataset.mu": "0.5", "dataset.nu": "0.1"}, ["--mu", "4/5", "--nu", "3/5"]),
+        ):
+            (tmp_path / name).mkdir()
+            config = write_config(tmp_path / name, tmp_path / name / "run", **settings)
+            result = runner.invoke(main, ["--config", str(config), "divide", *flags])
+            assert result.exit_code == 0, result.output
+            partitions.append((tmp_path / name / "run" / "partition.jsonl").read_bytes())
+        assert partitions[0] == partitions[1]
+
     def test_missing_dataset_file_listed(self, runner, tmp_path):
         config = write_config(tmp_path, tmp_path / "run", **{"dataset.path": "/nope.jsonl"})
         result = runner.invoke(main, ["--config", str(config), "divide"])
@@ -1013,6 +1027,10 @@ FAILURES = {  # name -> (build the case, expected exit code)
     "divide-dataset-path-not-string": (_divide_config("dataset.path", 5, "dataset.path"), 1),
     "divide-profiles-not-string": (_divide_config("backend.profiles", 5, "backend.profiles"), 1),
     "divide-divide-base-fractional": (_divide_config("dataset.divide_base", 5.9, "divide_base"), 1),
+    "divide-mu-pair-fractional": (_divide_config("dataset.mu", [1.5, 2], "dataset.mu"), 1),
+    "divide-mu-pair-float-string": (_divide_config("dataset.mu", ["4.5", "5"], "dataset.mu"), 1),
+    "divide-nu-pair-boolean": (_divide_config("dataset.nu", [True, 4], "dataset.nu"), 1),
+    "divide-dataset-name-not-string": (_divide_config("dataset.name", 5, "dataset.name"), 1),
     "divide-parallelism-boolean": (_divide_config("parallelism", True, "parallelism"), 1),
     "divide-profile-answer-not-label": (
         _configured(["divide"], "answer '12'", **{"backend.profiles": _numeric_profiles,

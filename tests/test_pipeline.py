@@ -1,5 +1,7 @@
-"""Held divide records, the conquer fallback for unparsed questions, and report status."""
+"""Held divide records, the conquer fallback for unparsed questions, report status,
+and the golden bytes of two small simulations."""
 
+import hashlib
 import json
 
 import pytest
@@ -145,3 +147,44 @@ class TestReportStatus:
         assert RunManifest.load(tmp_path / "run").status["report"] == "done"
         run_divide_phase(questions, DatasetSpec(name="toy20", divide_base=3), backend, manifest)
         assert RunManifest.load(tmp_path / "run").status["report"] == "pending"
+
+
+# sha256 of each output file, computed at commit 4c420e8, before the mock's
+# rationale and the transcript line writer were rewritten to write the same
+# bytes faster. A change to the mock's draws or to any writer fails here.
+# report.json is stable here because a simulation's config holds no paths.
+GOLDEN = {
+    "uniform_correct": (
+        0.0, (("FCR", True),), {
+            "outcomes_fcr+sc.jsonl": "5da9951f5a5d38d6725d9d9f63676146a82afb2abdf4a17b3a7df4be0bdff57c",
+            "partition.jsonl": "f6cf51f75cdf445d0d09c41a43bdc9660df6850d973e6402bdce08fce1398522",
+            "reports/curves.csv": "bc5a092495ed4ec2f98e8f61f4be53b34de61d5d2db0363bdc140d627e672dd4",
+            "reports/report.json": "591ff85ff66563cd01c0420955d283eb1f140b2091455a7b669f1b09261a3364",
+            "reports/summary.csv": "08182ad7bba27f220a7cb06d4e9e8c56e6014471ba91b6ad77c215b849b575ca",
+            "transcript.jsonl": "de5dcfe4d696a24458e72c22946374422ffdd7dfd9c86369a7e7e39249c96ae3",
+        },
+    ),
+    "second_gold": (
+        0.05, (("COM2", True),), {
+            "outcomes_com2+sc.jsonl": "d093ae80ff020497619c590bff46a2333df1e47bfd1045efad037d2aaf3c2b4e",
+            "partition.jsonl": "b3c73e7c145bab46c20d5357551523609d284c143eefa77c1a8fd36bed546535",
+            "reports/curves.csv": "5e25204cb3303c0c9d790b22cc875ad5b0ea4440e8d1fcd08b591ca5be18792e",
+            "reports/report.json": "286af0a102759330a3f51afc05cb24e6b71b6dd3794afcef28a3254ea66cc264",
+            "reports/summary.csv": "20c9485bcb65d24ac9809c6aa33104e895fdaae40a29eba1d05b8c8be4c817ec",
+            "transcript.jsonl": "a02682537c882928cc34e3249deb5881fdeff1137403b913c027854b6c5eba23",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN))
+def test_simulation_writes_the_golden_bytes(family, tmp_path):
+    noise_rate, strategies, digests = GOLDEN[family]
+    run_simulation(tmp_path, 7, family=family, n_questions=200, noise_rate=noise_rate,
+                   strategies=strategies)
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.suffix in (".jsonl", ".csv") or path.name == "report.json"
+    }
+    assert written == digests
