@@ -9,7 +9,6 @@ answers.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -35,9 +34,8 @@ from .model import (
     QtriageError,
     Question,
     cloze_to_mcq,
-    read_jsonl,
+    decode_jsonl,
     restrict_choices,
-    write_atomic,
 )
 from .prompts import build_prompt, strategy_needs_filtered, strategy_needs_rationales
 
@@ -86,9 +84,19 @@ class ConquerOutcome:
             "strategy": self.strategy,
             "self_consistency": self.self_consistency,
             "final_answer": self.final_answer,
-            "mapping": list(self.mapping.forward) if self.mapping else None,
+            "mapping": [list(pair) for pair in self.mapping.forward] if self.mapping else None,
             "records": [r.to_dict() for r in self.records],
         }
+
+    @staticmethod
+    def from_dict(d: dict) -> "ConquerOutcome":
+        """The outcome `to_dict` wrote; its records carry no completion text."""
+        qid, pairs = d["question_id"], d["mapping"]
+        return ConquerOutcome(
+            qid, d["strategy"], d["self_consistency"], d["final_answer"],
+            records=tuple(InferenceRecord(**r, text="") for r in d["records"]),
+            mapping=None if pairs is None else LabelMapping(tuple(map(tuple, pairs)), qid),
+        )
 
 
 def _strip_sentinel(text: str) -> str:
@@ -327,16 +335,11 @@ def run_conquer(
     return outcomes
 
 
-def save_outcomes(path: str | Path, outcomes: Sequence[ConquerOutcome]) -> None:
-    write_atomic(path, "".join(json.dumps(o.to_dict(), sort_keys=True) + "\n" for o in outcomes))
+def read_outcomes(path: str | Path) -> list[ConquerOutcome]:
+    """Decode an outcomes file; its records carry no completion text."""
+    return decode_jsonl(path, ConquerOutcome.from_dict, ConquerError, "outcome")
 
 
 def load_outcomes(path: str | Path) -> list[dict]:
-    """Read an outcomes file as the dicts `save_outcomes` wrote."""
-    out = []
-    for lineno, rec in read_jsonl(path, ConquerError):
-        missing = [k for k in ("question_id", "final_answer", "records") if k not in rec]
-        if missing:
-            raise ConquerError(f"{path} line {lineno}: missing {', '.join(missing)}")
-        out.append(rec)
-    return out
+    """Read an outcomes file as the dicts its lines hold."""
+    return [o.to_dict() for o in read_outcomes(path)]

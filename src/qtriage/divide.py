@@ -7,7 +7,6 @@ by the (mu, nu) thresholds, with a finer split of the low subset at 0.4.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -23,7 +22,7 @@ from .backend import (
     execute,
 )
 from .extraction import extract_choice_answer, extract_numeric_answer
-from .model import DatasetError, DatasetSpec, QtriageError, Question, read_jsonl, write_atomic
+from .model import DatasetError, DatasetSpec, QtriageError, Question, decode_jsonl
 from .prompts import build_prompt
 
 DIVIDE_TEMPERATURE = 0.7
@@ -38,14 +37,13 @@ class DivideError(QtriageError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InferenceRecord:
     """One completion for one question, with its extracted answer."""
 
     question_id: str
     phase: str
     sample_index: int
-    prompt: str
     text: str
     answer: Optional[str]  # parsed value, or None when unparsed
     prompt_tokens: int
@@ -69,7 +67,6 @@ class InferenceRecord:
             question_id=req.question_id,
             phase=req.phase,
             sample_index=req.sample_index,
-            prompt=req.prompt,
             text=comp.text,
             answer=answer,
             prompt_tokens=comp.prompt_tokens,
@@ -312,18 +309,8 @@ def records_from_transcript(
     return records
 
 
-def save_reports(path: str | Path, reports: Sequence[ConfidenceReport]) -> None:
-    write_atomic(path, "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reports))
-
-
 def load_reports(path: str | Path) -> list[ConfidenceReport]:
     """Read a partition file; a missing one means divide has not finished."""
     if not Path(path).is_file():
         raise DivideError(f"partition file missing; run divide first: {path}")
-    reports = []
-    for lineno, rec in read_jsonl(path, DivideError):
-        try:
-            reports.append(ConfidenceReport.from_dict(rec))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise DivideError(f"{path} line {lineno}: bad partition record: {exc!r}") from exc
-    return reports
+    return decode_jsonl(path, ConfidenceReport.from_dict, DivideError, "partition")

@@ -12,10 +12,13 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from .backend import TranscriptCache
 from .model import QtriageError, read_json, write_atomic
+
+
+T = TypeVar("T")
 
 
 class ManifestError(QtriageError, ValueError):
@@ -24,16 +27,19 @@ class ManifestError(QtriageError, ValueError):
 
 @dataclass
 class RunManifest:
+    """A run's identity and phase status, and the results this process holds:
+    the partition's reports, each outcome set and the divide records (see
+    `hold`). A loaded manifest holds nothing, so a CLI command reads each file.
+    """
+
     run_id: str
     config: dict  # credentials are never stored here
     seed: int
     run_dir: Path  # where manifest.json lives; never written to it
     outcomes: list[str] = field(default_factory=list)  # conquered outcome names, sorted
     status: dict = field(default_factory=dict)
-    # (basis, records): the divide records last folded for this run, and the
-    # (question, total_samples) per report they were folded for. Held for the
-    # command so later phases need not rebuild them; never written.
-    divide_records: Optional[tuple] = field(default=None, repr=False, compare=False)
+    # run file path -> (inputs, value held for them); never written
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def transcript_path(self) -> Path:
@@ -57,6 +63,16 @@ class RunManifest:
 
     def report_dir(self) -> Path:
         return self.run_dir / "reports"
+
+    def hold(self, path: Path, read: Callable[[], T], inputs: object = None) -> T:
+        """The result behind the run file `path`: the one held for equal `inputs`,
+        else `read()`, held for them. A phase calls this right after writing `path`,
+        so a held value is what the file holds while its inputs are equal."""
+        inputs = _file_identity(path) if inputs is None else inputs
+        entry = self._held.get(path)
+        if entry is None or entry[0] != inputs:
+            entry = self._held[path] = (inputs, read())
+        return entry[1]
 
     def mark(self, phase: str, state: str) -> None:
         self.status[phase] = state
@@ -96,6 +112,15 @@ class RunManifest:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"{path}: bad manifest: {exc!r}") from exc
+
+
+def _file_identity(path: Path) -> Optional[tuple[int, int, int]]:
+    """A file's inode, size and mtime, which an atomic rewrite changes; None if missing."""
+    try:
+        st = path.stat()
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def derive_run_id(config: dict, seed: int) -> str:

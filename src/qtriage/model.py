@@ -10,9 +10,10 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 LABELS = string.ascii_uppercase
+T = TypeVar("T")
 
 _CURRENCY = "$€£¥"
 
@@ -77,12 +78,6 @@ class Question:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.choices)
-
-    def content_of(self, label: str) -> str:
-        for lab, content in self.choices:
-            if lab == label:
-                return content
-        raise KeyError(label)
 
     def validate(self) -> None:
         if self.kind not in ("mcq", "cloze"):
@@ -258,6 +253,24 @@ def read_jsonl(path: str | Path, error: type[QtriageError]) -> list[tuple[int, d
         for lineno, line in enumerate(lines, start=1)
         if line.strip()
     ]
+
+
+def encode_jsonl(path: str | Path, items: Iterable) -> None:
+    """Replace `path` with one sorted-key JSON line per item's `to_dict()`."""
+    write_atomic(path, "".join(json.dumps(i.to_dict(), sort_keys=True) + "\n" for i in items))
+
+
+def decode_jsonl(
+    path: str | Path, decode: Callable[[dict], T], error: type[QtriageError], what: str
+) -> list[T]:
+    """`decode` of each record of a JSONL file; one it rejects raises `error` naming its line."""
+    out = []
+    for lineno, rec in read_jsonl(path, error):
+        try:
+            out.append(decode(rec))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise error(f"{path} line {lineno}: bad {what} record: {exc!r}") from exc
+    return out
 
 
 def _question_from_record(rec: dict, schema: str, lineno: int) -> Question:

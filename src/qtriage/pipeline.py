@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import synth
 from .backend import (
@@ -25,7 +25,7 @@ from .backend import (
     TranscriptCache,
     load_profiles,
 )
-from .conquer import ConquerOutcome, check_subsets, load_outcomes, run_conquer, save_outcomes
+from .conquer import ConquerOutcome, check_subsets, read_outcomes, run_conquer
 from .divide import (
     ConfidenceReport,
     InferenceRecord,
@@ -33,10 +33,9 @@ from .divide import (
     questions_for,
     records_from_transcript,
     run_divide,
-    save_reports,
 )
 from .manifest import ManifestError, RunManifest
-from .model import LABELS, DatasetSpec, Question, load_dataset, read_json
+from .model import LABELS, DatasetSpec, Question, encode_jsonl, load_dataset, read_json
 from .prompts import strategy_needs_rationales
 from .report import (
     accuracy_curves,
@@ -182,30 +181,23 @@ def _phase(manifest: RunManifest, on_failure: dict[str, str]) -> Iterator[Transc
             raise
 
 
-def _records_basis(
-    questions: Sequence[Question], reports: Sequence[ConfidenceReport]
-) -> tuple:
-    """What a report's divide records depend on: its question and sample count."""
-    return tuple(zip(questions, (r.histogram.total_samples for r in reports)))
-
-
 def _divide_records(
     manifest: RunManifest,
     questions: Sequence[Question],
     reports: Sequence[ConfidenceReport],
-) -> tuple[InferenceRecord, ...]:
-    """The divide records behind `reports`, as the run holds them.
+    read: Optional[Callable[[], Sequence[InferenceRecord]]] = None,
+) -> Sequence[InferenceRecord]:
+    """The divide records behind `reports`, held for the same questions and
+    sample counts; else `read()`, by default a rebuild from the run's transcript.
 
-    Records held for equal questions and sample counts are handed out as they
-    are; otherwise they are rebuilt once from the run's transcript and held.
     Raises `DatasetError` for a report whose question is not in `questions`.
     """
-    basis = _records_basis(questions_for(questions, reports), reports)
-    held = manifest.divide_records
-    if held is None or held[0] != basis:
-        records = records_from_transcript(manifest.transcript, questions, reports)
-        manifest.divide_records = (basis, tuple(records))
-    return manifest.divide_records[1]
+    samples = (r.histogram.total_samples for r in reports)
+    return manifest.hold(
+        manifest.transcript_path,
+        read or (lambda: tuple(records_from_transcript(manifest.transcript, questions, reports))),
+        tuple(zip(questions_for(questions, reports), samples)),
+    )
 
 
 def run_divide_phase(
@@ -221,8 +213,9 @@ def run_divide_phase(
             questions, spec, CachingBackend(backend, cache),
             parallelism=parallelism, progress=progress,
         )
-    manifest.divide_records = (_records_basis(questions, reports), tuple(records))
-    save_reports(manifest.partition_path, reports)
+    encode_jsonl(manifest.partition_path, reports)
+    manifest.hold(manifest.partition_path, lambda: tuple(reports))
+    _divide_records(manifest, questions, reports, lambda: tuple(records))
     manifest.mark("divide", "done")
     manifest.mark("report", "pending")
     manifest.save()
@@ -254,7 +247,8 @@ def run_conquer_phase(
             questions, reports, strategy, CachingBackend(backend, cache),
             divide_records=divide_records, self_consistency=self_consistency, **options,
         )
-    save_outcomes(manifest.outcome_path(name), outcomes)
+    encode_jsonl(manifest.outcome_path(name), outcomes)
+    manifest.hold(manifest.outcome_path(name), lambda: tuple(outcomes))
     manifest.outcomes = sorted({*manifest.outcomes, name})
     manifest.status.pop(f"conquer:{name}", None)
     failed = any(phase.startswith("conquer:") for phase in manifest.status)
@@ -276,14 +270,15 @@ def run_report_phase(
         raise ManifestError(
             f"phases incomplete: {', '.join(incomplete)}; rerun or pass --partial"
         )
-    reports = load_reports(manifest.partition_path)
+    reports = manifest.hold(manifest.partition_path, lambda: load_reports(manifest.partition_path))
     divide_records = _divide_records(manifest, questions, reports)
 
     prior = subset_prior_metrics(questions, reports, divide_records)
-    strategies = {
-        name: strategy_metrics(questions, reports, load_outcomes(manifest.outcome_path(name)))
-        for name in manifest.outcomes
-    }
+    strategies = {}
+    for name in manifest.outcomes:
+        path = manifest.outcome_path(name)
+        outcomes = manifest.hold(path, lambda: read_outcomes(path))
+        strategies[name] = strategy_metrics(questions, reports, outcomes)
     cost = cost_summary(divide_records, reports, sc_budget=spec.divide_base)
     curves = accuracy_curves(questions, reports, divide_records)
     # A write that fails part way must not leave the old report reading done.

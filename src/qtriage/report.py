@@ -11,6 +11,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .conquer import ConquerOutcome
 from .divide import LOW_BINS, SUBSETS, ConfidenceReport, InferenceRecord, majority_answer
 from .model import QtriageError, Question, write_atomic
 
@@ -145,17 +146,17 @@ def subset_prior_metrics(
 def strategy_metrics(
     questions: Sequence[Question],
     reports: Sequence[ConfidenceReport],
-    outcomes: Sequence[dict],
+    outcomes: Sequence[ConquerOutcome],
 ) -> dict[str, SubsetMetrics]:
-    """Per-subset metrics for one conquer outcomes file."""
+    """Per-subset metrics for one conquer outcome set."""
     golds = {q.id: q.gold for q in questions}
     subset_of = {r.question_id: r.subset for r in reports}
     grouped: dict[str, list[tuple]] = {}
     for o in outcomes:
-        records = o["records"]
-        grouped.setdefault(subset_of.get(o["question_id"], "unknown"), []).append((
-            o["question_id"], o["final_answer"], o["final_answer"] is None, 1, len(records),
-            sum(r["prompt_tokens"] for r in records), sum(r["output_tokens"] for r in records),
+        records = o.records
+        grouped.setdefault(subset_of.get(o.question_id, "unknown"), []).append((
+            o.question_id, o.final_answer, o.final_answer is None, 1, len(records),
+            sum(r.prompt_tokens for r in records), sum(r.output_tokens for r in records),
         ))
     return {name: _subset_metrics(name, rows, golds) for name, rows in sorted(grouped.items())}
 

@@ -765,7 +765,8 @@ class TestRunDirLayout:
         assert stored["backend"]["profiles"] == str(work.resolve() / TOY_PROFILES.name)
 
     def test_failed_replace_keeps_the_previous_partition(self, runner, tmp_path, monkeypatch):
-        from qtriage.divide import load_reports, save_reports
+        from qtriage.divide import load_reports
+        from qtriage.model import encode_jsonl
 
         _, run_dir = divided(runner, tmp_path)
         partition = run_dir / "partition.jsonl"
@@ -777,7 +778,7 @@ class TestRunDirLayout:
 
         monkeypatch.setattr("os.replace", refuse)
         with pytest.raises(QtriageError, match="partition.jsonl: no space left"):
-            save_reports(partition, load_reports(partition)[:3])
+            encode_jsonl(partition, load_reports(partition)[:3])
         assert partition.read_bytes() == before
         assert sorted(p.name for p in run_dir.iterdir()) == names
 
@@ -954,6 +955,17 @@ def _listed_outcome_missing(runner, tmp_path, monkeypatch):
     return base + ["report"], "outcomes_fcr.jsonl"
 
 
+def _bad_outcome_record(runner, tmp_path, monkeypatch):
+    base, run_dir = divided(runner, tmp_path)
+    assert runner.invoke(main, base + ["conquer", "--strategy", "fcr"]).exit_code == 0
+    path = run_dir / "outcomes_fcr.jsonl"
+    first, *rest = path.read_text().splitlines()
+    outcome = json.loads(first)
+    outcome["records"] = [{"question_id": outcome["question_id"]}]
+    path.write_text("\n".join([json.dumps(outcome), *rest]) + "\n")
+    return base + ["report"], "outcomes_fcr.jsonl line 1: bad outcome record"
+
+
 def _manifest_without_outcomes(runner, tmp_path, monkeypatch):
     base, run_dir = divided(runner, tmp_path)
     manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -1076,6 +1088,7 @@ FAILURES = {  # name -> (build the case, expected exit code)
         _http(lambda self, *a, **k: _Response(200, {}), "failed after 2 attempts",
               max_attempts=2), 2),
     "report-listed-outcome-missing": (_listed_outcome_missing, 1),
+    "report-bad-outcome-record": (_bad_outcome_record, 1),
     "report-manifest-without-outcomes": (_manifest_without_outcomes, 1),
 }
 

@@ -109,9 +109,8 @@ class TestFilterChoices:
         q = question()
         h = histogram_from_answers(["E", "C", "A", "E", "C"])
         filtered, mapping = filter_choices(q, h)
-        assert [c for _, c in filtered.choices] == [
-            q.content_of("A"), q.content_of("C"), q.content_of("E")
-        ]
+        content = dict(q.choices)
+        assert [c for _, c in filtered.choices] == [content["A"], content["C"], content["E"]]
         assert mapping.forward == (("A", "A"), ("B", "C"), ("C", "E"))
 
     def test_degenerate_single_answer(self):
@@ -190,6 +189,18 @@ class TestBuildPrompt:
         assert p.endswith("Custom tail")
 
 
+class Recording(MockBackend):
+    """The mock, keeping every request it was sent."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.requests = []
+
+    def complete(self, req):
+        self.requests.append(req)
+        return super().complete(req)
+
+
 class TestConquerItem:
     def profiles(self, dist, qid="q1", gold=None):
         return {qid: QuestionProfile(qid, dist, 80, gold=gold)}
@@ -197,7 +208,7 @@ class TestConquerItem:
     def divide_records(self, answers, qid="q1"):
         return [
             InferenceRecord(
-                question_id=qid, phase="divide", sample_index=i, prompt="p",
+                question_id=qid, phase="divide", sample_index=i,
                 text=f"some reasoning {'x' * (10 + 7 * i)}\nSo the answer is ({a}).",
                 answer=a, prompt_tokens=1, output_tokens=1,
             )
@@ -244,9 +255,9 @@ class TestConquerItem:
         clusters = clusters_from_records(records)
         assert len(clusters) == 3
         report = report_for("q1", histogram_from_answers(answers), spec())
-        backend = MockBackend(self.profiles({"A": 1.0}), seed=0)
+        backend = Recording(self.profiles({"A": 1.0}), seed=0)
         outcome = conquer_item(q, report, "PKR", backend, divide_records=records)
-        assert "Prior reasoning:" in outcome.records[0].prompt
+        assert "Prior reasoning:" in backend.requests[0].prompt
         assert outcome.final_answer == "A"
 
     def test_com2_filters_and_includes_rationales(self):
@@ -254,10 +265,10 @@ class TestConquerItem:
         answers = ["A", "B", "A", "B", "A"]
         records = self.divide_records(answers)
         report = report_for("q1", histogram_from_answers(answers), spec())
-        backend = MockBackend(self.profiles({"A": 0.5, "B": 0.5}), seed=0)
+        backend = Recording(self.profiles({"A": 0.5, "B": 0.5}), seed=0)
         outcome = conquer_item(q, report, "COM2", backend, divide_records=records)
         assert outcome.mapping is not None
-        prompt = outcome.records[0].prompt
+        prompt = backend.requests[0].prompt
         assert "Prior reasoning:" in prompt
         assert "2 choices" in prompt
 

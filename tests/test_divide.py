@@ -21,9 +21,8 @@ from qtriage.divide import (
     records_from_transcript,
     report_for,
     run_divide,
-    save_reports,
 )
-from qtriage.model import DatasetError, DatasetSpec, Question
+from qtriage.model import DatasetError, DatasetSpec, Question, encode_jsonl
 from qtriage.synth import generate_synthetic
 
 MU = Fraction(4, 5)
@@ -194,7 +193,7 @@ class TestRunDivide:
         )
         reports, _ = run_divide([q], spec(), backend)
         path = tmp_path / "partition.jsonl"
-        save_reports(path, reports)
+        encode_jsonl(path, reports)
         assert load_reports(path) == reports
 
 

@@ -51,7 +51,7 @@ class TestLoadDataset:
         assert len(qs) == 1
         assert qs[0].labels() == ("A", "B", "C", "D")
         assert qs[0].gold == "B"
-        assert qs[0].content_of("B") == "4"
+        assert dict(qs[0].choices)["B"] == "4"
 
     def test_duplicate_choice_content_errors_with_line(self, tmp_path):
         p = self.write(tmp_path, [

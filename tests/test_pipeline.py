@@ -1,21 +1,26 @@
-"""Held divide records, the conquer fallback for unparsed questions, report status,
+"""Held run results, the conquer fallback for unparsed questions, report status,
 and the golden bytes of two small simulations."""
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from qtriage import pipeline
-from qtriage.backend import MockBackend, load_profiles
+from qtriage.backend import MockBackend, TransportError, load_profiles
 from qtriage.cli import main
+from qtriage.conquer import load_outcomes
+from qtriage.divide import load_reports
 from qtriage.manifest import RunManifest, new_manifest
 from qtriage.model import DatasetError, DatasetSpec, load_dataset
 from qtriage.pipeline import run_conquer_phase, run_divide_phase, run_report_phase
-from qtriage.prompts import build_prompt
+from qtriage.prompts import STRATEGIES, build_prompt
 from qtriage.simulate import run_simulation
-from qtriage.synth import bundled_data_path
+from qtriage.synth import bundled_data_path, generate_synthetic
 
 TOY_DATA = bundled_data_path("toy20.jsonl")
 TOY_PROFILES = bundled_data_path("toy20_profiles.jsonl")
@@ -119,6 +124,104 @@ class TestHeldDivideRecords:
         assert pipeline._divide_records(reloaded, questions, reports) == held
 
 
+def held(manifest, path):
+    """What `manifest` holds for the run file `path`; fails if it would read the file."""
+    def unread():
+        raise AssertionError(f"nothing held for {path}")
+    return manifest.hold(path, unread)
+
+
+def report_bytes(questions, spec, manifest):
+    files = run_report_phase(questions, spec, manifest, partial=True)
+    return {name: path.read_bytes() for name, path in files.items()}
+
+
+class TestHeldResults:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        family=st.sampled_from(["uniform_correct", "second_gold"]),
+        noise_rate=st.floats(0.0, 0.3),
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2**16),
+    )
+    def test_held_results_equal_a_fresh_read(self, family, noise_rate, n, seed):
+        questions, profiles = generate_synthetic(n, family=family, seed=seed)
+        backend = MockBackend(profiles, seed=seed, noise_rate=noise_rate)
+        spec = DatasetSpec(name="held", divide_base=5)
+        with tempfile.TemporaryDirectory() as tmp:
+            run_dir = Path(tmp)
+            manifest = new_manifest({"dataset": {"name": "held"}}, seed, run_dir)
+            reports, _ = run_divide_phase(questions, spec, backend, manifest)
+            for strategy in STRATEGIES:
+                for sc in (False, True):
+                    run_conquer_phase(questions, reports, strategy, backend, manifest,
+                                      self_consistency=sc, seed=seed)
+            fresh = RunManifest.load(run_dir)
+            assert report_bytes(questions, spec, manifest) == report_bytes(
+                questions, spec, fresh
+            )
+            # The written results, and those the fresh manifest read, equal the files.
+            partition = manifest.partition_path
+            for m in (manifest, fresh):
+                assert list(held(m, partition)) == load_reports(partition)
+            assert len(manifest.outcomes) == 2 * len(STRATEGIES)
+            for name in manifest.outcomes:
+                path = manifest.outcome_path(name)
+                written = [json.loads(line) for line in path.read_text().splitlines()]
+                assert load_outcomes(path) == written
+                for m in (manifest, fresh):
+                    assert [o.to_dict() for o in held(m, path)] == load_outcomes(path)
+            assert pipeline._divide_records(manifest, questions, reports) == (
+                pipeline._divide_records(fresh, questions, reports)
+            )
+
+    def test_a_rerun_leaves_nothing_stale(self, tmp_path):
+        # Each rerun of PKR replaces its outcomes file, fails before writing
+        # it (new prompts, so new calls), or writes it through another
+        # manifest of the run dir; the report on the first manifest must read
+        # what a new process would.
+        class FailsWhenArmed(MockBackend):
+            calls_left = None  # calls before an outage; None never fails
+
+            def complete(self, req):
+                if self.calls_left is not None:
+                    if self.calls_left == 0:
+                        raise TransportError("injected outage")
+                    self.calls_left -= 1
+                return super().complete(req)
+
+        run_dir = tmp_path / "run"
+        questions, _, manifest = toy_run(run_dir)
+        backend = FailsWhenArmed(load_profiles(TOY_PROFILES), seed=42, noise_rate=0.3)
+        spec = DatasetSpec(name="toy20", divide_base=5)
+        reports, _ = run_divide_phase(questions, spec, backend, manifest)
+        run_conquer_phase(questions, reports, "FCR", backend, manifest, self_consistency=True)
+        run_conquer_phase(questions, reports, "PKR", backend, manifest, seed=42)
+        first = report_bytes(questions, spec, manifest)
+
+        run_conquer_phase(questions, reports, "PKR", backend, manifest, seed=42,
+                          subsets=["low"])
+        rerun = report_bytes(questions, spec, manifest)
+        assert rerun != first
+        assert rerun == report_bytes(questions, spec, RunManifest.load(run_dir))
+
+        backend.calls_left = 2
+        with pytest.raises(TransportError):
+            run_conquer_phase(questions, reports, "PKR", backend, manifest, seed=42,
+                              rationale_select="shortest")
+        assert manifest.status["conquer:pkr"] == "failed"
+        failed = report_bytes(questions, spec, manifest)
+        assert failed == report_bytes(questions, spec, RunManifest.load(run_dir))
+
+        # This manifest still reads conquer:pkr failed, so compare all but that.
+        backend.calls_left = None
+        run_conquer_phase(questions, reports, "PKR", backend, RunManifest.load(run_dir),
+                          seed=42)
+        last = report_bytes(questions, spec, manifest)
+        assert last["summary"] == first["summary"]
+        assert json.loads(last["report"])["strategies"] == json.loads(first["report"])["strategies"]
+
+
 class TestUnparsedDivideFallsBackToZtcot:
     @pytest.mark.parametrize("strategy", ["PKR", "FCR", "COM1", "COM2"])
     def test_every_med_low_question_gets_an_outcome(self, strategy, tmp_path):
@@ -130,10 +233,22 @@ class TestUnparsedDivideFallsBackToZtcot:
         outcomes = run_conquer_phase(questions, reports, strategy, backend, manifest, seed=42)
         conquered = sorted(r.question_id for r in reports if r.subset in ("med", "low"))
         assert [o.question_id for o in outcomes] == conquered
+        # The prompt each conquer request was sent, from the transcript: the
+        # first line for a params hash carries its request.
+        prompts, sent = {}, {}
+        for line in (tmp_path / "run" / "transcript.jsonl").read_text().splitlines():
+            entry = json.loads(line)
+            qid, phase, _, params = entry["key"].split("|")
+            if "request" in entry:
+                prompts[params] = entry["request"]["prompt"]
+            if phase == "conquer":
+                sent.setdefault(qid, []).append(params)
         by_id = {q.id: q for q in questions}
         for o in outcomes:
             assert o.strategy == strategy and o.mapping is None
-            assert [r.prompt for r in o.records] == [build_prompt(by_id[o.question_id], "ZTCOT")]
+            assert [prompts[h] for h in sent[o.question_id]] == [
+                build_prompt(by_id[o.question_id], "ZTCOT")
+            ]
         assert RunManifest.load(tmp_path / "run").status["conquer"] == "done"
 
 

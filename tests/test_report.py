@@ -206,7 +206,7 @@ def _curves_materials(items):
         hist = histogram_from_answers(answers or [None])
         reports.append(ConfidenceReport(qid, hist, Fraction(0), subset, subset))
         records += [
-            InferenceRecord(qid, "divide", j, "", "", ans, 0, 0) for j, ans in enumerate(answers)
+            InferenceRecord(qid, "divide", j, "", ans, 0, 0) for j, ans in enumerate(answers)
         ]
     return questions, reports, records
 
