@@ -7,17 +7,16 @@ from pathlib import Path
 
 import click
 
-from .backend import TransportError, load_profile_file
+from .backend import ConfigError, TransportError, load_profile_file
 from .conquer import RATIONALE_SELECT_MODES
 from .divide import SUBSETS, load_reports
 from .manifest import RunManifest, new_manifest
 from .model import QtriageError, read_json
 from .pipeline import (
     build_backend,
-    config_number,
-    dataset_spec_from_config,
-    load_config,
-    load_questions_from_config,
+    dataset_spec,
+    load_questions,
+    parse_config,
     run_conquer_phase,
     run_divide_phase,
     run_report_phase,
@@ -45,19 +44,6 @@ class QtriageGroup(click.Group):
         sys.exit(code)
 
 
-def _merge_config(config_path, overrides: dict) -> dict:
-    config = load_config(config_path)
-    for dotted, value in overrides.items():
-        if value is None:
-            continue
-        node = config
-        *parents, leaf = dotted.split(".")
-        for part in parents:
-            node = node.setdefault(part, {})
-        node[leaf] = value
-    return config
-
-
 @click.group(cls=QtriageGroup)
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON configuration file; flags override its values.")
@@ -71,22 +57,30 @@ def main(ctx, config_path, seed, parallelism, cache_dir):
     """Confidence-based triage for multiple-choice reasoning pipelines."""
     ctx.ensure_object(dict)
     ctx.obj["config_path"] = config_path
-    ctx.obj["seed"] = seed
-    ctx.obj["parallelism"] = parallelism
-    ctx.obj["cache_dir"] = cache_dir
+    ctx.obj["options"] = {"seed": seed, "parallelism": parallelism, "run_dir": cache_dir}
 
 
-def _setting(ctx, config, key, default):
-    """An integer setting: the global flag, else the config's value, else `default`."""
-    if ctx.obj.get(key) is not None:
-        return ctx.obj[key]
-    return config_number(config, key, default)
+def _config(ctx) -> tuple[str, dict]:
+    """The `--config` file as a source for `parse_config`; an empty tree without one."""
+    path = ctx.obj["config_path"]
+    return f"{path}: config", read_json(path, ConfigError) if path else {}
 
 
-def _prepare(ctx, extra_overrides=None):
-    config = _merge_config(ctx.obj["config_path"], extra_overrides or {})
-    run_dir = ctx.obj.get("cache_dir") or config.get("run_dir") or "run"
-    return config, run_dir
+def _settings(ctx, *sources: tuple[str, dict], **options) -> dict:
+    """The run settings: the global options and the command's `options` (a config
+    tree), else the first of `sources` that holds each, else the defaults."""
+    return parse_config(("option", {**ctx.obj["options"], **options}), *sources)
+
+
+def _run(ctx) -> tuple[dict, RunManifest]:
+    """The settings and manifest of the run `conquer` or `report` works on; a run
+    without a `--config` that holds anything is read with the config it stored."""
+    label, config = _config(ctx)
+    settings = _settings(ctx, (label, config))
+    manifest = RunManifest.load(settings["run_dir"])
+    if not config:
+        settings = _settings(ctx, (f"{manifest.run_dir}/manifest.json: config", manifest.config))
+    return settings, manifest
 
 
 @main.command("divide")
@@ -96,28 +90,28 @@ def _prepare(ctx, extra_overrides=None):
 @click.pass_context
 def cmd_divide(ctx, mu, nu, divide_base):
     """Sample each question and partition the dataset by confidence."""
-    overrides = {}
-    if mu is not None:
-        overrides["dataset.mu"] = mu.replace("/", ",").split(",") if "/" in mu else mu
-    if nu is not None:
-        overrides["dataset.nu"] = nu.replace("/", ",").split(",") if "/" in nu else nu
-    if divide_base is not None:
-        overrides["dataset.divide_base"] = divide_base
-    config, run_dir = _prepare(ctx, overrides)
-    seed = _setting(ctx, config, "seed", 0)
-    parallelism = _setting(ctx, config, "parallelism", 1)
-    spec = dataset_spec_from_config(config)
-    questions = load_questions_from_config(config)
-    backend = build_backend(config, seed)
+    # The options given, as the run's config stores them: "4/5" as ["4", "5"].
+    dataset = {key: value.split("/") if isinstance(value, str) and "/" in value else value
+               for key, value in (("mu", mu), ("nu", nu), ("divide_base", divide_base))
+               if value is not None}
+    label, config = _config(ctx)
+    settings = _settings(ctx, (label, config), dataset=dataset)
+    seed = settings["seed"] or 0
+    spec = dataset_spec(settings)
+    questions = load_questions(settings)
+    backend = build_backend(settings, seed)
 
-    manifest = new_manifest(config, seed, run_dir)
+    if dataset:
+        config.setdefault("dataset", {}).update(dataset)
+    manifest = new_manifest(config, seed, settings["run_dir"])
     # Later commands may run from another directory: store the input paths
     # absolute, after run_id is derived from the config as given.
     for section, key in (("dataset", "path"), ("backend", "profiles")):
-        if manifest.config.get(section, {}).get(key):
-            manifest.config[section][key] = str(Path(manifest.config[section][key]).resolve())
+        if settings[f"{section}.{key}"]:
+            manifest.config[section][key] = str(Path(settings[f"{section}.{key}"]).resolve())
     reports, _ = run_divide_phase(
-        questions, spec, backend, manifest, parallelism=parallelism, progress=click.echo,
+        questions, spec, backend, manifest,
+        parallelism=settings["parallelism"], progress=click.echo,
     )
     counts = {s: sum(1 for r in reports if r.subset == s) for s in SUBSETS}
     click.echo(f"partition written to {manifest.partition_path}: {counts}")
@@ -135,20 +129,17 @@ def cmd_divide(ctx, mu, nu, divide_base):
 @click.pass_context
 def cmd_conquer(ctx, strategy, sc, rationale_select, subsets, tail):
     """Re-solve the selected confidence subsets with one strategy."""
-    config, run_dir = _prepare(ctx)
-    manifest = RunManifest.load(run_dir)
+    settings, manifest = _run(ctx)
     reports = load_reports(manifest.partition_path)
-    config = config or manifest.config
-    seed = _setting(ctx, config, "seed", manifest.seed)
-    parallelism = _setting(ctx, config, "parallelism", 1)
-    spec = dataset_spec_from_config(config)
-    questions = load_questions_from_config(config)
-    backend = build_backend(config, seed)
+    seed = manifest.seed if settings["seed"] is None else settings["seed"]
+    spec = dataset_spec(settings)
+    questions = load_questions(settings)
+    backend = build_backend(settings, seed)
     subset_list = tuple(s.strip() for s in subsets.split(",") if s.strip())
     outcomes = run_conquer_phase(
         questions, reports, strategy.upper(), backend, manifest,
         subsets=subset_list, self_consistency=sc,
-        sc_samples=spec.divide_base, parallelism=parallelism,
+        sc_samples=spec.divide_base, parallelism=settings["parallelism"],
         rationale_select=rationale_select, seed=seed, tail_override=tail,
     )
     solved = sum(1 for o in outcomes if o.final_answer is not None)
@@ -160,30 +151,20 @@ def cmd_conquer(ctx, strategy, sc, rationale_select, subsets, tail):
               help="Profile JSONL; may embed an assertions record.")
 @click.option("--family", type=str, default="uniform_correct")
 @click.option("--n-questions", type=int, default=500)
-@click.option("--divide-base", type=int, default=5)
-@click.option("--noise-rate", type=float, default=0.0)
+@click.option("--divide-base", type=int, default=None, help="Samples per question.")
+@click.option("--noise-rate", type=float, default=None, help="Mock backend noise rate.")
 @click.pass_context
 def cmd_simulate(ctx, profiles_path, family, n_questions, divide_base, noise_rate):
     """Run the full pipeline on the deterministic mock backend."""
     from .simulate import run_simulation
 
-    config, run_dir = _prepare(ctx)
-    profiles = None
-    assertions = dict(config.get("assertions", {}))
-    if profiles_path:
-        profiles, file_assertions = load_profile_file(profiles_path)
-        assertions = {**file_assertions, **assertions}
-
-    result = run_simulation(
-        run_dir, _setting(ctx, config, "seed", 0),
-        profiles=profiles,
-        family=family,
-        n_questions=n_questions,
-        divide_base=divide_base,
-        assertions=assertions,
-        parallelism=_setting(ctx, config, "parallelism", 1),
-        noise_rate=noise_rate,
+    profiles, assertions = load_profile_file(profiles_path) if profiles_path else (None, {})
+    settings = _settings(
+        ctx, _config(ctx), (f"{profiles_path}:", {"assertions": assertions}),
+        dataset={"divide_base": divide_base}, backend={"noise_rate": noise_rate},
     )
+    result = run_simulation(settings["run_dir"], settings["seed"] or 0, settings,
+                            profiles=profiles, family=family, n_questions=n_questions)
     for name, passed, detail in result.checks:
         click.echo(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     click.echo(f"simulation outputs in {result.run_dir}")
@@ -202,12 +183,10 @@ def cmd_report(ctx, compare, partial):
     if compare:
         _compare_runs(*compare)
         return
-    config, run_dir = _prepare(ctx)
-    manifest = RunManifest.load(run_dir)
-    config = config or manifest.config
-    spec = dataset_spec_from_config(config)
-    questions = load_questions_from_config(config)
-    files = run_report_phase(questions, spec, manifest, partial=partial)
+    settings, manifest = _run(ctx)
+    files = run_report_phase(
+        load_questions(settings), dataset_spec(settings), manifest, partial=partial
+    )
     for name, path in sorted(files.items()):
         click.echo(f"{name}: {path}")
 

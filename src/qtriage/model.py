@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, TypeVar
 
 LABELS = string.ascii_uppercase
+SCHEMAS = ("mcq-jsonl", "cloze-jsonl")
 T = TypeVar("T")
 
 _CURRENCY = "$€£¥"
@@ -313,7 +314,7 @@ def _question_from_record(rec: dict, schema: str, lineno: int) -> Question:
 
 def load_dataset(path: str | Path, schema: str = "mcq-jsonl") -> list[Question]:
     """Load questions from a JSONL file, validating every invariant."""
-    if schema not in ("mcq-jsonl", "cloze-jsonl"):
+    if schema not in SCHEMAS:
         raise DatasetError(f"unknown schema {schema!r}")
     questions: list[Question] = []
     seen_ids: set[str] = set()

@@ -6,6 +6,7 @@ drivable from tests and notebooks.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -14,6 +15,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import synth
 from .backend import (
+    API_KEY_ENV,
     Backend,
     CacheError,
     CachingBackend,
@@ -35,7 +37,7 @@ from .divide import (
     run_divide,
 )
 from .manifest import ManifestError, RunManifest
-from .model import LABELS, DatasetSpec, Question, encode_jsonl, load_dataset, read_json
+from .model import LABELS, SCHEMAS, DatasetSpec, Question, encode_jsonl, load_dataset
 from .prompts import strategy_needs_rationales
 from .report import (
     accuracy_curves,
@@ -46,97 +48,125 @@ from .report import (
 )
 
 
-def load_config(path: Optional[str | Path]) -> dict:
-    if path is None:
-        return {}
-    config = read_json(path, ConfigError)
-    for section in ("dataset", "backend", "assertions"):
-        if not isinstance(config.get(section, {}), dict):
-            raise ConfigError(f"{path}: config {section} must be an object")
-    dataset = config.get("dataset", {})
-    for node, dotted in ((config, "run_dir"), (dataset, "dataset.path"),
-                         (dataset, "dataset.name"),
-                         (config.get("backend", {}), "backend.profiles")):
-        if not isinstance(node.get(dotted.rsplit(".", 1)[-1], ""), str):
-            raise ConfigError(f"{path}: config {dotted} must be a string")
-    return config
-
-
-def config_number(config: dict, dotted: str, default, cast=int):
-    """The number at a dotted key of `config`, or `default` when the key is absent.
-
-    Raises `ConfigError` naming the key for a value `cast` rejects, a boolean,
-    and a number with a fractional part for an integer key.
-    """
-    node = config
-    *parents, leaf = dotted.split(".")
-    for part in parents:
-        node = node.get(part, {})
-    value = node.get(leaf, default)
-    try:
-        return _number(value, cast)
-    except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigError(f"config {dotted} is not {kind}: {value!r}") from None
-
-
-def _number(value, cast):
-    """`cast(value)`; raises `ValueError` for a boolean, and for an integer `cast`
-    of a float with a fractional part."""
-    number = cast(value)
+def _parse(kind: type, value):
+    """`value` as a `kind`. A str or bool must be one. An int or float is cast,
+    but not from a boolean, nor to an int from a float with a fractional part. A
+    fraction is read from a number, a fraction string or an integer pair."""
+    if kind in (str, bool):
+        if not isinstance(value, kind):
+            raise TypeError(value)
+        return value
+    if kind is Fraction:
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return Fraction(*(_parse(int, member) for member in value))
+        return Fraction(str(value))
+    number = kind(value)
     if isinstance(value, bool) or (isinstance(value, float) and number != value):
         raise ValueError(value)
     return number
 
 
-def _threshold(dataset: dict, key: str) -> Fraction:
-    """`dataset[key]` as a fraction: a number, a fraction string, or a
-    `[numerator, denominator]` pair of integers or integer strings."""
-    value = dataset.get(key, getattr(DatasetSpec, key))
-    try:
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            return Fraction(*(_number(member, int) for member in value))
-        return Fraction(str(value))
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ConfigError(f"config dataset.{key} is not a fraction: {value!r}") from None
+BACKENDS = ("mock", "http", "replay")
+# dotted key -> (kind, test a value must pass or None, what a good value is,
+# default). A null value is one not given. README's table lists the keys.
+CONFIG = {
+    "run_dir": (str, None, "a string", "run"),
+    "seed": (int, None, "an integer", None),  # None: 0, or for conquer the run's seed
+    "parallelism": (int, lambda n: n >= 1, "an integer >= 1", 1),
+    "dataset.path": (str, None, "a string", None),
+    "dataset.schema": (str, SCHEMAS.__contains__, f"one of {', '.join(SCHEMAS)}", SCHEMAS[0]),
+    "dataset.name": (str, None, "a string", None),  # None: the stem of dataset.path
+    "dataset.divide_base": (int, lambda n: n >= 2, "an integer >= 2", 5),
+    "dataset.mu": (Fraction, lambda f: 0 < f <= 1, "a fraction in (0, 1]", DatasetSpec.mu),
+    "dataset.nu": (Fraction, lambda f: 0 <= f <= 1, "a fraction in [0, 1]", DatasetSpec.nu),
+    "backend.kind": (str, BACKENDS.__contains__, f"one of {', '.join(BACKENDS)}", "mock"),
+    "backend.profiles": (str, None, "a string", None),
+    "backend.noise_rate": (float, lambda x: 0 <= x <= 1, "a number in [0, 1]", 0.0),
+    "backend.gold_uplift": (float, lambda x: 0 < x < math.inf, "a number > 0", 1.0),
+    "backend.endpoint": (str, None, "a string", ""),
+    "backend.model": (str, None, "a string", ""),
+    "backend.max_attempts": (int, lambda n: n >= 1, "an integer >= 1", 5),
+    "backend.base_delay": (float, lambda x: 0 <= x < math.inf, "a number >= 0", 1.0),
+    "assertions.spearman_min": (float, None, "a number", None),
+    "assertions.subset_ordering": (bool, None, "true or false", False),
+    "assertions.fcr_uplift_min_pp": (float, None, "a number", None),
+}
+_SECTIONS = {dotted.split(".")[0] for dotted in CONFIG if "." in dotted}
 
 
-def dataset_spec_from_config(config: dict) -> DatasetSpec:
-    ds = config.get("dataset", {})
-    spec = DatasetSpec(
-        name=ds.get("name", Path(ds.get("path", "dataset")).stem),
-        divide_base=config_number(config, "dataset.divide_base", 5),
-        mu=_threshold(ds, "mu"),
-        nu=_threshold(ds, "nu"),
+def _leaves(label: str, config: dict) -> Iterator[tuple[str, object]]:
+    """Each (dotted key, value) of a config tree; a section must be an object."""
+    for key, value in config.items():
+        if key not in _SECTIONS:
+            yield key, value
+        elif isinstance(value, dict):
+            yield from ((f"{key}.{leaf}", member) for leaf, member in value.items())
+        else:
+            raise ConfigError(f"{label} {key} is not an object: {value!r}")
+
+
+def parse_config(*sources: tuple[str, dict]) -> dict:
+    """Every setting of `CONFIG` by dotted key: parsed from the first of `sources`
+    that holds it, else its default.
+
+    A source is a label that names it in errors, such as `"cfg.json: config"`,
+    and a config tree. Raises `ConfigError` naming the label and the dotted key
+    for a section that is not an object, a credential, a key `CONFIG` lacks and
+    a bad value.
+    """
+    given = {}
+    for label, config in reversed(sources):
+        for dotted, value in _leaves(label, config):
+            if "key" in dotted.lower() or "credential" in dotted.lower():
+                raise ConfigError(f"{label} {dotted} is a credential; set {API_KEY_ENV} instead")
+            if dotted not in CONFIG:
+                raise ConfigError(f"{label} {dotted} is not a known key")
+            if value is not None:
+                given[dotted] = label, value
+    settings = {}
+    for dotted, (kind, test, good, default) in CONFIG.items():
+        label, value = given.get(dotted, (None, default))
+        try:
+            settings[dotted] = None if value is None else _parse(kind, value)
+            if test and not test(settings[dotted]):
+                raise ValueError(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise ConfigError(f"{label} {dotted} is not {good}: {value!r}") from None
+    settings["run_dir"] = settings["run_dir"] or "run"  # an empty run_dir reads as the default
+    mu, nu = settings["dataset.mu"], settings["dataset.nu"]
+    if nu >= mu:
+        label = (given.get("dataset.nu") or given["dataset.mu"])[0]
+        raise ConfigError(f"{label} dataset.nu {nu} is not below dataset.mu {mu}")
+    return settings
+
+
+def dataset_spec(settings: dict) -> DatasetSpec:
+    path, name = settings["dataset.path"], settings["dataset.name"]
+    return DatasetSpec(
+        name=Path("dataset" if path is None else path).stem if name is None else name,
+        divide_base=settings["dataset.divide_base"],
+        mu=settings["dataset.mu"], nu=settings["dataset.nu"],
     )
-    spec.validate()
-    return spec
 
 
-def build_backend(config: dict, seed: int) -> Backend:
-    bc = config.get("backend", {})
-    kind = bc.get("kind", "mock")
-    if kind == "mock":
-        profiles_path = bc.get("profiles")
-        if not profiles_path:
+def build_backend(settings: dict, seed: int) -> Backend:
+    if settings["backend.kind"] == "mock":
+        if not settings["backend.profiles"]:
             raise ConfigError("mock backend requires backend.profiles path")
-        profiles = load_profiles(profiles_path)
         return MockBackend(
-            profiles,
+            load_profiles(settings["backend.profiles"]),
             seed=seed,
-            noise_rate=config_number(config, "backend.noise_rate", 0.0, float),
-            gold_uplift=config_number(config, "backend.gold_uplift", 1.0, float),
+            noise_rate=settings["backend.noise_rate"],
+            gold_uplift=settings["backend.gold_uplift"],
         )
-    if kind == "http":
+    if settings["backend.kind"] == "http":
         return HttpChatBackend(
-            endpoint=bc.get("endpoint", ""),
-            model=bc.get("model", ""),
-            max_attempts=config_number(config, "backend.max_attempts", 5),
-            base_delay=config_number(config, "backend.base_delay", 1.0, float),
+            endpoint=settings["backend.endpoint"],
+            model=settings["backend.model"],
+            max_attempts=settings["backend.max_attempts"],
+            base_delay=settings["backend.base_delay"],
         )
-    if kind == "replay":  # every phase reads the run's own transcript.jsonl first
-        return NoFetchBackend()
-    raise ConfigError(f"unknown backend kind {kind!r}")
+    return NoFetchBackend()  # replay: every phase reads the run's own transcript.jsonl first
 
 
 def questions_from_profiles(profiles: dict[str, QuestionProfile]) -> list[Question]:
@@ -293,12 +323,9 @@ def run_report_phase(
     return files
 
 
-def load_questions_from_config(config: dict) -> list[Question]:
-    ds = config.get("dataset", {})
-    path = ds.get("path")
-    if path:
-        return load_dataset(path, schema=ds.get("schema", "mcq-jsonl"))
-    bc = config.get("backend", {})
-    if bc.get("kind") == "mock" and bc.get("profiles"):
-        return questions_from_profiles(load_profiles(bc["profiles"]))
+def load_questions(settings: dict) -> list[Question]:
+    if settings["dataset.path"]:
+        return load_dataset(settings["dataset.path"], schema=settings["dataset.schema"])
+    if settings["backend.kind"] == "mock" and settings["backend.profiles"]:
+        return questions_from_profiles(load_profiles(settings["backend.profiles"]))
     raise ConfigError("no dataset.path configured and no profiles to derive one from")

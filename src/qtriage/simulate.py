@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backend import ConfigError, MockBackend, QuestionProfile
+from .backend import MockBackend, QuestionProfile
 from .divide import SUBSETS, ConfidenceReport
 from .manifest import new_manifest
-from .model import DatasetSpec
 from .pipeline import (
+    dataset_spec,
+    parse_config,
     questions_from_profiles,
     run_conquer_phase,
     run_divide_phase,
@@ -25,12 +26,6 @@ from .pipeline import (
 )
 from .report import _prior_metrics, em_accuracy, prior_predictions
 from .synth import generate_synthetic
-
-DEFAULT_ASSERTIONS = {
-    "spearman_min": None,
-    "subset_ordering": False,
-    "fcr_uplift_min_pp": None,
-}
 
 
 @dataclass
@@ -99,30 +94,28 @@ def subset_accuracies(
 def run_simulation(
     run_dir: str | Path,
     seed: int,
+    settings: Optional[dict] = None,
     profiles: Optional[dict[str, QuestionProfile]] = None,
     family: str = "uniform_correct",
     n_questions: int = 500,
-    divide_base: int = 5,
-    assertions: Optional[dict] = None,
-    parallelism: int = 1,
-    noise_rate: float = 0.0,
     strategies: Sequence[tuple[str, bool]] = (("ZTCOT", False), ("FCR", True)),
 ) -> SimulationResult:
-    """Divide, conquer, and report on the mock backend, then run assertions."""
-    assertions = {**DEFAULT_ASSERTIONS, **(assertions or {})}
-    for key in ("spearman_min", "fcr_uplift_min_pp"):
-        value = assertions[key]
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise ConfigError(f"assertions {key} is not a number: {value!r}")
-    spec = DatasetSpec(name=f"sim-{family}", divide_base=divide_base)
-    spec.validate()
+    """Divide, conquer, and report on the mock backend, then run the assertions
+    that are set.
+
+    `settings` are `parse_config`'s, its defaults when None; a simulation reads
+    the divide settings, `parallelism`, `backend.noise_rate` and the assertions.
+    """
+    settings = settings or parse_config()
+    spec = dataset_spec({**settings, "dataset.name": f"sim-{family}"})
+    noise_rate, parallelism = settings["backend.noise_rate"], settings["parallelism"]
     if profiles is None:
         questions, profiles = generate_synthetic(n_questions, family=family, seed=seed)
     else:
         questions = questions_from_profiles(profiles)
 
     config = {
-        "dataset": {"name": spec.name, "divide_base": divide_base,
+        "dataset": {"name": spec.name, "divide_base": spec.divide_base,
                     "mu": [spec.mu.numerator, spec.mu.denominator],
                     "nu": [spec.nu.numerator, spec.nu.denominator]},
         "backend": {"kind": "mock", "noise_rate": noise_rate},
@@ -139,29 +132,29 @@ def run_simulation(
     for strategy, sc in strategies:
         outcome_sets[strategy, sc] = run_conquer_phase(
             questions, reports, strategy, backend, manifest,
-            self_consistency=sc, sc_samples=divide_base,
+            self_consistency=sc, sc_samples=spec.divide_base,
             parallelism=parallelism, seed=seed,
         )
     run_report_phase(questions, spec, manifest)
 
     result = SimulationResult(run_dir=str(run_dir))
 
-    if assertions.get("spearman_min") is not None:
+    spearman_min = settings["assertions.spearman_min"]
+    if spearman_min is not None:
         rho = spearman_cs_vs_correct(reports, golds)
-        threshold = float(assertions["spearman_min"])
         result.checks.append(
-            ("spearman", rho > threshold, f"rho={rho:.3f} threshold={threshold}")
+            ("spearman", rho > spearman_min, f"rho={rho:.3f} threshold={spearman_min}")
         )
 
-    if assertions.get("subset_ordering"):
+    if settings["assertions.subset_ordering"]:
         accs = subset_accuracies(reports, golds)
         present = [(s, a) for s, a in accs.items() if a is not None]
         ordered = all(a > b for (_, a), (_, b) in zip(present, present[1:]))
         detail = " ".join(f"{s}={a:.3f}" for s, a in present)
         result.checks.append(("subset_ordering", ordered, detail))
 
-    if assertions.get("fcr_uplift_min_pp") is not None:
-        min_pp = float(assertions["fcr_uplift_min_pp"])
+    min_pp = settings["assertions.fcr_uplift_min_pp"]
+    if min_pp is not None:
         base = outcome_sets.get(("ZTCOT", False))
         fcr = outcome_sets.get(("FCR", True)) or outcome_sets.get(("FCR", False))
         if base is None or fcr is None:

@@ -1,12 +1,14 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from qtriage.cli import main
 from qtriage.model import LABELS, QtriageError
@@ -165,20 +167,25 @@ class TestDivideCommand:
             assert "line 2" in result.output and field in result.output, result.output
 
     def test_nested_credentials_never_reach_manifest(self, runner, tmp_path):
+        # A credential in the config is refused before any run file is written.
         from qtriage.manifest import RunManifest, derive_run_id
 
-        manifests = {}
         for name, overrides in (("plain", {}), ("secret", {"backend.api_key": "SECRET-7f3a"})):
             (tmp_path / name).mkdir()
             config = write_config(tmp_path / name, tmp_path / name / "run", **overrides)
             result = runner.invoke(main, ["--config", str(config), "--seed", "42", "divide"])
-            assert result.exit_code == 0, result.output
-            assert "SECRET-7f3a" not in (tmp_path / name / "run" / "manifest.json").read_text()
-            manifests[name] = RunManifest.load(tmp_path / name / "run")
-        assert manifests["secret"].run_id == manifests["plain"].run_id
+            assert result.exit_code == (1 if overrides else 0), result.output
+            assert "SECRET-7f3a" not in result.output
+            files = [p for p in (tmp_path / name).rglob("*") if p.is_file()]
+            assert not any(b"SECRET-7f3a" in p.read_bytes() for p in files if p != config)
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and "backend.api_key" in errors[0], result.output
+        assert "QTRIAGE_API_KEY" in errors[0]
+        assert not (tmp_path / "secret" / "run").exists()
         plain = json.loads((tmp_path / "plain" / "config.json").read_text())
         del plain["run_dir"]
-        assert manifests["plain"].run_id == derive_run_id(plain, 42)
+        assert RunManifest.load(tmp_path / "plain" / "run").run_id == derive_run_id(plain, 42)
 
     def test_torn_last_entry_is_refetched_once(self, tmp_path):
         from qtriage.backend import MockBackend, TranscriptCache, load_profiles
@@ -604,6 +611,47 @@ class TestSimulateCommand:
         assert "FAIL" in result.output
 
 
+    def test_simulate_takes_the_config_under_its_options(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "dataset": {"divide_base": 9, "mu": "1/2", "nu": 0.4},
+            "backend": {"noise_rate": 0.9},
+        }))
+        runs = {}
+        with_config = ["--config", str(config)]
+        for name, args, options in (
+            ("plain", [], []),
+            ("config", with_config, []),
+            ("options", with_config, ["--divide-base", "5", "--noise-rate", "0"]),
+        ):
+            run_dir = tmp_path / name
+            result = runner.invoke(main, [*args, "--seed", "7", "--cache-dir", str(run_dir),
+                                          "simulate", "--n-questions", "30", *options])
+            assert result.exit_code == 0, result.output
+            runs[name] = run_dir
+        stored = {name: json.loads((run_dir / "manifest.json").read_text())["config"]
+                  for name, run_dir in runs.items()}
+        assert [stored[name]["dataset"]["divide_base"] for name in runs] == [5, 9, 5]
+        assert [stored[name]["backend"]["noise_rate"] for name in runs] == [0, 0.9, 0]
+        assert [stored[name]["dataset"]["mu"] for name in runs] == [[4, 5], [1, 2], [1, 2]]
+        assert [stored[name]["dataset"]["nu"] for name in runs] == [[3, 5], [2, 5], [2, 5]]
+        partition = {name: (run_dir / "partition.jsonl").read_bytes()
+                     for name, run_dir in runs.items()}
+        assert partition["config"] != partition["plain"]
+
+        # With the thresholds back at their defaults, the options restore the
+        # bytes of a run without a config.
+        config.write_text(json.dumps({"backend": {"noise_rate": 0.9}}))
+        for name, args in (("noisy", []), ("restored", ["--noise-rate", "0"])):
+            result = runner.invoke(main, ["--config", str(config), "--seed", "7", "--cache-dir",
+                                          str(tmp_path / name), "simulate", "--n-questions",
+                                          "30", *args])
+            assert result.exit_code == 0, result.output
+        noisy, restored = ((tmp_path / name / "partition.jsonl").read_bytes()
+                           for name in ("noisy", "restored"))
+        assert noisy != partition["plain"] and restored == partition["plain"]
+
+
 class TestReportCommand:
     def test_missing_partition_names_phase(self, runner, tmp_path):
         run_dir = tmp_path / "run"
@@ -795,8 +843,7 @@ class TestRunDirLayout:
 
         monkeypatch.setattr(requests.Session, "post", post)
         monkeypatch.setenv("QTRIAGE_API_KEY", "SECRET-env-51c2")
-        backend = {"kind": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m",
-                   "api_key": "SECRET-config-9d0e"}
+        backend = {"kind": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m"}
         run_dir = tmp_path / "run"
         base = ["--config", str(write_config(tmp_path, run_dir, backend=backend)), "--seed", "42"]
         for args in (["divide"], ["conquer", "--strategy", "fcr"], ["report"]):
@@ -808,8 +855,19 @@ class TestRunDirLayout:
             p.name for p in files
         }
         for path in files:
-            data = path.read_bytes()
-            assert b"SECRET-env-51c2" not in data and b"SECRET-config-9d0e" not in data, path
+            assert b"SECRET-env-51c2" not in path.read_bytes(), path
+
+        # A key in the config is refused by every command, and no run file changes.
+        before, calls = {p: p.read_bytes() for p in files}, len(posts)
+        config = write_config(tmp_path, run_dir, backend={**backend, "api_key": "SECRET-9d0e"})
+        for args in (["divide"], ["conquer", "--strategy", "fcr"], ["report"]):
+            result = runner.invoke(main, ["--config", str(config), *args])
+            assert result.exit_code == 1, result.output
+            errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+            assert len(errors) == 1 and "backend.api_key" in errors[0], result.output
+            assert "QTRIAGE_API_KEY" in errors[0] and "SECRET-9d0e" not in result.output
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+        assert len(posts) == calls
 
 
 def divided(runner, tmp_path):
@@ -975,6 +1033,15 @@ def _manifest_without_outcomes(runner, tmp_path, monkeypatch):
     return base + ["report", "--partial"], "manifest.json: no 'outcomes'"
 
 
+def _stored_config_bad(runner, tmp_path, monkeypatch):
+    _, run_dir = divided(runner, tmp_path)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["config"]["dataset"]["divide_base"] = 1
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    return ["--cache-dir", str(run_dir), "report", "--partial"], (
+        "manifest.json: config dataset.divide_base")
+
+
 class _Response:
     def __init__(self, status_code, body=None):
         self.status_code = status_code
@@ -1090,6 +1157,18 @@ FAILURES = {  # name -> (build the case, expected exit code)
     "report-listed-outcome-missing": (_listed_outcome_missing, 1),
     "report-bad-outcome-record": (_bad_outcome_record, 1),
     "report-manifest-without-outcomes": (_manifest_without_outcomes, 1),
+    "divide-parallelism-0": (_divide_config("parallelism", 0, "parallelism"), 1),
+    "divide-parallelism-option-0": (
+        _configured(["--parallelism", "0", "divide"], "option parallelism"), 1),
+    "divide-noise-rate-7": (_divide_config("backend.noise_rate", 7, "backend.noise_rate"), 1),
+    "divide-gold-uplift-negative": (
+        _divide_config("backend.gold_uplift", -1, "backend.gold_uplift"), 1),
+    "divide-max-attempts-0": (_http(_timeout, "backend.max_attempts", max_attempts=0), 1),
+    "divide-base-delay-negative": (_http(_timeout, "backend.base_delay", base_delay=-1), 1),
+    "divide-endpoint-not-string": (_http(_timeout, "backend.endpoint", endpoint=5), 1),
+    "report-stored-config-bad": (_stored_config_bad, 1),
+    "divide-misspelt-divide-base": (
+        _divide_config("dataset.divide_bsae", 9, "dataset.divide_bsae"), 1),
 }
 
 
@@ -1103,6 +1182,71 @@ def test_every_failure_is_one_error_line(runner, tmp_path, monkeypatch, case):
     assert "Traceback" not in result.output
     errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and expect in errors[0], result.output
+
+
+FULL_CONFIG = {  # a good value for every key of the config table
+    "run_dir": "run", "seed": 42, "parallelism": 2,
+    "dataset": {"path": str(TOY_DATA), "schema": "mcq-jsonl", "name": "toy20",
+                "divide_base": 5, "mu": "0.8", "nu": [3, 5]},
+    "backend": {"kind": "mock", "profiles": str(TOY_PROFILES), "noise_rate": 0.05,
+                "gold_uplift": 1.5, "endpoint": "", "model": "m", "max_attempts": 3,
+                "base_delay": 0.5},
+    "assertions": {"spearman_min": 0.1, "subset_ordering": True, "fcr_uplift_min_pp": 1},
+}
+OUT_OF_RANGE = {
+    "parallelism": [0, -4], "dataset.schema": ["tsv"], "dataset.divide_base": [1, -5],
+    "dataset.mu": [0, "3/2", -1], "dataset.nu": [-0.1, 0.9, "4/5"], "backend.kind": ["grpc"],
+    "backend.noise_rate": [7, -0.5, "nan"], "backend.gold_uplift": [-1, 0, "inf"],
+    "backend.max_attempts": [0], "backend.base_delay": [-1, "inf"],
+}
+LEAVES = [(section, leaf) for section, value in FULL_CONFIG.items()
+          for leaf in (value if isinstance(value, dict) else [None])]
+
+
+@st.composite
+def broken_configs(draw):
+    """FULL_CONFIG with one leaf given a wrong type or an out-of-range value, or
+    misspelt; returns the config and the dotted key an error must name."""
+    config = json.loads(json.dumps(FULL_CONFIG))
+    section, leaf = draw(st.sampled_from(LEAVES))
+    node, name = (config, section) if leaf is None else (config[section], leaf)
+    dotted = name if leaf is None else f"{section}.{leaf}"
+    good = node[name]
+    wrong_type = [{}, [1, 2, 3], 5 if isinstance(good, str) else "x"]
+    change = draw(st.sampled_from(["type", "range", "spelling"]))
+    if change == "spelling":
+        i = draw(st.integers(0, len(name) - 2))
+        misspelt = name[:i] + name[i + 1] + name[i] + name[i + 2:]
+        if misspelt == name:
+            misspelt += "s"
+        node[misspelt] = node.pop(name)
+        return config, f"{section}.{misspelt}" if leaf else misspelt
+    node[name] = draw(st.sampled_from(
+        OUT_OF_RANGE.get(dotted, wrong_type) if change == "range" else wrong_type))
+    return config, dotted
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=broken_configs())
+def test_one_broken_leaf_is_one_error_line_naming_it(case):
+    config, dotted = case
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("config.json").write_text(json.dumps(config))
+        result = runner.invoke(main, ["--config", "config.json", "divide"])
+        assert result.exit_code == 1, (result.output, result.exception)
+        assert isinstance(result.exception, SystemExit), repr(result.exception)
+        errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and f" {dotted} " in errors[0], (dotted, result.output)
+        assert sorted(p.name for p in Path().iterdir()) == ["config.json"]
+
+
+def test_the_readme_lists_every_config_key():
+    from qtriage.pipeline import CONFIG
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    keys = re.findall(r"^\| `([a-z_.]+)` \|", readme, re.MULTILINE)
+    assert sorted(keys) == sorted(CONFIG)
 
 
 def test_import_loads_neither_requests_nor_scipy():

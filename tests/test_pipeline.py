@@ -4,6 +4,7 @@ and the golden bytes of two small simulations."""
 import hashlib
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,13 +12,18 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from qtriage import pipeline
-from qtriage.backend import MockBackend, TransportError, load_profiles
+from qtriage.backend import ConfigError, MockBackend, TransportError, load_profiles
 from qtriage.cli import main
 from qtriage.conquer import load_outcomes
 from qtriage.divide import load_reports
 from qtriage.manifest import RunManifest, new_manifest
 from qtriage.model import DatasetError, DatasetSpec, load_dataset
-from qtriage.pipeline import run_conquer_phase, run_divide_phase, run_report_phase
+from qtriage.pipeline import (
+    parse_config,
+    run_conquer_phase,
+    run_divide_phase,
+    run_report_phase,
+)
 from qtriage.prompts import STRATEGIES, build_prompt
 from qtriage.simulate import run_simulation
 from qtriage.synth import bundled_data_path, generate_synthetic
@@ -57,10 +63,25 @@ def cli_config(tmp_path, run_dir):
     return ["--config", str(path), "--seed", "42"]
 
 
+def test_each_setting_comes_from_the_first_source_holding_it():
+    settings = parse_config(
+        ("option", {"seed": None, "parallelism": 3}),
+        ("config", {"seed": 9, "parallelism": 2, "dataset": {"mu": None, "nu": "1/2"}}),
+    )
+    assert (settings["seed"], settings["parallelism"]) == (9, 3)
+    assert (settings["dataset.mu"], settings["dataset.nu"]) == (Fraction(4, 5), Fraction(1, 2))
+    assert settings["dataset.divide_base"] == 5 and settings["dataset.name"] is None
+    with pytest.raises(ConfigError, match="^option parallelism is not an integer >= 1: 0$"):
+        parse_config(("option", {"parallelism": 0}), ("config", {"parallelism": 2}))
+    with pytest.raises(ConfigError, match="^config dataset.nu 4/5 is not below dataset.mu"):
+        parse_config(("config", {"dataset": {"nu": "4/5"}}))
+
+
 class TestHeldDivideRecords:
     def test_simulation_never_rebuilds(self, rebuilds, tmp_path):
         strategies = (("PKR", False), ("COM1", False), ("COM2", True), ("FCR", True))
-        result = run_simulation(tmp_path / "sim", 7, n_questions=60, noise_rate=0.05,
+        noisy = parse_config(("test", {"backend": {"noise_rate": 0.05}}))
+        result = run_simulation(tmp_path / "sim", 7, noisy, n_questions=60,
                                 strategies=strategies)
         assert result.ok
         assert rebuilds == []
@@ -295,7 +316,8 @@ GOLDEN = {
 @pytest.mark.parametrize("family", sorted(GOLDEN))
 def test_simulation_writes_the_golden_bytes(family, tmp_path):
     noise_rate, strategies, digests = GOLDEN[family]
-    run_simulation(tmp_path, 7, family=family, n_questions=200, noise_rate=noise_rate,
+    settings = parse_config(("test", {"backend": {"noise_rate": noise_rate}}))
+    run_simulation(tmp_path, 7, settings, family=family, n_questions=200,
                    strategies=strategies)
     written = {
         path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
