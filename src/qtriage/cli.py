@@ -13,8 +13,8 @@ from .divide import SUBSETS, load_reports
 from .manifest import RunManifest, new_manifest
 from .model import QtriageError, read_json
 from .pipeline import (
-    build_backend,
     dataset_spec,
+    load_inputs,
     load_questions,
     parse_config,
     run_conquer_phase,
@@ -98,8 +98,7 @@ def cmd_divide(ctx, mu, nu, divide_base):
     settings = _settings(ctx, (label, config), dataset=dataset)
     seed = settings["seed"] or 0
     spec = dataset_spec(settings)
-    questions = load_questions(settings)
-    backend = build_backend(settings, seed)
+    questions, backend = load_inputs(settings, seed)
 
     if dataset:
         config.setdefault("dataset", {}).update(dataset)
@@ -133,8 +132,7 @@ def cmd_conquer(ctx, strategy, sc, rationale_select, subsets, tail):
     reports = load_reports(manifest.partition_path)
     seed = manifest.seed if settings["seed"] is None else settings["seed"]
     spec = dataset_spec(settings)
-    questions = load_questions(settings)
-    backend = build_backend(settings, seed)
+    questions, backend = load_inputs(settings, seed)
     subset_list = tuple(s.strip() for s in subsets.split(",") if s.strip())
     outcomes = run_conquer_phase(
         questions, reports, strategy.upper(), backend, manifest,

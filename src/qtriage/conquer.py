@@ -10,7 +10,7 @@ answers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -136,7 +136,7 @@ def select_rationales(
         if not c.rationales:
             raise ConquerError(f"cluster for answer {c.answer!r} is empty")
 
-    rng = random.Random(seed)
+    rng = random.Random(seed) if strategy == "random" else None
     ordered = sorted(
         clusters, key=lambda c: (-len(c.rationales), min(r[2] for r in c.rationales))
     )
@@ -185,7 +185,11 @@ def _map_rationale_labels(
 class _Plan(NamedTuple):
     """One question's conquer work, split so many questions can share one batch."""
 
-    outcome: ConquerOutcome  # as it stands before any call
+    question_id: str
+    strategy: str  # as asked for; an unparsed question is asked with the ZTCOT prompt
+    self_consistency: bool
+    mapping: Optional[LabelMapping]
+    answer: Optional[str]  # before any call: the one surviving choice, else None
     asked: Question  # the question as the prompt poses it
     requests: tuple[CompletionRequest, ...]
 
@@ -195,6 +199,7 @@ def _plan_item(
     report: ConfidenceReport,
     strategy: str,
     own_records: Sequence[InferenceRecord],
+    prior: dict,
     self_consistency: bool = False,
     sc_samples: int = 5,
     rationale_select: str = "longest",
@@ -203,27 +208,32 @@ def _plan_item(
 ) -> _Plan:
     """Plan one question's requests; `own_records` are its divide records.
 
+    `prior` holds what the question's divide result gives every strategy (see
+    `run_conquer`); a part it lacks is derived here and added to it.
     A question with no parsed divide answer has no choice to filter by and no
     rationale to reuse, so every strategy asks it with the ZTCOT prompt.
     """
-    base = ConquerOutcome(q.id, strategy, self_consistency, final_answer=None, records=())
+    asked_for = strategy
     if not report.histogram.counts:
         strategy = "ZTCOT"
     working = q
     mapping: Optional[LabelMapping] = None
     if strategy_needs_filtered(strategy):
-        working, mapping = filter_choices(q, report.histogram)
-        base = replace(base, mapping=mapping)
+        if q.id not in prior:
+            prior[q.id] = filter_choices(q, report.histogram)
+        working, mapping = prior[q.id]
         if len(working.choices) == 1:
             # A single surviving option needs no model call.
-            return _Plan(replace(base, final_answer=mapping.to_original("A")), working, ())
+            return _Plan(q.id, asked_for, self_consistency, mapping,
+                         mapping.to_original("A"), working, ())
 
     rationales = None
     if strategy_needs_rationales(strategy):
-        clusters = clusters_from_records(own_records)
-        rationales = _map_rationale_labels(
-            select_rationales(clusters, rationale_select, seed=seed), mapping
-        )
+        key = (q.id, rationale_select, seed)
+        if key not in prior:
+            clusters = clusters_from_records(own_records)
+            prior[key] = select_rationales(clusters, rationale_select, seed=seed)
+        rationales = _map_rationale_labels(prior[key], mapping)
 
     prompt = build_prompt(working, strategy, rationales=rationales, tail_override=tail_override)
     metadata: dict = {}
@@ -246,18 +256,18 @@ def _plan_item(
         )
         for j in range(n_samples)
     )
-    return _Plan(base, working, requests)
+    return _Plan(q.id, asked_for, self_consistency, mapping, None, working, requests)
 
 
 def _fold_item(plan: _Plan, records: Sequence[InferenceRecord]) -> ConquerOutcome:
     """Vote over the records of one question's issued samples and map the answer back."""
     hist = histogram_from_answers([r.answer for r in records])
-    if not hist.counts:
-        return replace(plan.outcome, records=tuple(records))
-    emitted = majority_answer(hist)
-    mapping = plan.outcome.mapping
-    final = mapping.to_original(emitted) if mapping else emitted
-    return replace(plan.outcome, final_answer=final, records=tuple(records))
+    final = plan.answer
+    if hist.counts:
+        emitted = majority_answer(hist)
+        final = plan.mapping.to_original(emitted) if plan.mapping else emitted
+    return ConquerOutcome(plan.question_id, plan.strategy, plan.self_consistency, final,
+                          tuple(records), plan.mapping)
 
 
 def _conquer_plans(
@@ -301,7 +311,7 @@ def conquer_item(
     sc_samples, rationale_select, seed, tail_override.
     """
     own = [r for r in divide_records if r.question_id == q.id]
-    return _conquer_plans([_plan_item(q, report, strategy, own, **options)], backend)[0]
+    return _conquer_plans([_plan_item(q, report, strategy, own, {}, **options)], backend)[0]
 
 
 def run_conquer(
@@ -312,6 +322,7 @@ def run_conquer(
     divide_records: Sequence[InferenceRecord] = (),
     subsets: Sequence[str] = ("med", "low"),
     parallelism: int = 1,
+    prior: Optional[dict] = None,
     **options,
 ) -> list[ConquerOutcome]:
     """Conquer every question routed to one of the selected subsets.
@@ -320,14 +331,21 @@ def run_conquer(
     Each round's requests, over every selected question, run as one batch
     with at most `parallelism` in flight; an SC question stops sampling once
     its vote is decided.
+
+    `prior` is each question's prior, which every strategy shares: by question
+    id its `filter_choices` result, and by (question id, rationale_select,
+    seed) its selected rationales in the original label space. Each part is
+    derived at first use and added to it, so a caller that passes one dict for
+    unchanged questions, reports and divide records derives each part once.
     """
     check_subsets(subsets)
     records_by_id: dict[str, list[InferenceRecord]] = {}
     for rec in divide_records:
         records_by_id.setdefault(rec.question_id, []).append(rec)
     selected = [r for r in reports if r.subset in subsets or r.fine_bin in subsets]
+    prior = {} if prior is None else prior
     plans = [
-        _plan_item(q, r, strategy, records_by_id.get(r.question_id, ()), **options)
+        _plan_item(q, r, strategy, records_by_id.get(r.question_id, ()), prior, **options)
         for q, r in zip(questions_for(questions, selected), selected)
     ]
     outcomes = _conquer_plans(plans, backend, parallelism)

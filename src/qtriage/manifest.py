@@ -28,8 +28,9 @@ class ManifestError(QtriageError, ValueError):
 @dataclass
 class RunManifest:
     """A run's identity and phase status, and the results this process holds:
-    the partition's reports, each outcome set and the divide records (see
-    `hold`). A loaded manifest holds nothing, so a CLI command reads each file.
+    the partition's reports, each outcome set, the divide records and the
+    conquer prior (see `hold`). A loaded manifest holds nothing, so a CLI
+    command reads each file.
     """
 
     run_id: str
@@ -38,7 +39,7 @@ class RunManifest:
     run_dir: Path  # where manifest.json lives; never written to it
     outcomes: list[str] = field(default_factory=list)  # conquered outcome names, sorted
     status: dict = field(default_factory=dict)
-    # run file path -> (inputs, value held for them); never written
+    # run file path or result name -> (inputs, value held for them); never written
     _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -64,14 +65,16 @@ class RunManifest:
     def report_dir(self) -> Path:
         return self.run_dir / "reports"
 
-    def hold(self, path: Path, read: Callable[[], T], inputs: object = None) -> T:
-        """The result behind the run file `path`: the one held for equal `inputs`,
-        else `read()`, held for them. A phase calls this right after writing `path`,
-        so a held value is what the file holds while its inputs are equal."""
-        inputs = _file_identity(path) if inputs is None else inputs
-        entry = self._held.get(path)
+    def hold(self, key: object, read: Callable[[], T], inputs: object = None) -> T:
+        """The result held under `key`, a run file path or the name of a result
+        derived from run files: the one held for equal `inputs`, else `read()`,
+        held for them. A file's default inputs are the file as written; a phase
+        calls this right after writing it, so a held value is what the file holds
+        while its inputs are equal."""
+        inputs = _file_identity(key) if inputs is None else inputs
+        entry = self._held.get(key)
         if entry is None or entry[0] != inputs:
-            entry = self._held[path] = (inputs, read())
+            entry = self._held[key] = (inputs, read())
         return entry[1]
 
     def mark(self, phase: str, state: str) -> None:

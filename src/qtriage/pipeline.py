@@ -149,12 +149,13 @@ def dataset_spec(settings: dict) -> DatasetSpec:
     )
 
 
-def build_backend(settings: dict, seed: int) -> Backend:
+def build_backend(settings: dict, seed: int, profiles: Optional[dict] = None) -> Backend:
+    """The backend the settings name; a mock reads `backend.profiles` unless given them."""
     if settings["backend.kind"] == "mock":
         if not settings["backend.profiles"]:
             raise ConfigError("mock backend requires backend.profiles path")
         return MockBackend(
-            load_profiles(settings["backend.profiles"]),
+            load_profiles(settings["backend.profiles"]) if profiles is None else profiles,
             seed=seed,
             noise_rate=settings["backend.noise_rate"],
             gold_uplift=settings["backend.gold_uplift"],
@@ -230,6 +231,16 @@ def _divide_records(
     )
 
 
+def _prior(
+    manifest: RunManifest, questions: Sequence[Question], reports: Sequence[ConfidenceReport]
+) -> dict:
+    """Each conquered question's prior (see `run_conquer`), held for the same
+    questions and reports: they decide its filtered choices and, through the
+    divide records, its rationales. A divide rerun that changes them derives it
+    afresh; a part no strategy needs is never derived."""
+    return manifest.hold("prior", dict, (tuple(questions), tuple(reports)))
+
+
 def run_divide_phase(
     questions: Sequence[Question],
     spec: DatasetSpec,
@@ -275,7 +286,8 @@ def run_conquer_phase(
         divide_records = _divide_records(manifest, questions, reports) if needs else ()
         outcomes = run_conquer(
             questions, reports, strategy, CachingBackend(backend, cache),
-            divide_records=divide_records, self_consistency=self_consistency, **options,
+            divide_records=divide_records, prior=_prior(manifest, questions, reports),
+            self_consistency=self_consistency, **options,
         )
     encode_jsonl(manifest.outcome_path(name), outcomes)
     manifest.hold(manifest.outcome_path(name), lambda: tuple(outcomes))
@@ -321,6 +333,16 @@ def run_report_phase(
     manifest.mark("report", "partial" if incomplete else "done")
     manifest.save()
     return files
+
+
+def load_inputs(settings: dict, seed: int) -> tuple[list[Question], Backend]:
+    """The questions and backend of a divide or conquer; a mock profile file that
+    the questions are derived from is read once, for both."""
+    path = settings["backend.profiles"]
+    if settings["dataset.path"] or settings["backend.kind"] != "mock" or not path:
+        return load_questions(settings), build_backend(settings, seed)
+    profiles = load_profiles(path)
+    return questions_from_profiles(profiles), build_backend(settings, seed, profiles)
 
 
 def load_questions(settings: dict) -> list[Question]:

@@ -140,6 +140,27 @@ class TestDivideCommand:
         assert result.exit_code == 0, result.output
         assert len((run_dir / "partition.jsonl").read_text().splitlines()) == 20
 
+    def test_questions_from_profiles_read_the_file_once(self, runner, tmp_path, monkeypatch):
+        from qtriage import backend
+
+        reads = []
+        read = backend.load_profile_file
+
+        def counted(path):
+            reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(backend, "load_profile_file", counted)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"profiles": str(TOY_PROFILES)},
+                                      "run_dir": str(tmp_path / "run")}))
+        for command in (["divide"], ["conquer", "--strategy", "pkr"]):
+            before = len(reads)
+            result = runner.invoke(main, ["--config", str(config), *command])
+            assert result.exit_code == 0, result.output
+            assert len(reads) - before == 1, command
+        assert len((tmp_path / "run" / "partition.jsonl").read_text().splitlines()) == 20
+
     def test_profile_without_distribution_names_line(self, runner, tmp_path):
         # Each case replaces (None: deletes) one field of the second profile record.
         for field, value in (

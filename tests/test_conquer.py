@@ -463,7 +463,7 @@ class TestSCPrefix:
         )):
             # Every sample of the question in one batch, as before votes could stop early.
             own = [r for r in records if r.question_id == report.question_id]
-            plan = _plan_item(by_id[report.question_id], report, strategy, own, **options)
+            plan = _plan_item(by_id[report.question_id], report, strategy, own, {}, **options)
             full = [
                 InferenceRecord.from_completion(req, comp, extract_for(plan.asked, comp.text))
                 for req, comp in zip(plan.requests, execute(plan.requests, backend))

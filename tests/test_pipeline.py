@@ -133,6 +133,15 @@ class TestHeldDivideRecords:
             run_report_phase(questions[1:], spec, manifest, partial=True)
         assert rebuilds == []
 
+    def test_an_fcr_conquer_never_rebuilds(self, rebuilds, tmp_path):
+        questions, backend, manifest = toy_run(tmp_path / "run", noise_rate=0.3)
+        run_divide_phase(questions, DatasetSpec(name="toy20", divide_base=5), backend, manifest)
+        loaded = RunManifest.load(tmp_path / "run")
+        reports = load_reports(loaded.partition_path)
+        for sc in (False, True):
+            run_conquer_phase(questions, reports, "FCR", backend, loaded, self_consistency=sc)
+        assert rebuilds == []
+
     def test_held_records_are_the_transcript_records(self, tmp_path):
         questions, backend, manifest = toy_run(tmp_path / "run", noise_rate=0.3)
         reports, records = run_divide_phase(
@@ -241,6 +250,62 @@ class TestHeldResults:
         last = report_bytes(questions, spec, manifest)
         assert last["summary"] == first["summary"]
         assert json.loads(last["report"])["strategies"] == json.loads(first["report"])["strategies"]
+
+
+# Conquer runs that share each question's prior: every rationale_select mode,
+# the random one under two seeds (as offsets), and each strategy that reuses a
+# prior part with and without SC.
+PRIOR_RUNS = (
+    ("PKR", False, "longest", 0),
+    ("PKR", True, "random", 1),
+    ("COM1", False, "shortest", 0),
+    ("COM1", True, "random", 0),
+    ("COM2", False, "random", 1),
+    ("COM2", True, "longest", 0),
+    ("FCR", False, "shortest", 0),
+    ("FCR", True, "random", 0),
+)
+
+
+class TestHeldPrior:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        runs=st.permutations(PRIOR_RUNS),
+        family=st.sampled_from(["uniform_correct", "second_gold"]),
+        noise_rate=st.floats(0.0, 0.3),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_strategies_on_one_manifest_write_what_fresh_ones_do(
+        self, runs, family, noise_rate, n, seed
+    ):
+        questions, profiles = generate_synthetic(n, family=family, seed=seed)
+        backend = MockBackend(profiles, seed=seed, noise_rate=noise_rate)
+        with tempfile.TemporaryDirectory() as tmp:
+            run_dir = Path(tmp)
+            manifest = new_manifest({"dataset": {"name": "prior"}}, seed, run_dir)
+            prior = None
+            # The second divide, on the same manifest, counts fewer samples: the
+            # prior held for the first must go with its reports.
+            for divide_base in (5, 3):
+                spec = DatasetSpec(name="prior", divide_base=divide_base)
+                reports, _ = run_divide_phase(questions, spec, backend, manifest)
+                written = []
+                for strategy, sc, select, offset in runs:
+                    options = dict(self_consistency=sc, sc_samples=divide_base,
+                                   rationale_select=select, seed=seed + offset)
+                    run_conquer_phase(questions, reports, strategy, backend, manifest, **options)
+                    path = manifest.outcome_path(f"{strategy.lower()}{'+sc' if sc else ''}")
+                    written.append((strategy, options, path, path.read_bytes()))
+                assert pipeline._prior(manifest, questions, reports) is not prior
+                prior = pipeline._prior(manifest, questions, reports)
+                for strategy, options, path, expected in written:
+                    fresh = RunManifest.load(run_dir)
+                    calls = backend.calls
+                    run_conquer_phase(questions, load_reports(fresh.partition_path), strategy,
+                                      backend, fresh, **options)
+                    assert backend.calls == calls, (strategy, options)
+                    assert path.read_bytes() == expected, (strategy, options)
 
 
 class TestUnparsedDivideFallsBackToZtcot:
