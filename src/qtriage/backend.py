@@ -442,8 +442,6 @@ class HttpChatBackend(Backend):
                     raise requests.RequestException(f"retryable status {resp.status_code}")
                 resp.raise_for_status()
                 return _chat_completion(resp.json())
-            except ConfigError:
-                raise
             except (requests.RequestException, ValueError) as exc:
                 last_error = exc
                 if attempt < self.max_attempts:

@@ -10,13 +10,11 @@ import click
 from .backend import ConfigError, TransportError, load_profile_file
 from .conquer import RATIONALE_SELECT_MODES
 from .divide import SUBSETS, load_reports
-from .manifest import RunManifest, new_manifest
+from .manifest import RunManifest, dataset_spec, new_manifest, parse_config, stored_config
 from .model import QtriageError, read_json
 from .pipeline import (
-    dataset_spec,
     load_inputs,
     load_questions,
-    parse_config,
     run_conquer_phase,
     run_divide_phase,
     run_report_phase,
@@ -90,26 +88,13 @@ def _run(ctx) -> tuple[dict, RunManifest]:
 @click.pass_context
 def cmd_divide(ctx, mu, nu, divide_base):
     """Sample each question and partition the dataset by confidence."""
-    # The options given, as the run's config stores them: "4/5" as ["4", "5"].
-    dataset = {key: value.split("/") if isinstance(value, str) and "/" in value else value
-               for key, value in (("mu", mu), ("nu", nu), ("divide_base", divide_base))
-               if value is not None}
-    label, config = _config(ctx)
-    settings = _settings(ctx, (label, config), dataset=dataset)
+    settings = _settings(ctx, _config(ctx),
+                         dataset={"mu": mu, "nu": nu, "divide_base": divide_base})
     seed = settings["seed"] or 0
-    spec = dataset_spec(settings)
     questions, backend = load_inputs(settings, seed)
-
-    if dataset:
-        config.setdefault("dataset", {}).update(dataset)
-    manifest = new_manifest(config, seed, settings["run_dir"])
-    # Later commands may run from another directory: store the input paths
-    # absolute, after run_id is derived from the config as given.
-    for section, key in (("dataset", "path"), ("backend", "profiles")):
-        if settings[f"{section}.{key}"]:
-            manifest.config[section][key] = str(Path(settings[f"{section}.{key}"]).resolve())
+    manifest = new_manifest(stored_config(settings), seed, settings["run_dir"])
     reports, _ = run_divide_phase(
-        questions, spec, backend, manifest,
+        questions, dataset_spec(settings), backend, manifest,
         parallelism=settings["parallelism"], progress=click.echo,
     )
     counts = {s: sum(1 for r in reports if r.subset == s) for s in SUBSETS}

@@ -6,16 +6,13 @@ drivable from tests and notebooks.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import synth
 from .backend import (
-    API_KEY_ENV,
     Backend,
     CacheError,
     CachingBackend,
@@ -37,7 +34,7 @@ from .divide import (
     run_divide,
 )
 from .manifest import ManifestError, RunManifest
-from .model import LABELS, SCHEMAS, DatasetSpec, Question, encode_jsonl, load_dataset
+from .model import LABELS, DatasetSpec, Question, encode_jsonl, load_dataset
 from .prompts import strategy_needs_rationales
 from .report import (
     accuracy_curves,
@@ -48,114 +45,14 @@ from .report import (
 )
 
 
-def _parse(kind: type, value):
-    """`value` as a `kind`. A str or bool must be one. An int or float is cast,
-    but not from a boolean, nor to an int from a float with a fractional part. A
-    fraction is read from a number, a fraction string or an integer pair."""
-    if kind in (str, bool):
-        if not isinstance(value, kind):
-            raise TypeError(value)
-        return value
-    if kind is Fraction:
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            return Fraction(*(_parse(int, member) for member in value))
-        return Fraction(str(value))
-    number = kind(value)
-    if isinstance(value, bool) or (isinstance(value, float) and number != value):
-        raise ValueError(value)
-    return number
-
-
-BACKENDS = ("mock", "http", "replay")
-# dotted key -> (kind, test a value must pass or None, what a good value is,
-# default). A null value is one not given. README's table lists the keys.
-CONFIG = {
-    "run_dir": (str, None, "a string", "run"),
-    "seed": (int, None, "an integer", None),  # None: 0, or for conquer the run's seed
-    "parallelism": (int, lambda n: n >= 1, "an integer >= 1", 1),
-    "dataset.path": (str, None, "a string", None),
-    "dataset.schema": (str, SCHEMAS.__contains__, f"one of {', '.join(SCHEMAS)}", SCHEMAS[0]),
-    "dataset.name": (str, None, "a string", None),  # None: the stem of dataset.path
-    "dataset.divide_base": (int, lambda n: n >= 2, "an integer >= 2", 5),
-    "dataset.mu": (Fraction, lambda f: 0 < f <= 1, "a fraction in (0, 1]", DatasetSpec.mu),
-    "dataset.nu": (Fraction, lambda f: 0 <= f <= 1, "a fraction in [0, 1]", DatasetSpec.nu),
-    "backend.kind": (str, BACKENDS.__contains__, f"one of {', '.join(BACKENDS)}", "mock"),
-    "backend.profiles": (str, None, "a string", None),
-    "backend.noise_rate": (float, lambda x: 0 <= x <= 1, "a number in [0, 1]", 0.0),
-    "backend.gold_uplift": (float, lambda x: 0 < x < math.inf, "a number > 0", 1.0),
-    "backend.endpoint": (str, None, "a string", ""),
-    "backend.model": (str, None, "a string", ""),
-    "backend.max_attempts": (int, lambda n: n >= 1, "an integer >= 1", 5),
-    "backend.base_delay": (float, lambda x: 0 <= x < math.inf, "a number >= 0", 1.0),
-    "assertions.spearman_min": (float, None, "a number", None),
-    "assertions.subset_ordering": (bool, None, "true or false", False),
-    "assertions.fcr_uplift_min_pp": (float, None, "a number", None),
-}
-_SECTIONS = {dotted.split(".")[0] for dotted in CONFIG if "." in dotted}
-
-
-def _leaves(label: str, config: dict) -> Iterator[tuple[str, object]]:
-    """Each (dotted key, value) of a config tree; a section must be an object."""
-    for key, value in config.items():
-        if key not in _SECTIONS:
-            yield key, value
-        elif isinstance(value, dict):
-            yield from ((f"{key}.{leaf}", member) for leaf, member in value.items())
-        else:
-            raise ConfigError(f"{label} {key} is not an object: {value!r}")
-
-
-def parse_config(*sources: tuple[str, dict]) -> dict:
-    """Every setting of `CONFIG` by dotted key: parsed from the first of `sources`
-    that holds it, else its default.
-
-    A source is a label that names it in errors, such as `"cfg.json: config"`,
-    and a config tree. Raises `ConfigError` naming the label and the dotted key
-    for a section that is not an object, a credential, a key `CONFIG` lacks and
-    a bad value.
-    """
-    given = {}
-    for label, config in reversed(sources):
-        for dotted, value in _leaves(label, config):
-            if "key" in dotted.lower() or "credential" in dotted.lower():
-                raise ConfigError(f"{label} {dotted} is a credential; set {API_KEY_ENV} instead")
-            if dotted not in CONFIG:
-                raise ConfigError(f"{label} {dotted} is not a known key")
-            if value is not None:
-                given[dotted] = label, value
-    settings = {}
-    for dotted, (kind, test, good, default) in CONFIG.items():
-        label, value = given.get(dotted, (None, default))
-        try:
-            settings[dotted] = None if value is None else _parse(kind, value)
-            if test and not test(settings[dotted]):
-                raise ValueError(value)
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            raise ConfigError(f"{label} {dotted} is not {good}: {value!r}") from None
-    settings["run_dir"] = settings["run_dir"] or "run"  # an empty run_dir reads as the default
-    mu, nu = settings["dataset.mu"], settings["dataset.nu"]
-    if nu >= mu:
-        label = (given.get("dataset.nu") or given["dataset.mu"])[0]
-        raise ConfigError(f"{label} dataset.nu {nu} is not below dataset.mu {mu}")
-    return settings
-
-
-def dataset_spec(settings: dict) -> DatasetSpec:
-    path, name = settings["dataset.path"], settings["dataset.name"]
-    return DatasetSpec(
-        name=Path("dataset" if path is None else path).stem if name is None else name,
-        divide_base=settings["dataset.divide_base"],
-        mu=settings["dataset.mu"], nu=settings["dataset.nu"],
-    )
-
-
 def build_backend(settings: dict, seed: int, profiles: Optional[dict] = None) -> Backend:
     """The backend the settings name; a mock reads `backend.profiles` unless given them."""
     if settings["backend.kind"] == "mock":
-        if not settings["backend.profiles"]:
+        path = settings["backend.profiles"]
+        if profiles is None and not path:
             raise ConfigError("mock backend requires backend.profiles path")
         return MockBackend(
-            load_profiles(settings["backend.profiles"]) if profiles is None else profiles,
+            load_profiles(path) if profiles is None else profiles,
             seed=seed,
             noise_rate=settings["backend.noise_rate"],
             gold_uplift=settings["backend.gold_uplift"],
@@ -291,7 +188,7 @@ def run_conquer_phase(
         )
     encode_jsonl(manifest.outcome_path(name), outcomes)
     manifest.hold(manifest.outcome_path(name), lambda: tuple(outcomes))
-    manifest.outcomes = sorted({*manifest.outcomes, name})
+    manifest.outcomes[:] = sorted({*manifest.outcomes, name})
     manifest.status.pop(f"conquer:{name}", None)
     failed = any(phase.startswith("conquer:") for phase in manifest.status)
     manifest.mark("conquer", "partial" if failed else "done")

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backend import MockBackend, QuestionProfile
+from .backend import QuestionProfile
 from .divide import SUBSETS, ConfidenceReport
-from .manifest import new_manifest
+from .manifest import dataset_spec, new_manifest, parse_config, stored_config
 from .pipeline import (
-    dataset_spec,
-    parse_config,
+    build_backend,
     questions_from_profiles,
     run_conquer_phase,
     run_divide_phase,
@@ -104,25 +103,18 @@ def run_simulation(
     that are set.
 
     `settings` are `parse_config`'s, its defaults when None; a simulation reads
-    the divide settings, `parallelism`, `backend.noise_rate` and the assertions.
+    the divide settings, `parallelism`, the mock's `backend.noise_rate` and
+    `backend.gold_uplift`, and the assertions.
     """
-    settings = settings or parse_config()
-    spec = dataset_spec({**settings, "dataset.name": f"sim-{family}"})
-    noise_rate, parallelism = settings["backend.noise_rate"], settings["parallelism"]
+    settings = {**(settings or parse_config()), "dataset.path": None,
+                "dataset.name": f"sim-{family}", "backend.kind": "mock", "backend.profiles": None}
+    spec, parallelism = dataset_spec(settings), settings["parallelism"]
     if profiles is None:
         questions, profiles = generate_synthetic(n_questions, family=family, seed=seed)
     else:
         questions = questions_from_profiles(profiles)
-
-    config = {
-        "dataset": {"name": spec.name, "divide_base": spec.divide_base,
-                    "mu": [spec.mu.numerator, spec.mu.denominator],
-                    "nu": [spec.nu.numerator, spec.nu.denominator]},
-        "backend": {"kind": "mock", "noise_rate": noise_rate},
-    }
-    manifest = new_manifest(config, seed, run_dir)
-
-    backend = MockBackend(profiles, seed=seed, noise_rate=noise_rate)
+    manifest = new_manifest(stored_config(settings), seed, run_dir)
+    backend = build_backend(settings, seed, profiles)
     reports, _records = run_divide_phase(
         questions, spec, backend, manifest, parallelism=parallelism
     )

@@ -172,13 +172,13 @@ def test_criterion_6_simulator_statistical_properties():
     )
 
 
-def _full_cli_run(tmp_path: Path, parallelism: int) -> Path:
+def _full_cli_run(tmp_path: Path, parallelism: int, kind: str = "mock") -> Path:
     tmp_path.mkdir(parents=True, exist_ok=True)
     run_dir = tmp_path / f"run_p{parallelism}"
     config = {
         "dataset": {"path": str(TOY_DATA), "name": "toy20", "divide_base": 5,
                     "mu": "0.8", "nu": "0.6"},
-        "backend": {"kind": "mock", "profiles": str(TOY_PROFILES)},
+        "backend": {"kind": kind, "profiles": str(TOY_PROFILES)},
         "run_dir": str(run_dir),
     }
     config_path = tmp_path / f"config_p{parallelism}.json"
@@ -265,3 +265,25 @@ def test_criterion_9_extraction_closed_loop():
         "9 extraction closed loop",
         f"250/250 clean parses; {unparsed_records} noisy unparsed all counted",
     )
+
+
+def test_criterion_10_exact_replay(tmp_path, monkeypatch):
+    # A rerun whose config differs only in backend.kind rebuilds every file from
+    # the transcript alone, and report.json names the same run.
+    run_dir = _full_cli_run(tmp_path, parallelism=1)
+    written = {path: path.read_bytes() for path in run_dir.rglob("*") if path.is_file()}
+    for path in written:
+        if path.name != "transcript.jsonl":
+            path.unlink()
+    calls = []
+    refuse = NoFetchBackend.complete
+    monkeypatch.setattr(NoFetchBackend, "complete",
+                        lambda self, req: calls.append(req) or refuse(self, req))
+    _full_cli_run(tmp_path, parallelism=1, kind="replay")
+    assert calls == []
+    differing = sorted(path.name for path, data in written.items() if path.read_bytes() != data)
+    assert differing == ["manifest.json"]
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["config"]["backend"]["kind"] = "mock"
+    assert manifest == json.loads(written[run_dir / "manifest.json"])
+    ok("10 exact replay", f"{len(written) - 1} files byte-identical with zero calls")

@@ -608,6 +608,16 @@ class TestHttpChatBackend:
         assert completion.output_tokens == 9
         assert len(slept) == 1 and low <= slept[0] <= high
 
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_rejected_credential_fails_after_one_post(self, monkeypatch, status):
+        slept = []
+        monkeypatch.setattr("qtriage.backend.time.sleep", slept.append)
+        session = FakeSession([FakeResponse(status)])
+        backend = http_backend(session)
+        with pytest.raises(ConfigError, match=f"authentication failed \\({status}\\)"):
+            backend.complete(req())
+        assert session.posts == backend.calls == 1 and slept == []
+
     def test_5xx_then_success_retries_once(self, monkeypatch):
         slept = []
         monkeypatch.setattr("qtriage.backend.time.sleep", slept.append)

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from qtriage.cli import main
+from qtriage.manifest import RunManifest
 from qtriage.model import LABELS, QtriageError
 from qtriage.synth import bundled_data_path
 
@@ -189,7 +190,7 @@ class TestDivideCommand:
 
     def test_nested_credentials_never_reach_manifest(self, runner, tmp_path):
         # A credential in the config is refused before any run file is written.
-        from qtriage.manifest import RunManifest, derive_run_id
+        from qtriage.manifest import derive_run_id
 
         for name, overrides in (("plain", {}), ("secret", {"backend.api_key": "SECRET-7f3a"})):
             (tmp_path / name).mkdir()
@@ -204,9 +205,33 @@ class TestDivideCommand:
         assert len(errors) == 1 and "backend.api_key" in errors[0], result.output
         assert "QTRIAGE_API_KEY" in errors[0]
         assert not (tmp_path / "secret" / "run").exists()
-        plain = json.loads((tmp_path / "plain" / "config.json").read_text())
-        del plain["run_dir"]
-        assert RunManifest.load(tmp_path / "plain" / "run").run_id == derive_run_id(plain, 42)
+        # The plain run stores its settings in canonical form and hashes them.
+        stored = {
+            "dataset": {"path": str(Path(TOY_DATA).resolve()), "schema": "mcq-jsonl",
+                        "name": "toy20", "divide_base": 5, "mu": [4, 5], "nu": [3, 5]},
+            "backend": {"kind": "mock", "profiles": str(Path(TOY_PROFILES).resolve()),
+                        "noise_rate": 0.0, "gold_uplift": 1.0, "endpoint": "", "model": "",
+                        "max_attempts": 5, "base_delay": 1.0},
+        }
+        manifest = RunManifest.load(tmp_path / "plain" / "run")
+        assert manifest.config == stored
+        transport = ("kind", "endpoint", "max_attempts", "base_delay")  # how requests travel
+        computed = {"dataset": stored["dataset"], "backend": {
+            k: v for k, v in stored["backend"].items() if k not in transport}}
+        assert manifest.run_id == derive_run_id(computed, 42)
+
+    def test_each_spelling_of_mu_gives_one_run_id(self, runner, tmp_path):
+        runs = {}
+        for name, mu, options in (("pair", [4, 5], []), ("decimal", "0.8", []),
+                                  ("default", None, []), ("option", None, ["--mu", "4/5"])):
+            (tmp_path / name).mkdir()
+            config = write_config(tmp_path / name, tmp_path / name / "run", **{"dataset.mu": mu})
+            result = runner.invoke(main, ["--config", str(config), "divide", *options])
+            assert result.exit_code == 0, result.output
+            runs[name] = tmp_path / name / "run"
+        assert len({RunManifest.load(d).run_id for d in runs.values()}) == 1
+        assert len({json.dumps(RunManifest.load(d).config) for d in runs.values()}) == 1
+        assert len({(d / "partition.jsonl").read_bytes() for d in runs.values()}) == 1
 
     def test_torn_last_entry_is_refetched_once(self, tmp_path):
         from qtriage.backend import MockBackend, TranscriptCache, load_profiles
@@ -300,6 +325,25 @@ class TestConquerCommand:
             if json.loads(l)["subset"] == "low"
         }
         assert {o["question_id"] for o in outcomes} == low_ids
+
+    def test_a_run_stored_as_given_conquers_and_reports_under_its_run_id(self, runner, tmp_path):
+        # manifest.json once stored the config as given and hashed it into run_id.
+        run_dir = tmp_path / "run"
+        config = write_config(tmp_path, run_dir, parallelism=2)
+        assert runner.invoke(main, ["--config", str(config), "--seed", "42", "divide"]).exit_code == 0
+        path = run_dir / "manifest.json"
+        as_given = json.loads(config.read_text())
+        del as_given["run_dir"]
+        manifest = {**json.loads(path.read_text()), "config": as_given, "run_id": "0123456789ab"}
+        path.write_text(json.dumps(manifest))
+        for args in (["conquer", "--strategy", "pkr"], ["report"]):
+            result = runner.invoke(main, ["--cache-dir", str(run_dir), *args])
+            assert result.exit_code == 0, result.output
+        stored = json.loads(path.read_text())
+        assert (stored["config"], stored["run_id"]) == (as_given, "0123456789ab")
+        assert stored["outcomes"] == ["pkr"] and set(stored["status"].values()) == {"done"}
+        report = json.loads((run_dir / "reports" / "report.json").read_text())
+        assert report["run_id"] == "0123456789ab" and report["strategies"]["pkr"]
 
     def test_conquer_without_divide_errors(self, runner, tmp_path):
         config = write_config(tmp_path, tmp_path / "run")
@@ -1263,7 +1307,7 @@ def test_one_broken_leaf_is_one_error_line_naming_it(case):
 
 
 def test_the_readme_lists_every_config_key():
-    from qtriage.pipeline import CONFIG
+    from qtriage.manifest import CONFIG
 
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     keys = re.findall(r"^\| `([a-z_.]+)` \|", readme, re.MULTILINE)

@@ -16,10 +16,9 @@ from qtriage.backend import ConfigError, MockBackend, TransportError, load_profi
 from qtriage.cli import main
 from qtriage.conquer import load_outcomes
 from qtriage.divide import load_reports
-from qtriage.manifest import RunManifest, new_manifest
+from qtriage.manifest import RunManifest, new_manifest, parse_config
 from qtriage.model import DatasetError, DatasetSpec, load_dataset
 from qtriage.pipeline import (
-    parse_config,
     run_conquer_phase,
     run_divide_phase,
     run_report_phase,
@@ -75,6 +74,70 @@ def test_each_setting_comes_from_the_first_source_holding_it():
         parse_config(("option", {"parallelism": 0}), ("config", {"parallelism": 2}))
     with pytest.raises(ConfigError, match="^config dataset.nu 4/5 is not below dataset.mu"):
         parse_config(("config", {"dataset": {"nu": "4/5"}}))
+
+
+OMIT = object()  # a spelling that leaves the key out
+
+
+def spelled_fraction(f, default):
+    """Every way a config may spell the threshold `f`."""
+    ways = [f"{f.numerator}/{f.denominator}", str(float(f)), float(f),
+            [2 * f.numerator, 2 * f.denominator]]
+    return ways + [OMIT] if f == default else ways
+
+
+def spelled_number(x, default):
+    """Every way a config may spell the number `x`."""
+    ways = [x, float(x), str(x)] + ([int(x)] if x == int(x) else [])
+    return ways + [OMIT] if x == default else ways
+
+
+@st.composite
+def two_spellings(draw):
+    """One value for each number and threshold, spelt two ways, each with its
+    own way for requests to travel; and the value of mu."""
+    nu = draw(st.sampled_from([Fraction(n, 10) for n in range(9)] + [Fraction(3, 5)]))
+    mu = draw(st.sampled_from([f for f in (Fraction(4, 5), Fraction(7, 8), Fraction(1)) if f > nu]))
+    ways = {
+        ("dataset", "mu"): spelled_fraction(mu, Fraction(4, 5)),
+        ("dataset", "nu"): spelled_fraction(nu, Fraction(3, 5)),
+        ("dataset", "divide_base"): spelled_number(draw(st.integers(2, 8)), 5),
+        ("backend", "noise_rate"): spelled_number(draw(st.sampled_from([0.0, 0.05, 0.5])), 0.0),
+        ("backend", "gold_uplift"): spelled_number(draw(st.sampled_from([1.0, 2.5, 3])), 1.0),
+    }
+    configs = []
+    for _ in range(2):
+        config = {"dataset": {"name": "toy20"}, "backend": {
+            "kind": draw(st.sampled_from(["mock", "replay", "http"])),
+            "max_attempts": draw(st.integers(1, 3)),
+        }}
+        for (section, key), spellings in ways.items():
+            spelling = draw(st.sampled_from(spellings))
+            if spelling is not OMIT:
+                config[section][key] = spelling
+        configs.append(config)
+    return configs, mu
+
+
+@settings(max_examples=200, deadline=None)
+@given(spelt=two_spellings())
+def test_every_spelling_gives_one_stored_config_and_run_id(spelt, tmp_path_factory):
+    (first, second), mu = spelt
+    run_dir = tmp_path_factory.getbasetemp() / "unwritten"
+    one, other = new_manifest(first, 3, run_dir), new_manifest(second, 3, run_dir)
+    assert one.run_id == other.run_id
+    computed = [{**m.config, "backend": {k: v for k, v in m.config["backend"].items()
+                                         if k not in ("kind", "max_attempts")}}
+                for m in (one, other)]
+    assert computed[0] == computed[1]
+    assert one.config["dataset"]["mu"] == [mu.numerator, mu.denominator]
+    assert isinstance(one.config["dataset"]["divide_base"], int)
+    assert new_manifest(other.config, 3, run_dir).config == other.config  # canonical
+
+
+def test_a_credential_in_a_library_tree_is_refused(tmp_path):
+    with pytest.raises(ConfigError, match="^config backend.api_key is a credential"):
+        new_manifest({"backend": {"kind": "http", "api_key": "SECRET"}}, 0, tmp_path)
 
 
 class TestHeldDivideRecords:
@@ -243,13 +306,15 @@ class TestHeldResults:
         failed = report_bytes(questions, spec, manifest)
         assert failed == report_bytes(questions, spec, RunManifest.load(run_dir))
 
-        # This manifest still reads conquer:pkr failed, so compare all but that.
+        # The first manifest reads the status the other one wrote, so its report
+        # is the first one again, not flagged partial.
         backend.calls_left = None
         run_conquer_phase(questions, reports, "PKR", backend, RunManifest.load(run_dir),
                           seed=42)
-        last = report_bytes(questions, spec, manifest)
-        assert last["summary"] == first["summary"]
-        assert json.loads(last["report"])["strategies"] == json.loads(first["report"])["strategies"]
+        assert "conquer:pkr" not in manifest.status
+        assert report_bytes(questions, spec, manifest) == first
+        assert RunManifest.load(run_dir).status == {
+            "divide": "done", "conquer": "done", "report": "done"}
 
 
 # Conquer runs that share each question's prior: every rationale_select mode,
@@ -360,7 +425,7 @@ GOLDEN = {
             "outcomes_fcr+sc.jsonl": "5da9951f5a5d38d6725d9d9f63676146a82afb2abdf4a17b3a7df4be0bdff57c",
             "partition.jsonl": "f6cf51f75cdf445d0d09c41a43bdc9660df6850d973e6402bdce08fce1398522",
             "reports/curves.csv": "bc5a092495ed4ec2f98e8f61f4be53b34de61d5d2db0363bdc140d627e672dd4",
-            "reports/report.json": "591ff85ff66563cd01c0420955d283eb1f140b2091455a7b669f1b09261a3364",
+            "reports/report.json": "1e725345a5286bb2bf1cc64468746f65148e08d5b02ec8c239841ad387c5baf6",
             "reports/summary.csv": "08182ad7bba27f220a7cb06d4e9e8c56e6014471ba91b6ad77c215b849b575ca",
             "transcript.jsonl": "de5dcfe4d696a24458e72c22946374422ffdd7dfd9c86369a7e7e39249c96ae3",
         },
@@ -370,12 +435,27 @@ GOLDEN = {
             "outcomes_com2+sc.jsonl": "d093ae80ff020497619c590bff46a2333df1e47bfd1045efad037d2aaf3c2b4e",
             "partition.jsonl": "b3c73e7c145bab46c20d5357551523609d284c143eefa77c1a8fd36bed546535",
             "reports/curves.csv": "5e25204cb3303c0c9d790b22cc875ad5b0ea4440e8d1fcd08b591ca5be18792e",
-            "reports/report.json": "286af0a102759330a3f51afc05cb24e6b71b6dd3794afcef28a3254ea66cc264",
+            "reports/report.json": "71c572e0b687b5980a4833ec428181a72387a5e99726ee9f950c0f6ab736ae64",
             "reports/summary.csv": "20c9485bcb65d24ac9809c6aa33104e895fdaae40a29eba1d05b8c8be4c817ec",
             "transcript.jsonl": "a02682537c882928cc34e3249deb5881fdeff1137403b913c027854b6c5eba23",
         },
     ),
 }
+
+
+def test_simulation_takes_gold_uplift_from_its_config(tmp_path):
+    outcomes = {}
+    for uplift in (None, 1, 3):
+        settings = parse_config(("test", {"backend": {
+            "gold_uplift": uplift, "kind": "http", "profiles": str(TOY_PROFILES)}}))
+        run_dir = tmp_path / str(uplift)
+        run_simulation(run_dir, 7, settings, family="second_gold", n_questions=60,
+                       strategies=(("PKR", False),))
+        outcomes[uplift] = (run_dir / "outcomes_pkr.jsonl").read_bytes()
+        stored = RunManifest.load(run_dir).config
+        assert stored["backend"]["kind"] == "mock" and "profiles" not in stored["backend"]
+        assert stored["dataset"]["name"] == "sim-second_gold" and "path" not in stored["dataset"]
+    assert outcomes[1] == outcomes[None] != outcomes[3]
 
 
 @pytest.mark.parametrize("family", sorted(GOLDEN))
