@@ -4,8 +4,8 @@ All backends implement a single `complete(request)` method and are safe to
 call from multiple threads. A persistent append-only transcript cache can
 wrap any backend so completed work is never refetched; replay is that cache
 over a backend that never fetches. `execute` is the one way every phase
-issues a batch of requests; it starts threads only for a backend that
-`waits` outside the interpreter.
+issues a batch of requests; only for a backend that `waits` outside the
+interpreter does it run each request as one task of a thread pool.
 """
 
 from __future__ import annotations
@@ -166,11 +166,14 @@ def load_profile_file(path: str | Path) -> tuple[dict[str, QuestionProfile], dic
                 f"{where}: answer_distribution values and "
                 f"rationale_length_mean must be numbers: {exc}"
             ) from exc
+        gold = rec.get("gold")
+        if gold is not None and not isinstance(gold, str):
+            raise ConfigError(f"{where}: gold must be a string or null, not {gold!r}")
         profile = QuestionProfile(
             question_id=qid,
             answer_distribution=dist,
             rationale_length_mean=length,
-            gold=rec.get("gold"),
+            gold=gold,
         )
         profile.validate()
         profiles[profile.question_id] = profile
@@ -666,39 +669,24 @@ def execute(
 ) -> list[Completion]:
     """Complete every request with at most `parallelism` in flight.
 
-    Completions come back in input order. After the first failure, or an
-    interrupt, no request starts; the failure is raised once those started
-    have finished. Threads are used only when `parallelism > 1` and the
-    backend `waits`: each worker then takes the next request as soon as it is
-    free. Otherwise the requests complete one by one on the calling thread,
-    because threads cannot overlap work that never leaves the interpreter.
-    Either way the batch ends with `backend.end_batch()`.
+    Completions come back in input order. When `parallelism > 1` and the
+    backend `waits`, each request is one task of a thread pool, which starts
+    them in input order; the first failure, or an interrupt, cancels those
+    not yet started, and the earliest failure in input order is raised once
+    the started ones have finished. Otherwise the requests complete one by
+    one on the calling thread: threads cannot overlap work that never leaves
+    the interpreter. Either way the batch ends with `backend.end_batch()`.
     """
     try:
         if parallelism <= 1 or not backend.waits:
             return [backend.complete(r) for r in requests]
-        completions: list = [None] * len(requests)
-        todo = iter(range(len(requests)))
-        lock = threading.Lock()
-        stop = threading.Event()
-
-        def work() -> None:
-            while True:
-                with lock:
-                    i = None if stop.is_set() else next(todo, None)
-                if i is None:
-                    return
-                completions[i] = backend.complete(requests[i])
-
-        workers = max(1, min(parallelism, len(requests)))
-        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            running = [pool.submit(work) for _ in range(workers)]
+        with futures.ThreadPoolExecutor(max(1, min(parallelism, len(requests)))) as pool:
+            tasks = [pool.submit(backend.complete, r) for r in requests]
             try:
-                futures.wait(running, return_when=futures.FIRST_EXCEPTION)
+                futures.wait(tasks, return_when=futures.FIRST_EXCEPTION)
             finally:
-                stop.set()  # after a failure, or an interrupt of the caller
-            for future in running:
-                future.result()
-        return completions
+                for task in tasks:  # after a failure, or an interrupt of the caller
+                    task.cancel()
+            return [task.result() for task in tasks]
     finally:
         backend.end_batch()

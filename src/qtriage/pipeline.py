@@ -34,7 +34,7 @@ from .divide import (
     run_divide,
 )
 from .manifest import ManifestError, RunManifest
-from .model import LABELS, DatasetSpec, Question, encode_jsonl, load_dataset
+from .model import LABELS, DatasetError, DatasetSpec, Question, encode_jsonl, load_dataset
 from .prompts import strategy_needs_rationales
 from .report import (
     accuracy_curves,
@@ -68,7 +68,8 @@ def build_backend(settings: dict, seed: int, profiles: Optional[dict] = None) ->
 
 
 def questions_from_profiles(profiles: dict[str, QuestionProfile]) -> list[Question]:
-    """Synthesize question shells for profiles that lack a dataset file."""
+    """Synthesize question shells for profiles that lack a dataset file, each
+    checked as a dataset question is."""
     questions = []
     for qid in sorted(profiles):
         p = profiles[qid]
@@ -85,7 +86,12 @@ def questions_from_profiles(profiles: dict[str, QuestionProfile]) -> list[Questi
             p.gold,
             source="profile",
         )
-        questions.append(replace(q, id=qid))
+        q = replace(q, id=qid)
+        try:
+            q.validate()
+        except DatasetError as exc:
+            raise ConfigError(f"profile {qid}: {exc}") from exc
+        questions.append(q)
     return questions
 
 

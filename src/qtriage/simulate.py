@@ -147,19 +147,22 @@ def run_simulation(
 
     min_pp = settings["assertions.fcr_uplift_min_pp"]
     if min_pp is not None:
-        base = outcome_sets.get(("ZTCOT", False))
-        fcr = outcome_sets.get(("FCR", True)) or outcome_sets.get(("FCR", False))
-        if base is None or fcr is None:
-            result.checks.append(("fcr_uplift", False, "needs ztcot and fcr strategies"))
+        fcr = outcome_sets.get(("FCR", True))
+        if fcr is None:
+            fcr = outcome_sets.get(("FCR", False))
+        scored = [None if outcomes is None else
+                  [(o.question_id, o.final_answer) for o in outcomes
+                   if golds[o.question_id] is not None]
+                  for outcomes in (outcome_sets.get(("ZTCOT", False)), fcr)]
+        if None in scored:
+            check = (False, "needs ztcot and fcr strategies")
+        elif not all(scored):
+            check = (False, "no conquered question has a gold to score")
         else:
-            acc_base = float(em_accuracy(
-                [(o.question_id, o.final_answer) for o in base], golds))
-            acc_fcr = float(em_accuracy(
-                [(o.question_id, o.final_answer) for o in fcr], golds))
+            acc_base, acc_fcr = (float(em_accuracy(pairs, golds)) for pairs in scored)
             delta_pp = (acc_fcr - acc_base) * 100
-            result.checks.append(
-                ("fcr_uplift", delta_pp >= min_pp,
-                 f"fcr={acc_fcr:.3f} ztcot={acc_base:.3f} delta={delta_pp:.1f}pp min={min_pp}pp")
-            )
+            check = (delta_pp >= min_pp, f"fcr={acc_fcr:.3f} ztcot={acc_base:.3f} "
+                                         f"delta={delta_pp:.1f}pp min={min_pp}pp")
+        result.checks.append(("fcr_uplift", *check))
 
     return result

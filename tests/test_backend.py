@@ -463,6 +463,32 @@ class TestExecute:
             execute([req(idx=i) for i in range(40)], backend, parallelism=4)
         assert len(started) < 10  # the other workers stop after their first request
 
+    def test_the_earliest_failure_in_input_order_is_raised(self):
+        barrier = threading.Barrier(4, timeout=5)
+        started, finished = [], []
+
+        class FailsTwice(MockBackend):
+            waits = True
+
+            def complete(self, req):
+                i = req.sample_index
+                started.append(i)
+                if i < 4:
+                    barrier.wait()  # requests 0-3 are in flight together
+                # Request 2 fails first; request 1 fails later but comes first in input order.
+                time.sleep({1: 0.02, 2: 0.0}.get(i, 0.1))
+                if i in (1, 2):
+                    raise TransportError(f"injected outage {i}")
+                finished.append(i)
+                return super().complete(req)
+
+        requests = [req(idx=i) for i in range(40)]
+        with pytest.raises(TransportError, match="outage 1"):
+            execute(requests, FailsTwice({"q1": profile()}, seed=0), parallelism=4)
+        assert sorted(started) == list(range(len(started)))  # started in input order
+        assert len(started) < 10 and requests[-1].sample_index not in started
+        assert sorted(finished) == sorted(set(started) - {1, 2})  # none left running
+
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_in_process_backend_completes_on_the_calling_thread(self, tmp_path, cached):

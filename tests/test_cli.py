@@ -1,9 +1,13 @@
+import hashlib
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -567,6 +571,45 @@ class TestEndToEnd:
         ):
             assert (d1 / rel).read_bytes() == (d8 / rel).read_bytes(), rel
 
+    def test_http_runs_are_equal_across_parallelism(self, runner, tmp_path, monkeypatch):
+        import requests
+
+        threads = set()
+
+        def post(self, url, json, headers, timeout):
+            """Answers as a pure function of the payload, after a random few ms."""
+            threads.add(threading.get_ident())
+            digest = hashlib.sha256(repr(sorted(json.items())).encode()).digest()
+            time.sleep(random.uniform(0.001, 0.005))
+            text = ("i cannot settle on one." if digest[0] % 4 == 0
+                    else f"So the answer is ({'AB'[digest[1] % 2]}).")
+            usage = {"prompt_tokens": digest[2], "completion_tokens": digest[3]}
+            return _Response(200, {"choices": [{"message": {"content": text}}], "usage": usage})
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        monkeypatch.setenv("QTRIAGE_API_KEY", "test-key")
+        backend = {"kind": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m"}
+        runs = {}
+        for parallelism in (1, 4):
+            run_dir = tmp_path / f"p{parallelism}"
+            config = write_config(tmp_path, run_dir, backend=backend)
+            base = ["--config", str(config), "--seed", "42", "--parallelism", str(parallelism)]
+            for args in (["divide"], ["conquer", "--strategy", "fcr", "--sc"],
+                         ["conquer", "--strategy", "pkr"], ["report"]):
+                result = runner.invoke(main, base + args)
+                assert result.exit_code == 0, result.output
+            runs[parallelism] = {p.relative_to(run_dir).as_posix(): p.read_bytes()
+                                 for p in run_dir.rglob("*") if p.is_file()}
+        # The transcript is appended as completions arrive: the same entries,
+        # in an order that depends on scheduling.
+        entries = [{entry["key"]: entry["completion"]
+                    for entry in map(json.loads, files.pop("transcript.jsonl").splitlines())}
+                   for files in runs.values()]
+        assert entries[0] == entries[1]
+        assert runs[1] == runs[4]
+        assert runs[1]["outcomes_fcr+sc.jsonl"] and runs[1]["outcomes_pkr.jsonl"]
+        assert len(threads) > 1
+
     def test_replay_issues_zero_fetches(self, runner, tmp_path):
         from qtriage.backend import CachingBackend, NoFetchBackend, TranscriptCache
         from qtriage.conquer import run_conquer
@@ -651,6 +694,16 @@ class TestSimulateCommand:
         assert subsets == {"high"}
         outcomes = (tmp_path / "sim" / "outcomes_ztcot.jsonl").read_text().strip()
         assert outcomes == ""  # conquer phase empty
+
+    def test_fcr_uplift_without_conquered_questions_fails_and_exits_3(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"assertions": {"fcr_uplift_min_pp": 1}}))
+        result = runner.invoke(main, [
+            "--config", str(config), "--seed", "3", "--cache-dir", str(tmp_path / "sim"),
+            "simulate", "--family", "certain", "--n-questions", "30",
+        ])
+        assert result.exit_code == 3, result.output
+        assert "FAIL fcr_uplift: no conquered question has a gold to score" in result.output
 
     def test_failed_assertion_exits_3(self, runner, tmp_path):
         profile_file = tmp_path / "p.jsonl"
@@ -755,6 +808,25 @@ class TestReportCommand:
         # FCR reads only the partition, never the divide samples.
         result = runner.invoke(main, base + ["conquer", "--strategy", "fcr", "--sc"])
         assert result.exit_code == 0, result.output
+
+    def test_report_scores_questions_derived_from_profiles(self, runner, tmp_path):
+        run_dir = tmp_path / "run"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "backend": {"kind": "mock", "profiles": str(TOY_PROFILES)}, "run_dir": str(run_dir),
+        }))
+        for args in (["divide"], ["conquer", "--strategy", "pkr"], ["report"]):
+            result = runner.invoke(main, ["--config", str(config), *args])
+            assert result.exit_code == 0, result.output
+        reports = run_dir / "reports"
+        first = {p.name: p.read_bytes() for p in reports.iterdir()}
+        prior = json.loads(first["report.json"])["prior"]
+        assert sum(prior[s]["n"] for s in ("high", "med", "low")) == 20
+        assert all(isinstance(prior[s]["accuracy"], float) for s in ("high", "med", "low"))
+        # The stored config names the same profiles, so a report from it is the same.
+        result = runner.invoke(main, ["--cache-dir", str(run_dir), "report"])
+        assert result.exit_code == 0, result.output
+        assert {p.name: p.read_bytes() for p in reports.iterdir()} == first
 
 
 def status(run_dir):
@@ -1001,6 +1073,16 @@ def _numeric_profiles(tmp_path):
     return str(path)
 
 
+def _gold_profiles(gold):
+    """Profiles for a config without a dataset, one of whose golds is `gold`."""
+    def write(tmp_path):
+        path = tmp_path / "golds.jsonl"
+        path.write_text(json.dumps({"question_id": "q0001", "gold": gold,
+                                    "answer_distribution": {"A": 0.6, "B": 0.4}}) + "\n")
+        return str(path)
+    return write
+
+
 def _not_utf8_file(tmp_path):
     path = tmp_path / "latin1.jsonl"
     path.write_bytes(b'{"id": "q\xe9"}\n')
@@ -1179,6 +1261,12 @@ FAILURES = {  # name -> (build the case, expected exit code)
     "divide-profile-answer-not-label": (
         _configured(["divide"], "answer '12'", **{"backend.profiles": _numeric_profiles,
                                                   "dataset.path": ""}), 1),
+    "divide-profile-gold-not-label": (
+        _configured(["divide"], "profile q0001: question q0001: gold 'Z' not among labels",
+                    **{"backend.profiles": _gold_profiles("Z"), "dataset.path": ""}), 1),
+    "divide-profile-gold-not-string": (
+        _configured(["divide"], "golds.jsonl line 1: gold must be a string or null",
+                    **{"backend.profiles": _gold_profiles(5), "dataset.path": ""}), 1),
     "report-run-dir-not-string": (_run_dir_not_string, 1),
     "simulate-config-assertions-not-object": (
         _configured(["simulate", "--n-questions", "10"], "config assertions", assertions="x"), 1),

@@ -12,7 +12,13 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from qtriage import pipeline
-from qtriage.backend import ConfigError, MockBackend, TransportError, load_profiles
+from qtriage.backend import (
+    ConfigError,
+    MockBackend,
+    QuestionProfile,
+    TransportError,
+    load_profiles,
+)
 from qtriage.cli import main
 from qtriage.conquer import load_outcomes
 from qtriage.divide import load_reports
@@ -470,3 +476,38 @@ def test_simulation_writes_the_golden_bytes(family, tmp_path):
         if path.suffix in (".jsonl", ".csv") or path.name == "report.json"
     }
     assert written == digests
+
+
+ALL_ASSERTIONS = {"spearman_min": 0.3, "subset_ordering": True, "fcr_uplift_min_pp": -10}
+
+
+def test_a_simulation_runs_every_assertion_that_is_set(tmp_path):
+    settings = parse_config(("test", {"assertions": ALL_ASSERTIONS}))
+    result = run_simulation(tmp_path, 7, settings, n_questions=200)
+    assert [name for name, _, _ in result.checks] == ["spearman", "subset_ordering", "fcr_uplift"]
+    assert result.ok, result.checks
+
+
+@pytest.mark.parametrize("strategies", [
+    (("ZTCOT", False), ("FCR", True)),
+    (("ZTCOT", False), ("FCR", True), ("FCR", False)),
+])
+def test_an_all_high_simulation_fails_fcr_uplift_for_want_of_questions(strategies, tmp_path):
+    settings = parse_config(("test", {"assertions": ALL_ASSERTIONS}))
+    result = run_simulation(tmp_path, 7, settings, family="certain", n_questions=30,
+                            strategies=strategies)
+    assert result.checks[-1] == (
+        "fcr_uplift", False, "no conquered question has a gold to score")
+
+
+def test_fcr_uplift_scores_only_the_questions_with_a_gold(tmp_path):
+    profiles = {
+        "q0001": QuestionProfile("q0001", {"A": 0.5, "B": 0.5}),
+        "q0002": QuestionProfile("q0002", {"A": 0.3, "B": 0.3, "C": 0.4}, gold="C"),
+    }
+    settings = parse_config(("test", {"assertions": ALL_ASSERTIONS}))
+    result = run_simulation(tmp_path, 7, settings, profiles=profiles)
+    name, _, detail = result.checks[-1]
+    assert name == "fcr_uplift" and detail.startswith("fcr=")
+    conquered = [o["question_id"] for o in load_outcomes(tmp_path / "outcomes_ztcot.jsonl")]
+    assert conquered == ["q0001", "q0002"]  # q0001 has no gold to score
