@@ -10,9 +10,7 @@ from .backend import (
     Completion,
     CompletionRequest,
     HttpChatBackend,
-    MockBackend,
     NoFetchBackend,
-    QuestionProfile,
     TranscriptCache,
 )
 from .conquer import (
@@ -47,6 +45,7 @@ from .model import (
     save_dataset,
 )
 from .report import cost_summary, em_accuracy, emit_report, weighted_average
+from .synth import MockBackend, QuestionProfile
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,5 @@
-"""Model-completion backends, the transcript cache, and the request engine.
+"""The live path: the backend interface, the HTTP backend, the transcript
+cache, and the request engine. The simulator is in `synth`.
 
 All backends implement a single `complete(request)` method and are safe to
 call from multiple threads. A persistent append-only transcript cache can
@@ -10,7 +11,6 @@ interpreter does it run each request as one task of a thread pool.
 
 from __future__ import annotations
 
-import bisect
 import fcntl
 import hashlib
 import json
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .model import QtriageError, read_jsonl
+from .model import QtriageError
 
 API_KEY_ENV = "QTRIAGE_API_KEY"
 BACKOFF_FACTOR = 2.0  # each retry of a live request waits this many times longer
@@ -68,8 +68,8 @@ class CompletionRequest:
     sample_index: int
     question_id: str
     phase: str  # "divide" | "conquer"
-    # Simulator-only hints (label remapping, strategy effects); never part
-    # of the request key and ignored by the live backend.
+    # Facts of how the prompt was built, which the live backend ignores; never
+    # part of the request key.
     metadata: dict = field(default_factory=dict, compare=False)
 
     def key(self) -> str:
@@ -113,87 +113,6 @@ class Completion:
         )
 
 
-@dataclass(frozen=True)
-class QuestionProfile:
-    """Simulated answer behaviour for one question (mock backend only)."""
-
-    question_id: str
-    answer_distribution: dict[str, float]
-    rationale_length_mean: int = 200
-    gold: Optional[str] = None
-
-    def validate(self) -> None:
-        if not self.answer_distribution:
-            raise ConfigError(f"profile {self.question_id}: empty distribution")
-        total = sum(self.answer_distribution.values())
-        if any(p < 0 or p > 1 for p in self.answer_distribution.values()):
-            raise ConfigError(f"profile {self.question_id}: probability outside [0, 1]")
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"profile {self.question_id}: probabilities sum to {total}")
-        if self.rationale_length_mean <= 0:
-            raise ConfigError(f"profile {self.question_id}: non-positive rationale length")
-
-
-def load_profiles(path: str | Path) -> dict[str, QuestionProfile]:
-    """Read a profile JSONL's profiles; its assertions records are checked and skipped."""
-    return load_profile_file(path)[0]
-
-
-def load_profile_file(path: str | Path) -> tuple[dict[str, QuestionProfile], dict]:
-    """Read a profile JSONL; a record with an 'assertions' key configures simulator checks."""
-    profiles: dict[str, QuestionProfile] = {}
-    assertions: dict = {}
-    for lineno, rec in read_jsonl(path, ConfigError):
-        where = f"{path} line {lineno}"
-        if "assertions" in rec and "question_id" not in rec:
-            if not isinstance(rec["assertions"], dict):
-                raise ConfigError(f"{where}: assertions must be an object")
-            assertions.update(rec["assertions"])
-            continue
-        missing = [k for k in ("question_id", "answer_distribution") if k not in rec]
-        if missing:
-            raise ConfigError(f"{where}: missing {', '.join(missing)}")
-        qid, dist = rec["question_id"], rec["answer_distribution"]
-        if not isinstance(qid, str) or not qid:
-            raise ConfigError(f"{where}: question_id must be a non-empty string")
-        if not isinstance(dist, dict):
-            raise ConfigError(f"{where}: answer_distribution must be an object")
-        try:
-            dist = {k: float(v) for k, v in dist.items()}
-            length = int(rec.get("rationale_length_mean", 200))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"{where}: answer_distribution values and "
-                f"rationale_length_mean must be numbers: {exc}"
-            ) from exc
-        gold = rec.get("gold")
-        if gold is not None and not isinstance(gold, str):
-            raise ConfigError(f"{where}: gold must be a string or null, not {gold!r}")
-        profile = QuestionProfile(
-            question_id=qid,
-            answer_distribution=dist,
-            rationale_length_mean=length,
-            gold=gold,
-        )
-        profile.validate()
-        profiles[profile.question_id] = profile
-    return profiles, assertions
-
-
-def save_profiles(path: str | Path, profiles: dict[str, QuestionProfile]) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for qid in sorted(profiles):
-            p = profiles[qid]
-            rec = {
-                "question_id": p.question_id,
-                "answer_distribution": p.answer_distribution,
-                "rationale_length_mean": p.rationale_length_mean,
-            }
-            if p.gold is not None:
-                rec["gold"] = p.gold
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
 class Backend:
     """Interface: one blocking completion per request."""
 
@@ -206,143 +125,6 @@ class Backend:
 
     def end_batch(self) -> None:
         """Release what `complete` opened for the batch `execute` has just run."""
-
-
-_FILLER_WORDS = (
-    "consider the given information and work through each part carefully "
-    "then compare the remaining possibilities before settling on one"
-).split()
-
-_NOISE_ENDING = "i cannot settle on a single option here."
-
-
-def _rotation(start: int) -> tuple[str, list[int]]:
-    """The filler words read from word `start` round the cycle, each followed by
-    a space, and the offset just past each word's space, after a leading 0."""
-    words = _FILLER_WORDS[start:] + _FILLER_WORDS[:start]
-    ends = [0]
-    for word in words:
-        ends.append(ends[-1] + len(word) + 1)
-    return " ".join(words) + " ", ends
-
-
-_ROTATIONS = tuple(_rotation(start) for start in range(len(_FILLER_WORDS)))
-_CYCLE = len(_ROTATIONS[0][0])  # characters in one pass over the words, spaces included
-
-
-def _filler(start: int, target: int) -> str:
-    """The fewest filler words, cycling from word `start`, whose lengths plus one
-    each sum to at least `target`, joined by spaces."""
-    text, ends = _ROTATIONS[start]
-    cycles, rest = divmod(target, _CYCLE)
-    size = cycles * _CYCLE + ends[bisect.bisect_left(ends, rest)]
-    return (text * (cycles + 1))[:size - 1] if size else ""
-
-
-class MockBackend(Backend):
-    """Deterministic simulator: draws answers from per-question profiles.
-
-    Every completion is a pure function of (seed, question id, phase,
-    sample index, prompt), so reruns and replays are bit-exact regardless
-    of scheduling. In noise mode a configurable fraction of completions
-    omit the answer sentinel to exercise extraction fallbacks.
-    """
-
-    waits = False
-
-    def __init__(
-        self,
-        profiles: dict[str, QuestionProfile],
-        seed: int,
-        noise_rate: float = 0.0,
-        gold_uplift: float = 1.0,
-    ) -> None:
-        for p in profiles.values():
-            p.validate()
-        self.profiles = profiles
-        self.seed = seed
-        self.noise_rate = noise_rate
-        self.gold_uplift = gold_uplift
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def _rng(self, req: CompletionRequest) -> random.Random:
-        material = (
-            f"{self.seed}|{req.question_id}|{req.phase}|{req.sample_index}|"
-            f"{_short_hash(req.prompt)}"
-        ).encode("utf-8")
-        digest = hashlib.sha256(material).digest()
-        return random.Random(int.from_bytes(digest[:8], "big"))
-
-    def _effective_distribution(self, profile: QuestionProfile, req: CompletionRequest):
-        """Distribution over emitted values after metadata adjustments.
-
-        label_map restricts support to the surviving original labels and
-        renames them into the filtered label space; uplift_gold scales the
-        gold option's probability (strategy-effect assumption made explicit).
-        """
-        dist = dict(profile.answer_distribution)
-        emit_as = {value: value for value in dist}
-
-        label_map = req.metadata.get("label_map")
-        if label_map:
-            allowed = {orig for _, orig in label_map}
-            rename = {orig: new for new, orig in label_map}
-            dist = {k: v for k, v in dist.items() if k in allowed}
-            if not dist:
-                raise ConfigError(
-                    f"profile {profile.question_id}: no probability mass on labels {sorted(allowed)}"
-                )
-            emit_as = {k: rename[k] for k in dist}
-
-        if req.metadata.get("uplift_gold") and profile.gold in dist:
-            dist[profile.gold] *= self.gold_uplift
-
-        total = sum(dist.values())
-        dist = {k: v / total for k, v in dist.items()}
-        return dist, emit_as
-
-    def _draw(self, dist: dict[str, float], temperature: float, rng: random.Random) -> str:
-        items = sorted(dist.items())
-        if temperature == 0:
-            return max(items, key=lambda kv: kv[1])[0]
-        u = rng.random()
-        acc = 0.0
-        for value, p in items:
-            acc += p
-            if u < acc:
-                return value
-        return items[-1][0]
-
-    def _rationale(self, mean_len: int, rng: random.Random) -> str:
-        target = max(20, int(-mean_len * math.log(1.0 - rng.random())))
-        return _filler(rng.randrange(len(_FILLER_WORDS)), target)
-
-    def complete(self, req: CompletionRequest) -> Completion:
-        req.validate()
-        profile = self.profiles.get(req.question_id)
-        if profile is None:
-            raise ConfigError(f"no simulator profile for question {req.question_id!r}")
-        with self._lock:
-            self.calls += 1
-        rng = self._rng(req)
-        dist, emit_as = self._effective_distribution(profile, req)
-        drawn = self._draw(dist, req.temperature, rng)
-        emitted = emit_as[drawn]
-
-        body = self._rationale(profile.rationale_length_mean, rng)
-        if self.noise_rate > 0 and rng.random() < self.noise_rate:
-            text = f"{body}\n{_NOISE_ENDING}"
-        elif len(emitted) == 1 and emitted.isupper():
-            text = f"{body}\nSo the answer is ({emitted})."
-        else:
-            text = f"{body}\nSo the answer is {emitted}."
-
-        return Completion(
-            text=text,
-            prompt_tokens=max(1, len(req.prompt) // 4),
-            output_tokens=max(1, len(text) // 4),
-        )
 
 
 def _delay_seconds(retry_after: Optional[str]) -> Optional[int]:
@@ -690,3 +472,13 @@ def execute(
             return [task.result() for task in tasks]
     finally:
         backend.end_batch()
+
+
+def __getattr__(name: str):
+    # bench/ imports these three from here. The benchmark repair (ROADMAP.md
+    # items 1 and 3) imports them from `synth` and deletes this.
+    if name in ("MockBackend", "load_profiles", "save_profiles"):
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import click
 
-from .backend import ConfigError, TransportError, load_profile_file
+from .backend import ConfigError, TransportError
 from .conquer import RATIONALE_SELECT_MODES
 from .divide import SUBSETS, load_reports
 from .manifest import RunManifest, dataset_spec, new_manifest, parse_config, stored_config
@@ -21,6 +21,7 @@ from .pipeline import (
 )
 from .prompts import STRATEGIES
 from .report import ReportError
+from .synth import load_profile_file
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

@@ -236,11 +236,9 @@ def _plan_item(
         rationales = _map_rationale_labels(prior[key], mapping)
 
     prompt = build_prompt(working, strategy, rationales=rationales, tail_override=tail_override)
-    metadata: dict = {}
+    metadata: dict = {"strategy": strategy}
     if mapping is not None:
         metadata["label_map"] = [list(pair) for pair in mapping.forward]
-    if strategy_needs_rationales(strategy):
-        metadata["uplift_gold"] = True
 
     n_samples = sc_samples if self_consistency else 1
     temperature = SC_TEMPERATURE if self_consistency else GREEDY_TEMPERATURE

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional, TypeVar
 
 from .backend import API_KEY_ENV, ConfigError, TranscriptCache
-from .model import SCHEMAS, DatasetSpec, QtriageError, read_json, write_atomic
+from .model import SCHEMAS, DatasetSpec, QtriageError, parse_as, read_json, write_atomic
 
 
 T = TypeVar("T")
@@ -26,24 +26,6 @@ T = TypeVar("T")
 
 class ManifestError(QtriageError, ValueError):
     pass
-
-
-def _parse(kind: type, value):
-    """`value` as a `kind`. A str or bool must be one. An int or float is cast,
-    but not from a boolean, nor to an int from a float with a fractional part. A
-    fraction is read from a number, a fraction string or an integer pair."""
-    if kind in (str, bool):
-        if not isinstance(value, kind):
-            raise TypeError(value)
-        return value
-    if kind is Fraction:
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            return Fraction(*(_parse(int, member) for member in value))
-        return Fraction(str(value))
-    number = kind(value)
-    if isinstance(value, bool) or (isinstance(value, float) and number != value):
-        raise ValueError(value)
-    return number
 
 
 BACKENDS = ("mock", "http", "replay")
@@ -107,7 +89,7 @@ def parse_config(*sources: tuple[str, dict]) -> dict:
     for dotted, (kind, test, good, default) in CONFIG.items():
         label, value = given.get(dotted, (None, default))
         try:
-            settings[dotted] = None if value is None else _parse(kind, value)
+            settings[dotted] = None if value is None else parse_as(kind, value)
             if test and not test(settings[dotted]):
                 raise ValueError(value)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):

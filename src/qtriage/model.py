@@ -191,6 +191,24 @@ def cloze_to_mcq(q: Question, prior_answers: list[str]) -> tuple[Question, Label
     return mcq, mapping
 
 
+def parse_as(kind: type, value):
+    """`value` as a `kind`. A str or bool must be one. An int or float is cast,
+    but not from a boolean, nor to an int from a float with a fractional part. A
+    fraction is read from a number, a fraction string or an integer pair."""
+    if kind in (str, bool):
+        if not isinstance(value, kind):
+            raise TypeError(value)
+        return value
+    if kind is Fraction:
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return Fraction(*(parse_as(int, member) for member in value))
+        return Fraction(str(value))
+    number = kind(value)
+    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise ValueError(value)
+    return number
+
+
 def _read_text(path: Path, error: type[QtriageError]) -> str:
     if not path.is_file():
         raise error(f"file not found: {path}")

@@ -7,22 +7,17 @@ drivable from tests and notebooks.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
-from . import synth
 from .backend import (
     Backend,
     CacheError,
     CachingBackend,
     ConfigError,
     HttpChatBackend,
-    MockBackend,
     NoFetchBackend,
-    QuestionProfile,
     TranscriptCache,
-    load_profiles,
 )
 from .conquer import ConquerOutcome, check_subsets, read_outcomes, run_conquer
 from .divide import (
@@ -34,7 +29,7 @@ from .divide import (
     run_divide,
 )
 from .manifest import ManifestError, RunManifest
-from .model import LABELS, DatasetError, DatasetSpec, Question, encode_jsonl, load_dataset
+from .model import DatasetSpec, Question, encode_jsonl, load_dataset
 from .prompts import strategy_needs_rationales
 from .report import (
     accuracy_curves,
@@ -43,6 +38,7 @@ from .report import (
     strategy_metrics,
     subset_prior_metrics,
 )
+from .synth import MockBackend, load_profiles, questions_from_profiles
 
 
 def build_backend(settings: dict, seed: int, profiles: Optional[dict] = None) -> Backend:
@@ -65,34 +61,6 @@ def build_backend(settings: dict, seed: int, profiles: Optional[dict] = None) ->
             base_delay=settings["backend.base_delay"],
         )
     return NoFetchBackend()  # replay: every phase reads the run's own transcript.jsonl first
-
-
-def questions_from_profiles(profiles: dict[str, QuestionProfile]) -> list[Question]:
-    """Synthesize question shells for profiles that lack a dataset file, each
-    checked as a dataset question is."""
-    questions = []
-    for qid in sorted(profiles):
-        p = profiles[qid]
-        for answer in p.answer_distribution:
-            if len(answer) != 1 or answer not in LABELS:
-                raise ConfigError(
-                    f"profile {qid}: answer {answer!r} is not a choice label to derive "
-                    "a question from"
-                )
-        n_choices = max(LABELS.index(lab) for lab in p.answer_distribution) + 1
-        q = synth._make_question(
-            int(qid.lstrip("q") or 0) if qid.lstrip("q").isdigit() else 0,
-            n_choices,
-            p.gold,
-            source="profile",
-        )
-        q = replace(q, id=qid)
-        try:
-            q.validate()
-        except DatasetError as exc:
-            raise ConfigError(f"profile {qid}: {exc}") from exc
-        questions.append(q)
-    return questions
 
 
 @contextmanager

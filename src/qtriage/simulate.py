@@ -13,18 +13,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backend import QuestionProfile
 from .divide import SUBSETS, ConfidenceReport
 from .manifest import dataset_spec, new_manifest, parse_config, stored_config
 from .pipeline import (
     build_backend,
-    questions_from_profiles,
     run_conquer_phase,
     run_divide_phase,
     run_report_phase,
 )
 from .report import _prior_metrics, em_accuracy, prior_predictions
-from .synth import generate_synthetic
+from .synth import QuestionProfile, generate_synthetic, questions_from_profiles
 
 
 @dataclass

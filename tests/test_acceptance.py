@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qtriage.backend import CachingBackend, MockBackend, NoFetchBackend, TranscriptCache
+from qtriage.backend import CachingBackend, NoFetchBackend, TranscriptCache
 from qtriage.cli import main
 from qtriage.conquer import filter_choices, run_conquer, select_rationales, RationaleCluster
 from qtriage.divide import (
@@ -26,7 +26,7 @@ from qtriage.divide import (
 from qtriage.model import DatasetSpec, LABELS, Question, load_dataset
 from qtriage.report import em_accuracy, weighted_average
 from qtriage.simulate import spearman_cs_vs_correct, subset_accuracies
-from qtriage.synth import bundled_data_path, generate_synthetic
+from qtriage.synth import MockBackend, bundled_data_path, generate_synthetic
 
 TOY_DATA = bundled_data_path("toy20.jsonl")
 TOY_PROFILES = bundled_data_path("toy20_profiles.jsonl")

@@ -13,8 +13,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qtriage.backend import (
-    _CYCLE,
-    _FILLER_WORDS,
     CacheError,
     CacheMissError,
     CachingBackend,
@@ -22,13 +20,17 @@ from qtriage.backend import (
     CompletionRequest,
     ConfigError,
     HttpChatBackend,
-    MockBackend,
     NoFetchBackend,
-    QuestionProfile,
     TranscriptCache,
     TransportError,
-    _filler,
     execute,
+)
+from qtriage.synth import (
+    _CYCLE,
+    _FILLER_WORDS,
+    MockBackend,
+    QuestionProfile,
+    _filler,
     load_profile_file,
     load_profiles,
     save_profiles,
@@ -157,7 +159,7 @@ class TestMockBackend:
     def test_gold_uplift_applies_at_argmax(self):
         dist = {"A": 0.45, "B": 0.40, "C": 0.15}
         b = MockBackend({"q1": profile(dist=dist, gold="B")}, seed=0, gold_uplift=2.0)
-        text = b.complete(req(temperature=0.0, metadata={"uplift_gold": True})).text
+        text = b.complete(req(temperature=0.0, metadata={"strategy": "PKR"})).text
         assert text.endswith("(B).")
 
     def test_missing_profile_errors(self):
@@ -168,6 +170,15 @@ class TestMockBackend:
     def test_profile_sum_validated(self):
         with pytest.raises(ConfigError):
             MockBackend({"q1": profile(dist={"A": 0.5, "B": 0.6})}, seed=0)
+
+
+def test_backend_lends_the_benchmark_only_its_three_simulator_names():
+    from qtriage import backend, synth
+
+    for name in ("MockBackend", "load_profiles", "save_profiles"):
+        assert getattr(backend, name) is getattr(synth, name)
+    with pytest.raises(AttributeError):
+        backend.QuestionProfile
 
 
 class TestTranscriptCache:

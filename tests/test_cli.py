@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from qtriage.cli import main
 from qtriage.manifest import RunManifest
 from qtriage.model import LABELS, QtriageError
-from qtriage.synth import bundled_data_path
+from qtriage.synth import MockBackend, bundled_data_path, load_profiles
 
 TOY_DATA = bundled_data_path("toy20.jsonl")
 TOY_PROFILES = bundled_data_path("toy20_profiles.jsonl")
@@ -115,7 +115,7 @@ class TestDivideCommand:
 
     def test_resume_issues_only_remaining_calls(self, tmp_path):
         # interrupt by dividing only half the questions, then rerun the full set
-        from qtriage.backend import CachingBackend, MockBackend, TranscriptCache, load_profiles
+        from qtriage.backend import CachingBackend, TranscriptCache
         from qtriage.divide import run_divide
         from qtriage.model import DatasetSpec, load_dataset
 
@@ -146,16 +146,16 @@ class TestDivideCommand:
         assert len((run_dir / "partition.jsonl").read_text().splitlines()) == 20
 
     def test_questions_from_profiles_read_the_file_once(self, runner, tmp_path, monkeypatch):
-        from qtriage import backend
+        from qtriage import synth
 
         reads = []
-        read = backend.load_profile_file
+        read = synth.load_profile_file
 
         def counted(path):
             reads.append(path)
             return read(path)
 
-        monkeypatch.setattr(backend, "load_profile_file", counted)
+        monkeypatch.setattr(synth, "load_profile_file", counted)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"backend": {"profiles": str(TOY_PROFILES)},
                                       "run_dir": str(tmp_path / "run")}))
@@ -238,7 +238,7 @@ class TestDivideCommand:
         assert len({(d / "partition.jsonl").read_bytes() for d in runs.values()}) == 1
 
     def test_torn_last_entry_is_refetched_once(self, tmp_path):
-        from qtriage.backend import MockBackend, TranscriptCache, load_profiles
+        from qtriage.backend import TranscriptCache
         from qtriage.manifest import new_manifest
         from qtriage.model import DatasetSpec, load_dataset
         from qtriage.pipeline import run_divide_phase
@@ -266,7 +266,6 @@ class TestDivideCommand:
         # exactly the entries not whole on disk and writes the same partition.
         from bisect import bisect_right
 
-        from qtriage.backend import MockBackend, load_profiles
         from qtriage.manifest import new_manifest
         from qtriage.model import DatasetSpec, load_dataset
         from qtriage.pipeline import run_divide_phase
@@ -356,7 +355,7 @@ class TestConquerCommand:
         assert isinstance(result.exception, SystemExit)
 
     def test_failed_strategy_leaves_conquer_partial(self, runner, tmp_path):
-        from qtriage.backend import MockBackend, TransportError, load_profiles
+        from qtriage.backend import TransportError
         from qtriage.manifest import RunManifest, new_manifest
         from qtriage.model import DatasetSpec, load_dataset
         from qtriage.pipeline import run_conquer_phase, run_divide_phase
@@ -417,7 +416,7 @@ class TestConquerCommand:
     ):
         # FCR+SC round 1 issues samples 0-2 of every question; the outage hits
         # round 2 (sample 3) once one of its requests has gone through.
-        from qtriage.backend import MockBackend, TransportError
+        from qtriage.backend import TransportError
 
         complete, issued = MockBackend.complete, []
         outage = {"armed": False, "round_2_calls": 0}
@@ -1123,6 +1122,19 @@ def _assertions_not_object(tmp_path):
     return str(path)
 
 
+def _profiles(*changes):
+    """A profile file with one record per change, each applied to one toy profile."""
+    def write(tmp_path):
+        base = {"question_id": "q0000", "answer_distribution": {"A": 0.2, "D": 0.8}, "gold": "D"}
+        path = tmp_path / "profiles.jsonl"
+        path.write_text("".join(json.dumps({**base, **change}) + "\n" for change in changes))
+        return str(path)
+    return write
+
+
+_NOT_NUMBERS = "answer_distribution values must be numbers and rationale_length_mean an integer"
+
+
 def _compare_without_strategies(runner, tmp_path, monkeypatch):
     for name in ("a", "b"):
         (tmp_path / name / "reports").mkdir(parents=True)
@@ -1282,6 +1294,25 @@ FAILURES = {  # name -> (build the case, expected exit code)
         _simulate("--profiles", lambda t: str(t / "gone.jsonl"), expect="gone.jsonl"), 1),
     "simulate-assertions-not-object": (
         _simulate("--profiles", _assertions_not_object, expect="profiles.jsonl line 1"), 1),
+    "simulate-profile-duplicate-id": (
+        _simulate("--profiles", _profiles({}, {"gold": "A"}),
+                  expect="profiles.jsonl line 2: duplicate question_id 'q0000'"), 1),
+    "simulate-profile-length-fractional": (
+        _simulate("--profiles", _profiles({"rationale_length_mean": 2.9}),
+                  expect=f"profiles.jsonl line 1: {_NOT_NUMBERS}: 2.9"), 1),
+    "simulate-profile-length-boolean": (
+        _simulate("--profiles", _profiles({"rationale_length_mean": True}),
+                  expect=f"profiles.jsonl line 1: {_NOT_NUMBERS}: True"), 1),
+    "simulate-profile-probability-boolean": (
+        _simulate("--profiles", _profiles({"answer_distribution": {"A": True}, "gold": "A"}),
+                  expect=f"profiles.jsonl line 1: {_NOT_NUMBERS}: True"), 1),
+    "simulate-profile-probability-nan": (
+        _simulate("--profiles", _profiles({"answer_distribution": {"A": "nan", "D": 1.0}}),
+                  expect="profile q0000: probability outside [0, 1]"), 1),
+    "simulate-n-questions-negative": (
+        _simulate("--n-questions", "-3", expect="n_questions is not an integer >= 1: -3"), 1),
+    "simulate-n-questions-0": (
+        _simulate("--n-questions", "0", expect="n_questions is not an integer >= 1: 0"), 1),
     "report-compare-without-strategies": (_compare_without_strategies, 1),
     "report-compare-strategy-not-object": (
         _compare_report({"strategies": {"fcr": 5}}, "report.json: strategies.fcr is"), 1),

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtriage.backend import Backend, Completion, MockBackend, QuestionProfile, execute
+from qtriage.backend import Backend, Completion, execute
 from qtriage.conquer import (
     ConquerError,
     RationaleCluster,
@@ -29,7 +29,7 @@ from qtriage.divide import (
 )
 from qtriage.model import LABELS, Question, DatasetSpec
 from qtriage.prompts import STRATEGIES, PromptError, build_prompt
-from qtriage.synth import PROFILE_FAMILIES, generate_synthetic
+from qtriage.synth import PROFILE_FAMILIES, MockBackend, QuestionProfile, generate_synthetic
 
 
 def question(qid="q1", n=5, gold=None):
@@ -189,6 +189,10 @@ class TestBuildPrompt:
         assert p.endswith("Custom tail")
 
 
+# Whether the mock's `gold_uplift` applies to a request built for each strategy.
+UPLIFTED_BY_STRATEGY = {"ZTCOT": False, "FCR": False, "PKR": True, "COM1": True, "COM2": True}
+
+
 class Recording(MockBackend):
     """The mock, keeping every request it was sent."""
 
@@ -285,6 +289,29 @@ class TestConquerItem:
         replay = CachingBackend(NoFetchBackend(), TranscriptCache(path))
         second = conquer_item(q, report, "FCR", replay, self_consistency=True, sc_samples=5)
         assert first == second
+
+    def uplifted_conquer(self, strategy, answers):
+        """Greedy conquer of a question whose gold B becomes the argmax only
+        when the mock's `gold_uplift` 2.0 applies (0.40 * 2 against A's 0.45)."""
+        report = report_for("q1", histogram_from_answers(answers), spec())
+        profiles = self.profiles({"A": 0.45, "B": 0.40, "C": 0.15}, gold="B")
+        backend = Recording(profiles, seed=0, gold_uplift=2.0)
+        [outcome] = run_conquer([question(gold="B")], [report], strategy, backend,
+                                divide_records=self.divide_records(answers))
+        return outcome, backend.requests
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_gold_uplift_reaches_exactly_the_uplifted_strategies(self, strategy):
+        assert set(UPLIFTED_BY_STRATEGY) == set(STRATEGIES)
+        outcome, requests = self.uplifted_conquer(strategy, ["A", "B", "A", "C", "B"])
+        assert [r.metadata["strategy"] for r in requests] == [strategy]
+        assert (outcome.final_answer == "B") is UPLIFTED_BY_STRATEGY[strategy]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_question_without_a_parsed_answer_is_sent_as_ztcot(self, strategy):
+        outcome, requests = self.uplifted_conquer(strategy, [None] * 5)
+        assert [r.metadata for r in requests] == [{"strategy": "ZTCOT"}]
+        assert outcome.final_answer == "A"
 
 
 class BarrierBackend(Backend):

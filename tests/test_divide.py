@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtriage.backend import CachingBackend, MockBackend, QuestionProfile, TranscriptCache
+from qtriage.backend import CachingBackend, TranscriptCache
 from qtriage.conquer import ConquerError, run_conquer
 from qtriage.divide import (
     DivideError,
@@ -23,7 +23,7 @@ from qtriage.divide import (
     run_divide,
 )
 from qtriage.model import DatasetError, DatasetSpec, Question, encode_jsonl
-from qtriage.synth import generate_synthetic
+from qtriage.synth import MockBackend, QuestionProfile, generate_synthetic
 
 MU = Fraction(4, 5)
 NU = Fraction(3, 5)

@@ -12,13 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from qtriage import pipeline
-from qtriage.backend import (
-    ConfigError,
-    MockBackend,
-    QuestionProfile,
-    TransportError,
-    load_profiles,
-)
+from qtriage.backend import ConfigError, TransportError
 from qtriage.cli import main
 from qtriage.conquer import load_outcomes
 from qtriage.divide import load_reports
@@ -31,7 +25,14 @@ from qtriage.pipeline import (
 )
 from qtriage.prompts import STRATEGIES, build_prompt
 from qtriage.simulate import run_simulation
-from qtriage.synth import bundled_data_path, generate_synthetic
+from qtriage.synth import (
+    MockBackend,
+    QuestionProfile,
+    bundled_data_path,
+    generate_synthetic,
+    load_profiles,
+    questions_from_profiles,
+)
 
 TOY_DATA = bundled_data_path("toy20.jsonl")
 TOY_PROFILES = bundled_data_path("toy20_profiles.jsonl")
@@ -511,3 +512,10 @@ def test_fcr_uplift_scores_only_the_questions_with_a_gold(tmp_path):
     assert name == "fcr_uplift" and detail.startswith("fcr=")
     conquered = [o["question_id"] for o in load_outcomes(tmp_path / "outcomes_ztcot.jsonl")]
     assert conquered == ["q0001", "q0002"]  # q0001 has no gold to score
+
+
+def test_a_question_shell_numbers_itself_only_from_decimal_digits():
+    profiles = {qid: QuestionProfile(qid, {"A": 0.5, "B": 0.5}) for qid in ("q0007", "q²", "x")}
+    texts = {q.id: q.text for q in questions_from_profiles(profiles)}
+    assert texts == {qid: f"Synthetic reasoning item number {n}: which candidate fits best?"
+                     for qid, n in (("q0007", 7), ("q²", 0), ("x", 0))}

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qtriage.backend import MockBackend, QuestionProfile
 from qtriage.divide import (
     SUBSETS,
     ConfidenceReport,
@@ -25,6 +24,7 @@ from qtriage.report import (
     subset_prior_metrics,
     weighted_average,
 )
+from qtriage.synth import MockBackend, QuestionProfile
 
 # Published per-subset counts and divide-stage accuracies for the nine
 # benchmark datasets; the weighted averages below must reproduce.
