@@ -31,23 +31,19 @@ BACKOFF_FACTOR = 2.0  # each retry of a live request waits this many times longe
 REQUEST_TIMEOUT_S = 120.0
 
 
-class BackendError(QtriageError):
+class ConfigError(QtriageError):
     pass
 
 
-class ConfigError(BackendError):
+class TransportError(QtriageError):
     pass
 
 
-class TransportError(BackendError):
+class CacheMissError(QtriageError):
     pass
 
 
-class CacheMissError(BackendError):
-    pass
-
-
-class CacheError(BackendError):
+class CacheError(QtriageError):
     pass
 
 
@@ -165,7 +161,6 @@ class HttpChatBackend(Backend):
         api_key: Optional[str] = None,
         max_attempts: int = 5,
         base_delay: float = 1.0,
-        session: Optional["requests.Session"] = None,
     ) -> None:
         if not endpoint:
             raise ConfigError("live backend requires an endpoint URL")
@@ -176,16 +171,13 @@ class HttpChatBackend(Backend):
             raise ConfigError(f"missing API credential; set {API_KEY_ENV}")
         self.max_attempts = max_attempts
         self.base_delay = base_delay
-        self._session = session  # shared by every thread when injected; the caller closes it
-        self._sessions: dict[int, "requests.Session"] = {}  # else one per thread and batch
+        self._sessions: dict[int, "requests.Session"] = {}  # one per thread and batch
         self.calls = 0
         self._lock = threading.Lock()
 
     def _thread_session(self) -> "requests.Session":
         import requests  # only the live backend pays for this import
 
-        if self._session is not None:
-            return self._session
         thread = threading.get_ident()
         with self._lock:
             if thread not in self._sessions:

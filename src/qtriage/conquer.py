@@ -37,7 +37,7 @@ from .model import (
     decode_jsonl,
     restrict_choices,
 )
-from .prompts import build_prompt, strategy_needs_filtered, strategy_needs_rationales
+from .prompts import STRATEGIES, build_prompt, strategy_row
 
 SC_TEMPERATURE = 0.7
 GREEDY_TEMPERATURE = 0.0
@@ -165,7 +165,7 @@ def filter_choices(q: Question, h: AnswerHistogram) -> tuple[Question, LabelMapp
             f"question {q.id}: no parsed prior answers; fall back to ZTCOT"
         )
     if q.kind == "cloze":
-        return cloze_to_mcq(q, sorted(h.counts, key=lambda a: h.first_seen.get(a, 0)))
+        return cloze_to_mcq(q, sorted(h.counts, key=lambda a: h.first_seen[a]))
     labels = q.labels()
     bad = [a for a in h.counts if a not in labels]
     if bad:
@@ -213,12 +213,12 @@ def _plan_item(
     A question with no parsed divide answer has no choice to filter by and no
     rationale to reuse, so every strategy asks it with the ZTCOT prompt.
     """
-    asked_for = strategy
+    asked_for, row = strategy, strategy_row(strategy)
     if not report.histogram.counts:
-        strategy = "ZTCOT"
+        strategy, row = "ZTCOT", STRATEGIES["ZTCOT"]
     working = q
     mapping: Optional[LabelMapping] = None
-    if strategy_needs_filtered(strategy):
+    if row.filtered:
         if q.id not in prior:
             prior[q.id] = filter_choices(q, report.histogram)
         working, mapping = prior[q.id]
@@ -228,7 +228,7 @@ def _plan_item(
                          mapping.to_original("A"), working, ())
 
     rationales = None
-    if strategy_needs_rationales(strategy):
+    if row.rationales:
         key = (q.id, rationale_select, seed)
         if key not in prior:
             clusters = clusters_from_records(own_records)

@@ -7,7 +7,7 @@ by the (mu, nu) thresholds, with a finer split of the low subset at 0.4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -81,7 +81,7 @@ class AnswerHistogram:
     counts: dict[str, int]
     total_samples: int
     unparsed_count: int
-    first_seen: dict[str, int] = field(default_factory=dict)
+    first_seen: dict[str, int]  # answer -> index of the first sample that gave it
 
 
 def histogram_from_answers(answers: Sequence[Optional[str]]) -> AnswerHistogram:
@@ -122,7 +122,7 @@ def majority_answer(h: AnswerHistogram) -> str:
         raise DivideError("cannot vote on a histogram with no parsed answers")
     best = max(h.counts.values())
     tied = [a for a, c in h.counts.items() if c == best]
-    return min(tied, key=lambda a: h.first_seen.get(a, 0))
+    return min(tied, key=lambda a: h.first_seen[a])
 
 
 def vote_decided(h: AnswerHistogram, remaining: int) -> bool:
@@ -183,8 +183,10 @@ class ConfidenceReport:
             counts={k: int(v) for k, v in d["counts"].items()},
             total_samples=int(d["total_samples"]),
             unparsed_count=int(d["unparsed_count"]),
-            first_seen={k: int(v) for k, v in d.get("first_seen", {}).items()},
+            first_seen={k: int(v) for k, v in d["first_seen"].items()},
         )
+        if hist.first_seen.keys() != hist.counts.keys():
+            raise ValueError("first_seen does not name exactly the counted answers")
         num, den = d["cs"]
         return ConfidenceReport(
             question_id=d["question_id"],

@@ -30,7 +30,7 @@ from .divide import (
 )
 from .manifest import ManifestError, RunManifest
 from .model import DatasetSpec, Question, encode_jsonl, load_dataset
-from .prompts import strategy_needs_rationales
+from .prompts import strategy_row
 from .report import (
     accuracy_curves,
     cost_summary,
@@ -153,7 +153,7 @@ def run_conquer_phase(
         check_subsets(options["subsets"])
     name = f"{strategy.lower()}{'+sc' if self_consistency else ''}"
     with _phase(manifest, {f"conquer:{name}": "failed", "conquer": "partial"}) as cache:
-        needs = strategy_needs_rationales(strategy)
+        needs = strategy_row(strategy).rationales
         divide_records = _divide_records(manifest, questions, reports) if needs else ()
         outcomes = run_conquer(
             questions, reports, strategy, CachingBackend(backend, cache),

@@ -6,7 +6,7 @@ optional "Prior reasoning:" block, then the strategy's tail instruction.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .model import QtriageError, Question
 
@@ -14,25 +14,31 @@ ZTCOT_TAIL = "Let's think step by step."
 PKR_TAIL = "let's delve deeper into this question to arrive at the best answer"
 FCR_TAIL = "Let's delve deeper into these {n} choices and select the best one"
 
-STRATEGIES = ("ZTCOT", "PKR", "FCR", "COM1", "COM2")
-_NEEDS_RATIONALES = {"PKR", "COM1", "COM2"}
-_NEEDS_FILTERED = {"FCR", "COM1", "COM2"}
+
+class Strategy(NamedTuple):
+    rationales: bool  # the prompt reuses the divide rationales (PKR)
+    filtered: bool  # the choices are those the divide samples answered (FCR)
+    tail: str  # the closing instruction; `{n}` is the number of choices
+
+
+STRATEGIES = {
+    "ZTCOT": Strategy(rationales=False, filtered=False, tail=ZTCOT_TAIL),
+    "PKR": Strategy(rationales=True, filtered=False, tail=PKR_TAIL),
+    "FCR": Strategy(rationales=False, filtered=True, tail=FCR_TAIL),
+    "COM1": Strategy(rationales=True, filtered=True, tail=PKR_TAIL),
+    "COM2": Strategy(rationales=True, filtered=True, tail=FCR_TAIL),
+}
 
 
 class PromptError(QtriageError, ValueError):
-    """Raised when a strategy is missing its required context."""
+    """Raised for an unknown strategy, or one missing its required context."""
 
 
-def strategy_needs_rationales(strategy: str) -> bool:
-    return strategy in _NEEDS_RATIONALES
-
-
-def strategy_needs_filtered(strategy: str) -> bool:
-    return strategy in _NEEDS_FILTERED
-
-
-def _choices_block(q: Question) -> str:
-    return "\n".join(f"({label}) {content}" for label, content in q.choices)
+def strategy_row(name: str) -> Strategy:
+    """The row of `STRATEGIES` for `name`; raises `PromptError` for an unknown one."""
+    if name not in STRATEGIES:
+        raise PromptError(f"unknown strategy {name!r}")
+    return STRATEGIES[name]
 
 
 def build_prompt(
@@ -46,29 +52,15 @@ def build_prompt(
     rationales is the ordered (answer label, rationale text) list produced
     by rationale selection; required for PKR/COM1/COM2.
     """
-    if strategy not in STRATEGIES:
-        raise PromptError(f"unknown strategy {strategy!r}")
-    if strategy in _NEEDS_RATIONALES and not rationales:
+    row = strategy_row(strategy)
+    if row.rationales and not rationales:
         raise PromptError(f"strategy {strategy} requires prior rationales")
 
     parts = [q.text]
     if q.choices:
         parts.append("Answer Choices:")
-        parts.append(_choices_block(q))
-    if strategy in _NEEDS_RATIONALES:
-        assert rationales is not None
-        lines = ["Prior reasoning:"]
-        for label, text in rationales:
-            lines.append(f"({label}) {text}")
-        parts.append("\n".join(lines))
-
-    if tail_override is not None:
-        tail = tail_override
-    elif strategy in ("FCR", "COM2"):
-        tail = FCR_TAIL.format(n=len(q.choices))
-    elif strategy in ("PKR", "COM1"):
-        tail = PKR_TAIL
-    else:
-        tail = ZTCOT_TAIL
-    parts.append(tail)
+        parts.append("\n".join(f"({label}) {content}" for label, content in q.choices))
+    if row.rationales:
+        parts.append("\n".join(["Prior reasoning:", *(f"({a}) {text}" for a, text in rationales)]))
+    parts.append(row.tail.format(n=len(q.choices)) if tail_override is None else tail_override)
     return "\n".join(parts)

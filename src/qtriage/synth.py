@@ -9,8 +9,9 @@ the assumptions it makes about a model:
   order; above 0 it samples the raw distribution.
 - A request's `label_map` (the choices FCR kept) restricts and renames the support.
 - `gold_uplift` scales the gold's probability for a request built for a strategy
-  in `UPLIFTED` (PKR: longer reasoning paths avoid harmful shortcuts). FCR is not
-  in it, so removing choices does nothing beyond `label_map`.
+  in `UPLIFTED`, which is every conquer strategy but the plain re-query: reusing
+  rationales lets longer reasoning paths avoid harmful shortcuts (PKR), and
+  a shorter choice list focuses the model on the plausible answers (FCR).
 - `noise_rate` is the share of completions that drop the answer sentinel.
 - Rationale lengths are exponential with the profile's mean, with a minimum of 20.
 - Tokens are counted as len/4, at least 1, for prompt and output.
@@ -33,7 +34,7 @@ from .backend import Backend, Completion, CompletionRequest, ConfigError, _short
 from .model import LABELS, DatasetError, Question, parse_as, read_jsonl
 
 PROFILE_FAMILIES = ("uniform_correct", "second_gold", "certain")
-UPLIFTED = frozenset({"PKR", "COM1", "COM2"})  # the strategies `gold_uplift` applies to
+UPLIFTED = frozenset({"PKR", "FCR", "COM1", "COM2"})  # the strategies `gold_uplift` applies to
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,10 @@ def load_profile_file(path: str | Path) -> tuple[dict[str, QuestionProfile], dic
         gold = rec.get("gold")
         if gold is not None and not isinstance(gold, str):
             raise ConfigError(f"{where}: gold must be a string or null, not {gold!r}")
-        profiles[qid] = QuestionProfile(qid, dist, rationale_length_mean=length, gold=gold)
+        try:
+            profiles[qid] = QuestionProfile(qid, dist, rationale_length_mean=length, gold=gold)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return profiles, assertions
 
 

@@ -565,16 +565,21 @@ class FakeSession:
             self.barrier.wait()
         return response or answered(json)
 
+    def close(self):
+        pass
 
-def http_backend(session, **kwargs):
-    return HttpChatBackend("http://llm.invalid/v1", "m", api_key="k", session=session, **kwargs)
+
+def http_backend(monkeypatch, session, **kwargs):
+    """An HTTP backend each of whose threads opens `session` as its `requests.Session`."""
+    monkeypatch.setattr("requests.Session", lambda: session)
+    return HttpChatBackend("http://llm.invalid/v1", "m", api_key="k", **kwargs)
 
 
 class TestHttpChatBackend:
-    def test_parallelism_puts_that_many_requests_in_flight(self):
+    def test_parallelism_puts_that_many_requests_in_flight(self, monkeypatch):
         session = FakeSession(barrier=threading.Barrier(4, timeout=5))
         requests = [req(idx=i, prompt=f"p{i}") for i in range(8)]
-        completions = execute(requests, http_backend(session), parallelism=4)
+        completions = execute(requests, http_backend(monkeypatch, session), parallelism=4)
         assert [c.text for c in completions] == [
             f"about p{i}. So the answer is (A)." for i in range(8)
         ]
@@ -629,9 +634,6 @@ class TestHttpChatBackend:
                 assert len(opened) == 4 * batch and closed == opened
         finally:
             sys.setswitchinterval(interval)
-        injected = CountingSession()
-        execute([req(idx=i) for i in range(4)], http_backend(injected), 4)
-        assert injected.posts == 4 and injected not in closed  # the caller owns it
 
     @pytest.mark.parametrize("retry_after, low, high", [
         ("7", 7, 7),
@@ -641,7 +643,7 @@ class TestHttpChatBackend:
         slept = []
         monkeypatch.setattr("qtriage.backend.time.sleep", slept.append)
         session = FakeSession([FakeResponse(429, headers={"Retry-After": retry_after})])
-        completion = http_backend(session, base_delay=3.0).complete(req())
+        completion = http_backend(monkeypatch, session, base_delay=3.0).complete(req())
         assert completion.output_tokens == 9
         assert len(slept) == 1 and low <= slept[0] <= high
 
@@ -650,7 +652,7 @@ class TestHttpChatBackend:
         slept = []
         monkeypatch.setattr("qtriage.backend.time.sleep", slept.append)
         session = FakeSession([FakeResponse(status)])
-        backend = http_backend(session)
+        backend = http_backend(monkeypatch, session)
         with pytest.raises(ConfigError, match=f"authentication failed \\({status}\\)"):
             backend.complete(req())
         assert session.posts == backend.calls == 1 and slept == []
@@ -659,7 +661,7 @@ class TestHttpChatBackend:
         slept = []
         monkeypatch.setattr("qtriage.backend.time.sleep", slept.append)
         session = FakeSession([FakeResponse(503)])
-        backend = http_backend(session)
+        backend = http_backend(monkeypatch, session)
         assert backend.complete(req()).text == "about p. So the answer is (A)."
         assert session.posts == backend.calls == 2 and len(slept) == 1
 
@@ -674,7 +676,7 @@ class TestHttpChatBackend:
         monkeypatch.setattr("qtriage.backend.time.sleep", lambda seconds: None)
         session = FakeSession([FakeResponse(200, body)] * 3)
         with pytest.raises(TransportError, match=re.escape(req().key())):
-            http_backend(session, max_attempts=3).complete(req())
+            http_backend(monkeypatch, session, max_attempts=3).complete(req())
         assert session.posts == 3
 
 

@@ -10,6 +10,7 @@ import threading
 import time
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -1116,6 +1117,21 @@ def _corrupt(name, command, expect, index=0, conquer_first=False):
     return case
 
 
+def _edited_partition(edit):
+    """A conquered toy run whose first partition record `edit` changes."""
+    def case(runner, tmp_path, monkeypatch):
+        base, run_dir = divided(runner, tmp_path)
+        assert runner.invoke(main, base + ["conquer", "--strategy", "fcr"]).exit_code == 0
+        path = run_dir / "partition.jsonl"
+        first, *rest = path.read_text().splitlines(keepends=True)
+        record = json.loads(first)
+        assert record["counts"], record  # an answer for `first_seen` to lack
+        edit(record)
+        path.write_text(json.dumps(record, sort_keys=True) + "\n" + "".join(rest))
+        return base + ["report"], "partition.jsonl line 1: bad partition record"
+    return case
+
+
 def _assertions_not_object(tmp_path):
     path = tmp_path / "profiles.jsonl"
     path.write_text(json.dumps({"assertions": 5}) + "\n" + TOY_PROFILES.read_text())
@@ -1308,7 +1324,11 @@ FAILURES = {  # name -> (build the case, expected exit code)
                   expect=f"profiles.jsonl line 1: {_NOT_NUMBERS}: True"), 1),
     "simulate-profile-probability-nan": (
         _simulate("--profiles", _profiles({"answer_distribution": {"A": "nan", "D": 1.0}}),
-                  expect="profile q0000: probability outside [0, 1]"), 1),
+                  expect="profiles.jsonl line 1: profile q0000: probability outside [0, 1]"),
+        1),
+    "simulate-profile-probabilities-sum": (
+        _simulate("--profiles", _profiles({"answer_distribution": {"A": 0.6, "B": 0.5}}),
+                  expect="profiles.jsonl line 1: profile q0000: probabilities sum to 1.1"), 1),
     "simulate-n-questions-negative": (
         _simulate("--n-questions", "-3", expect="n_questions is not an integer >= 1: -3"), 1),
     "simulate-n-questions-0": (
@@ -1329,6 +1349,10 @@ FAILURES = {  # name -> (build the case, expected exit code)
         1),
     "report-corrupt-partition": (
         _corrupt("partition.jsonl", ["report", "--partial"], "partition.jsonl line 1"), 1),
+    "report-partition-without-first-seen": (
+        _edited_partition(lambda record: record.pop("first_seen")), 1),
+    "report-partition-first-seen-lacks-an-answer": (
+        _edited_partition(lambda record: record["first_seen"].popitem()), 1),
     "report-corrupt-outcomes": (
         _corrupt("outcomes_fcr.jsonl", ["report"], "outcomes_fcr.jsonl line 1",
                  conquer_first=True), 1),
@@ -1431,6 +1455,14 @@ def test_the_readme_lists_every_config_key():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     keys = re.findall(r"^\| `([a-z_.]+)` \|", readme, re.MULTILINE)
     assert sorted(keys) == sorted(CONFIG)
+
+
+def test_the_readme_names_every_cli_option():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    flags = {param.opts[0] for command in (main, *main.commands.values())
+             for param in command.params if isinstance(param, click.Option)}
+    named = {flag for flag in flags if re.search(rf"(?<![\w-]){flag}(?![\w-])", readme)}
+    assert sorted(flags - named) == []
 
 
 def test_import_loads_neither_requests_nor_scipy():

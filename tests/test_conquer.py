@@ -190,7 +190,7 @@ class TestBuildPrompt:
 
 
 # Whether the mock's `gold_uplift` applies to a request built for each strategy.
-UPLIFTED_BY_STRATEGY = {"ZTCOT": False, "FCR": False, "PKR": True, "COM1": True, "COM2": True}
+UPLIFTED_BY_STRATEGY = {"ZTCOT": False, "FCR": True, "PKR": True, "COM1": True, "COM2": True}
 
 
 class Recording(MockBackend):
@@ -313,6 +313,16 @@ class TestConquerItem:
         assert [r.metadata for r in requests] == [{"strategy": "ZTCOT"}]
         assert outcome.final_answer == "A"
 
+    @pytest.mark.parametrize("answers", [["A", "B", "A", "C", "B"], [None] * 5])
+    def test_an_unknown_strategy_fails_before_any_call(self, answers):
+        report = report_for("q1", histogram_from_answers(answers), spec())
+        backend = Recording(self.profiles({"A": 1.0}), seed=0)
+        for conquer in (run_conquer, conquer_item):
+            args = ([question()], [report]) if conquer is run_conquer else (question(), report)
+            with pytest.raises(PromptError, match="unknown strategy 'BOGUS'"):
+                conquer(*args, "BOGUS", backend)
+        assert backend.requests == []
+
 
 class BarrierBackend(Backend):
     """Completes a request only once `parties` requests are in flight together."""
@@ -342,7 +352,7 @@ class TestRunConquer:
         n=st.integers(min_value=1, max_value=8),
         family=st.sampled_from(PROFILE_FAMILIES),
         seed=st.integers(min_value=0, max_value=10_000),
-        strategy=st.sampled_from(STRATEGIES),
+        strategy=st.sampled_from(list(STRATEGIES)),
         sc=st.booleans(),
     )
     def test_threads_leave_outputs_unchanged(self, n, family, seed, strategy, sc):
@@ -374,7 +384,7 @@ class TestRunConquer:
         n=st.integers(min_value=1, max_value=8),
         family=st.sampled_from(PROFILE_FAMILIES),
         seed=st.integers(min_value=0, max_value=10_000),
-        strategy=st.sampled_from(STRATEGIES),
+        strategy=st.sampled_from(list(STRATEGIES)),
         sc=st.booleans(),
         subsets=st.sampled_from([("med", "low"), ("med",), ("low_top", "low_bottom")]),
     )
@@ -474,7 +484,7 @@ class TestSCPrefix:
         n=st.integers(min_value=1, max_value=8),
         family=st.sampled_from(PROFILE_FAMILIES),
         seed=st.integers(min_value=0, max_value=10_000),
-        strategy=st.sampled_from(STRATEGIES),
+        strategy=st.sampled_from(list(STRATEGIES)),
         sc_samples=st.integers(min_value=1, max_value=10),
     )
     def test_records_are_a_prefix_of_one_full_batch(self, n, family, seed, strategy, sc_samples):

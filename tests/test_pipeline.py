@@ -489,6 +489,14 @@ def test_a_simulation_runs_every_assertion_that_is_set(tmp_path):
     assert result.ok, result.checks
 
 
+def test_fcr_beats_a_greedy_requery_once_the_mock_uplifts_it(tmp_path):
+    settings = parse_config(("test", {"backend": {"gold_uplift": 2.0}, "assertions": {
+        **ALL_ASSERTIONS, "fcr_uplift_min_pp": 0}}))
+    result = run_simulation(tmp_path, 7, settings, n_questions=200)
+    assert result.ok, result.checks
+    assert "delta=4.4pp" in result.checks[-1][2]
+
+
 @pytest.mark.parametrize("strategies", [
     (("ZTCOT", False), ("FCR", True)),
     (("ZTCOT", False), ("FCR", True), ("FCR", False)),
