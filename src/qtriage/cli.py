@@ -21,6 +21,7 @@ from .pipeline import (
 )
 from .prompts import STRATEGIES
 from .report import ReportError
+from .simulate import run_simulation
 from .synth import load_profile_file
 
 EXIT_OK = 0
@@ -117,13 +118,12 @@ def cmd_conquer(ctx, strategy, sc, rationale_select, subsets, tail):
     settings, manifest = _run(ctx)
     reports = load_reports(manifest.partition_path)
     seed = manifest.seed if settings["seed"] is None else settings["seed"]
-    spec = dataset_spec(settings)
     questions, backend = load_inputs(settings, seed)
     subset_list = tuple(s.strip() for s in subsets.split(",") if s.strip())
     outcomes = run_conquer_phase(
         questions, reports, strategy.upper(), backend, manifest,
         subsets=subset_list, self_consistency=sc,
-        sc_samples=spec.divide_base, parallelism=settings["parallelism"],
+        sc_samples=settings["dataset.divide_base"], parallelism=settings["parallelism"],
         rationale_select=rationale_select, seed=seed, tail_override=tail,
     )
     solved = sum(1 for o in outcomes if o.final_answer is not None)
@@ -133,22 +133,21 @@ def cmd_conquer(ctx, strategy, sc, rationale_select, subsets, tail):
 @main.command("simulate")
 @click.option("--profiles", "profiles_path", type=click.Path(), default=None,
               help="Profile JSONL; may embed an assertions record.")
-@click.option("--family", type=str, default="uniform_correct")
-@click.option("--n-questions", type=int, default=500)
+@click.option("--family", type=str, default=None)
+@click.option("--n-questions", type=int, default=None)
 @click.option("--divide-base", type=int, default=None, help="Samples per question.")
 @click.option("--noise-rate", type=float, default=None, help="Mock backend noise rate.")
 @click.pass_context
 def cmd_simulate(ctx, profiles_path, family, n_questions, divide_base, noise_rate):
-    """Run the full pipeline on the deterministic mock backend."""
-    from .simulate import run_simulation
-
-    profiles, assertions = load_profile_file(profiles_path) if profiles_path else (None, {})
-    settings = _settings(
-        ctx, _config(ctx), (f"{profiles_path}:", {"assertions": assertions}),
-        dataset={"divide_base": divide_base}, backend={"noise_rate": noise_rate},
-    )
+    """Run the full pipeline and check the configured assertions."""
+    config = _config(ctx)
+    options = {"dataset": {"divide_base": divide_base},
+               "backend": {"noise_rate": noise_rate, "profiles": profiles_path}}
+    path = _settings(ctx, config, **options)["backend.profiles"]
+    assertions = load_profile_file(path)[1] if path else {}
+    settings = _settings(ctx, config, (f"{path}:", {"assertions": assertions}), **options)
     result = run_simulation(settings["run_dir"], settings["seed"] or 0, settings,
-                            profiles=profiles, family=family, n_questions=n_questions)
+                            family=family, n_questions=n_questions)
     for name, passed, detail in result.checks:
         click.echo(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     click.echo(f"simulation outputs in {result.run_dir}")

@@ -3,7 +3,8 @@ and `manifest.json`, which stores them in one form and makes a run replayable.
 
 This module alone knows the layout of a run directory. Every run file is
 named relative to the directory the manifest was created in or loaded from,
-so `manifest.json` stores no run file path and a run directory can be moved.
+so `manifest.json` stores no run file path and a run directory can be moved,
+unless it holds an input file, such as the profiles a simulation generated.
 """
 
 from __future__ import annotations
@@ -113,22 +114,22 @@ def dataset_spec(settings: dict) -> DatasetSpec:
 
 # How requests travel: stored, but left out of run_id, as parallelism is.
 _TRANSPORT = ("backend.kind", "backend.endpoint", "backend.max_attempts", "backend.base_delay")
+# The input files: stored as absolute paths, hashed into run_id by content.
+_INPUTS = ("dataset.path", "backend.profiles")
+PROFILES = "profiles.jsonl"  # in a run dir: the profiles `simulate` generated
 
 
-def stored_config(settings: dict, leave_out: tuple[str, ...] = ()) -> dict:
+def stored_config(settings: dict) -> dict:
     """The canonical config tree of `settings`: each dataset and backend setting
-    that is set and not in `leave_out`, with the dataset name filled in,
-    fractions as `[n, d]` and input paths absolute."""
+    that is set, with the dataset name filled in and fractions as `[n, d]`."""
     settings = {**settings, "dataset.name": dataset_spec(settings).name}
     tree: dict = {}
     for dotted, value in settings.items():
         section, _, key = dotted.partition(".")
-        if section not in ("dataset", "backend") or dotted in leave_out or value is None:
+        if section not in ("dataset", "backend") or value is None:
             continue
         if isinstance(value, Fraction):
             value = [value.numerator, value.denominator]
-        elif dotted in ("dataset.path", "backend.profiles") and value:
-            value = str(Path(value).resolve())
         tree.setdefault(section, {})[key] = value
     return tree
 
@@ -248,11 +249,20 @@ def derive_run_id(config: dict, seed: int) -> str:
 
 
 def new_manifest(config: dict, seed: int, run_dir: str | Path) -> RunManifest:
-    """A pending run of the config tree `config`, which `parse_config` checks;
-    it stores the tree's `stored_config`."""
+    """A pending run of the config tree `config`, which `parse_config` checks. It
+    stores the tree's `stored_config` with input paths absolute; its run id hashes
+    that less how requests travel, with each input file by content. An unreadable
+    input file raises `ConfigError` naming its key."""
     settings = parse_config(("config", config))
-    run_id = derive_run_id(stored_config(settings, leave_out=_TRANSPORT), seed)
-    manifest = RunManifest(run_id, stored_config(settings), seed, Path(run_dir))
+    paths, computed = {}, dict.fromkeys(_TRANSPORT)
+    for dotted in filter(settings.get, _INPUTS):
+        paths[dotted] = str(Path(settings[dotted]).resolve())
+        try:
+            computed[dotted] = hashlib.sha256(Path(paths[dotted]).read_bytes()).hexdigest()
+        except OSError as exc:
+            raise ConfigError(f"config {dotted} is unreadable: {exc}") from None
+    run_id = derive_run_id(stored_config({**settings, **computed}), seed)
+    manifest = RunManifest(run_id, stored_config({**settings, **paths}), seed, Path(run_dir))
     status = {"divide": "pending", "conquer": "pending", "report": "pending"}
     manifest.hold(manifest.path, lambda: {"outcomes": [], "status": status})  # not an old run's
     return manifest

@@ -41,14 +41,13 @@ from .report import (
 from .synth import MockBackend, load_profiles, questions_from_profiles
 
 
-def build_backend(settings: dict, seed: int, profiles: Optional[dict] = None) -> Backend:
-    """The backend the settings name; a mock reads `backend.profiles` unless given them."""
+def build_backend(settings: dict, seed: int, profiles: Optional[dict]) -> Backend:
+    """The backend the settings name; a mock plays `profiles`, the `backend.profiles` file's."""
     if settings["backend.kind"] == "mock":
-        path = settings["backend.profiles"]
-        if profiles is None and not path:
+        if profiles is None:
             raise ConfigError("mock backend requires backend.profiles path")
         return MockBackend(
-            load_profiles(path) if profiles is None else profiles,
+            profiles,
             seed=seed,
             noise_rate=settings["backend.noise_rate"],
             gold_uplift=settings["backend.gold_uplift"],
@@ -207,18 +206,19 @@ def run_report_phase(
 
 
 def load_inputs(settings: dict, seed: int) -> tuple[list[Question], Backend]:
-    """The questions and backend of a divide or conquer; a mock profile file that
-    the questions are derived from is read once, for both."""
+    """The questions (see `load_questions`) and backend of a run; the profile file,
+    if one is configured, is read once, for both."""
     path = settings["backend.profiles"]
-    if settings["dataset.path"] or settings["backend.kind"] != "mock" or not path:
-        return load_questions(settings), build_backend(settings, seed)
-    profiles = load_profiles(path)
-    return questions_from_profiles(profiles), build_backend(settings, seed, profiles)
+    profiles = load_profiles(path) if path else None
+    return load_questions(settings, profiles), build_backend(settings, seed, profiles)
 
 
-def load_questions(settings: dict) -> list[Question]:
+def load_questions(settings: dict, profiles: Optional[dict] = None) -> list[Question]:
+    """A run's questions, whatever its backend: `dataset.path`, else those derived
+    from the `backend.profiles` file, whose `profiles` may already be read."""
+    path = settings["backend.profiles"]
     if settings["dataset.path"]:
         return load_dataset(settings["dataset.path"], schema=settings["dataset.schema"])
-    if settings["backend.kind"] == "mock" and settings["backend.profiles"]:
-        return questions_from_profiles(load_profiles(settings["backend.profiles"]))
-    raise ConfigError("no dataset.path configured and no profiles to derive one from")
+    if path:
+        return questions_from_profiles(load_profiles(path) if profiles is None else profiles)
+    raise ConfigError("no dataset.path configured and no backend.profiles to derive one from")

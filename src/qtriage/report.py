@@ -115,11 +115,9 @@ def _prior_metrics(
     golds: dict,
     records: Sequence[InferenceRecord] = (),
 ) -> dict[str, SubsetMetrics]:
-    """Divide-stage metrics per subset and per low fine bin, from one pass over `reports`."""
+    """Divide-stage metrics per subset and per low fine bin; `records` are divide records."""
     cost: dict[str, tuple[int, int, int]] = {}
     for rec in records:
-        if rec.phase != "divide":
-            continue
         n, p, o = cost.get(rec.question_id, (0, 0, 0))
         cost[rec.question_id] = (n + 1, p + rec.prompt_tokens, o + rec.output_tokens)
 
@@ -188,12 +186,11 @@ def accuracy_curves(
     reports: Sequence[ConfidenceReport],
     records: Sequence[InferenceRecord],
 ) -> list[tuple[str, int, Optional[float]]]:
-    """Accuracy of the first-k-sample majority vote, per subset and k."""
+    """Accuracy of the first-k-sample majority vote of divide `records`, per subset and k."""
     golds = {q.id: q.gold for q in questions}
     answers_by_q: dict[str, list[tuple[int, Optional[str]]]] = {}
     for rec in records:
-        if rec.phase == "divide":
-            answers_by_q.setdefault(rec.question_id, []).append((rec.sample_index, rec.answer))
+        answers_by_q.setdefault(rec.question_id, []).append((rec.sample_index, rec.answer))
 
     t = max((len(v) for v in answers_by_q.values()), default=0)
     rows: list[tuple[str, int, Optional[float]]] = []

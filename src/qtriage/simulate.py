@@ -1,9 +1,9 @@
 """Full synthetic pipeline runs with statistical property assertions.
 
 Desk-scale stand-in for full-benchmark evaluation: the mock backend plays
-the model, and configurable assertions check that confidence correlates
-with correctness, that subset accuracies are ordered, and that choice
-filtering beats a plain greedy re-query.
+the model on generated or given profiles, and configurable assertions check
+that confidence correlates with correctness, that subset accuracies are
+ordered, and that choice filtering beats a plain greedy re-query.
 """
 
 from __future__ import annotations
@@ -13,16 +13,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .backend import ConfigError
 from .divide import SUBSETS, ConfidenceReport
-from .manifest import dataset_spec, new_manifest, parse_config, stored_config
+from .manifest import PROFILES, dataset_spec, new_manifest, parse_config, stored_config
 from .pipeline import (
-    build_backend,
+    load_inputs,
     run_conquer_phase,
     run_divide_phase,
     run_report_phase,
 )
 from .report import _prior_metrics, em_accuracy, prior_predictions
-from .synth import QuestionProfile, generate_synthetic, questions_from_profiles
+from .synth import generate_synthetic, save_profiles
 
 
 @dataclass
@@ -92,27 +93,33 @@ def run_simulation(
     run_dir: str | Path,
     seed: int,
     settings: Optional[dict] = None,
-    profiles: Optional[dict[str, QuestionProfile]] = None,
-    family: str = "uniform_correct",
-    n_questions: int = 500,
+    family: Optional[str] = None,
+    n_questions: Optional[int] = None,
     strategies: Sequence[tuple[str, bool]] = (("ZTCOT", False), ("FCR", True)),
 ) -> SimulationResult:
-    """Divide, conquer, and report on the mock backend, then run the assertions
-    that are set.
+    """Divide, conquer, and report, then run the assertions that are set.
 
-    `settings` are `parse_config`'s, its defaults when None; a simulation reads
-    the divide settings, `parallelism`, the mock's `backend.noise_rate` and
-    `backend.gold_uplift`, and the assertions.
+    `settings` are `parse_config`'s, its defaults when None, read as `divide`
+    reads them. Without a `backend.profiles` file, `n_questions` (default 500)
+    profiles of the `family` (default `uniform_correct`) are written to the run
+    dir and used, and name the dataset `sim-<family>` unless `dataset.name` is
+    set; beside one, `family` and `n_questions` raise `ConfigError`.
     """
-    settings = {**(settings or parse_config()), "dataset.path": None,
-                "dataset.name": f"sim-{family}", "backend.kind": "mock", "backend.profiles": None}
+    settings = settings or parse_config()
+    if not settings["backend.profiles"]:
+        family = "uniform_correct" if family is None else family
+        n_questions = 500 if n_questions is None else n_questions
+        _, profiles = generate_synthetic(n_questions, family=family, seed=seed)
+        path = Path(run_dir) / PROFILES
+        save_profiles(path, profiles)
+        settings = {**settings, "backend.profiles": str(path),
+                    "dataset.name": settings["dataset.name"] or f"sim-{family}"}
+    elif family is not None or n_questions is not None:
+        raise ConfigError("family and n_questions are for generated profiles, not beside "
+                          f"backend.profiles {settings['backend.profiles']}")
     spec, parallelism = dataset_spec(settings), settings["parallelism"]
-    if profiles is None:
-        questions, profiles = generate_synthetic(n_questions, family=family, seed=seed)
-    else:
-        questions = questions_from_profiles(profiles)
+    questions, backend = load_inputs(settings, seed)
     manifest = new_manifest(stored_config(settings), seed, run_dir)
-    backend = build_backend(settings, seed, profiles)
     reports, _records = run_divide_phase(
         questions, spec, backend, manifest, parallelism=parallelism
     )
@@ -145,9 +152,7 @@ def run_simulation(
 
     min_pp = settings["assertions.fcr_uplift_min_pp"]
     if min_pp is not None:
-        fcr = outcome_sets.get(("FCR", True))
-        if fcr is None:
-            fcr = outcome_sets.get(("FCR", False))
+        fcr = outcome_sets.get(("FCR", True), outcome_sets.get(("FCR", False)))
         scored = [None if outcomes is None else
                   [(o.question_id, o.final_answer) for o in outcomes
                    if golds[o.question_id] is not None]

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Optional
 
 from .backend import Backend, Completion, CompletionRequest, ConfigError, _short_hash
-from .model import LABELS, DatasetError, Question, parse_as, read_jsonl
+from .model import LABELS, DatasetError, Question, parse_as, read_jsonl, write_atomic
 
 PROFILE_FAMILIES = ("uniform_correct", "second_gold", "certain")
 UPLIFTED = frozenset({"PKR", "FCR", "COM1", "COM2"})  # the strategies `gold_uplift` applies to
@@ -103,11 +103,11 @@ def load_profile_file(path: str | Path) -> tuple[dict[str, QuestionProfile], dic
 
 
 def save_profiles(path: str | Path, profiles: dict[str, QuestionProfile]) -> None:
-    """Write profiles as `load_profile_file` reads them, in question id order."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for qid in sorted(profiles):
-            rec = {k: v for k, v in asdict(profiles[qid]).items() if v is not None}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    """Write profiles as `load_profile_file` reads them, in question id order,
+    replacing `path` atomically."""
+    records = ({k: v for k, v in asdict(profiles[qid]).items() if v is not None}
+               for qid in sorted(profiles))
+    write_atomic(path, "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
 
 
 _FILLER_WORDS = (
@@ -241,20 +241,6 @@ def bundled_data_path(name: str) -> Path:
     return Path(str(path))
 
 
-def _make_question(qid: str, i: int, n_choices: int, gold: str, source: str) -> Question:
-    contents = tuple(
-        (LABELS[c], f"candidate {LABELS[c].lower()}{i}") for c in range(n_choices)
-    )
-    return Question(
-        id=qid,
-        text=f"Synthetic reasoning item number {i}: which candidate fits best?",
-        choices=contents,
-        gold=gold,
-        source=source,
-        kind="mcq",
-    )
-
-
 def questions_from_profiles(profiles: dict[str, QuestionProfile]) -> list[Question]:
     """Synthesize question shells for profiles that lack a dataset file, each
     checked as a dataset question is."""
@@ -269,8 +255,14 @@ def questions_from_profiles(profiles: dict[str, QuestionProfile]) -> list[Questi
                 )
         n_choices = max(LABELS.index(lab) for lab in p.answer_distribution) + 1
         number = qid.lstrip("q")
-        q = _make_question(qid, int(number) if number.isdecimal() else 0, n_choices, p.gold,
-                           source="profile")
+        i = int(number) if number.isdecimal() else 0
+        q = Question(
+            id=qid,
+            text=f"Synthetic reasoning item number {i}: which candidate fits best?",
+            choices=tuple((lab, f"candidate {lab.lower()}{i}") for lab in LABELS[:n_choices]),
+            gold=p.gold,
+            source="profile",
+        )
         try:
             q.validate()
         except DatasetError as exc:
@@ -283,10 +275,9 @@ def generate_synthetic(
     n: int,
     family: str = "uniform_correct",
     seed: int = 0,
-    n_choices: int = 5,
-    rationale_length_mean: int = 160,
 ) -> tuple[list[Question], dict[str, QuestionProfile]]:
-    """Build n questions plus matching simulator profiles.
+    """Build n questions of five choices plus matching simulator profiles, each
+    with a mean rationale length of 160.
 
     Families:
       uniform_correct - gold probability drawn uniformly from [0.1, 1.0],
@@ -303,17 +294,15 @@ def generate_synthetic(
             f"unknown profile family {family!r}; known: {', '.join(PROFILE_FAMILIES)}"
         )
     rng = random.Random(seed)
-    questions: list[Question] = []
     profiles: dict[str, QuestionProfile] = {}
 
     for i in range(n):
-        labels = list(LABELS[:n_choices])
+        labels = list(LABELS[:5])
         gold = rng.choice(labels)
-        q = _make_question(f"q{i:04d}", i, n_choices, gold, source=f"synthetic-{family}")
         dist: dict[str, float]
 
-        if family == "certain":
-            dist = {gold: 1.0}
+        if family == "certain":  # the other labels at 0.0, so the question keeps five choices
+            dist = {**dict.fromkeys(labels, 0.0), gold: 1.0}
         elif family == "second_gold":
             others = [lab for lab in labels if lab != gold]
             distractor = rng.choice(others)
@@ -337,6 +326,6 @@ def generate_synthetic(
         top = max(dist, key=lambda k: dist[k])
         dist[top] += drift
 
-        profiles[q.id] = QuestionProfile(q.id, dist, rationale_length_mean, gold)
-        questions.append(q)
-    return questions, profiles
+        qid = f"q{i:04d}"
+        profiles[qid] = QuestionProfile(qid, dist, rationale_length_mean=160, gold=gold)
+    return questions_from_profiles(profiles), profiles

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -52,6 +53,24 @@ def profile(qid="q1", dist=None, gold=None, mean=120):
         rationale_length_mean=mean,
         gold=gold,
     )
+
+
+@pytest.mark.parametrize("changes, refusal", [
+    ({"temperature": -0.1}, "temperature -0.1 outside [0, 2]"),
+    ({"temperature": 2.5}, "temperature 2.5 outside [0, 2]"),
+    ({"max_output_tokens": 0}, "max_output_tokens must be positive"),
+    ({"sample_index": -1}, "sample_index must be non-negative"),
+    ({"phase": "report"}, "unknown phase 'report'"),
+])
+def test_a_request_out_of_range_is_refused_before_any_draw(changes, refusal):
+    bad = dataclasses.replace(req(), **changes)
+    with pytest.raises(ConfigError, match=re.escape(refusal)):
+        bad.validate()
+    backend = MockBackend({"q1": profile()}, seed=0)
+    with pytest.raises(ConfigError, match=re.escape(refusal)):
+        backend.complete(bad)
+    assert backend.calls == 0
+    req().validate()
 
 
 def loop_filler(start, target):

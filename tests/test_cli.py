@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -220,9 +221,12 @@ class TestDivideCommand:
         }
         manifest = RunManifest.load(tmp_path / "plain" / "run")
         assert manifest.config == stored
-        transport = ("kind", "endpoint", "max_attempts", "base_delay")  # how requests travel
-        computed = {"dataset": stored["dataset"], "backend": {
-            k: v for k, v in stored["backend"].items() if k not in transport}}
+        # The run id leaves out how requests travel, and hashes each input file by content.
+        transport = ("kind", "endpoint", "max_attempts", "base_delay")
+        digest = lambda path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        computed = {"dataset": {**stored["dataset"], "path": digest(TOY_DATA)}, "backend": {
+            **{k: v for k, v in stored["backend"].items() if k not in transport},
+            "profiles": digest(TOY_PROFILES)}}
         assert manifest.run_id == derive_run_id(computed, 42)
 
     def test_each_spelling_of_mu_gives_one_run_id(self, runner, tmp_path):
@@ -610,6 +614,32 @@ class TestEndToEnd:
         assert runs[1]["outcomes_fcr+sc.jsonl"] and runs[1]["outcomes_pkr.jsonl"]
         assert len(threads) > 1
 
+    @pytest.mark.parametrize("commands", [
+        [["simulate", "--n-questions", "60"]],
+        [["divide"], ["conquer", "--strategy", "pkr"], ["conquer", "--strategy", "fcr", "--sc"],
+         ["report"]],
+    ], ids=["simulate", "profile-only"])
+    def test_kind_replay_rewrites_the_report_with_zero_calls(self, runner, tmp_path, commands):
+        run_dir = tmp_path / "run"
+        # A simulation generates its profiles; the other run derives its questions from them.
+        profiles = {} if commands[0][0] == "simulate" else {"profiles": str(TOY_PROFILES)}
+
+        def run(kind):
+            config = tmp_path / f"{kind}.json"
+            config.write_text(json.dumps({"backend": {"kind": kind, **profiles},
+                                          "run_dir": str(run_dir)}))
+            for command in commands:
+                result = runner.invoke(main, ["--config", str(config), "--seed", "7", *command])
+                assert result.exit_code == 0, (kind, command, result.output)
+            return (run_dir / "reports" / "report.json").read_bytes()
+
+        report = run("mock")
+        transcript = (run_dir / "transcript.jsonl").read_bytes()
+        # A replay call would miss the transcript and exit 1, naming the key.
+        assert run("replay") == report
+        assert (run_dir / "transcript.jsonl").read_bytes() == transcript
+        assert RunManifest.load(run_dir).config["backend"]["kind"] == "replay"
+
     def test_replay_issues_zero_fetches(self, runner, tmp_path):
         from qtriage.backend import CachingBackend, NoFetchBackend, TranscriptCache
         from qtriage.conquer import run_conquer
@@ -683,6 +713,16 @@ class TestSimulateCommand:
         assert result.exit_code == 0, result.output
         assert loads == [tmp_path / "sim" / "transcript.jsonl"]
 
+    def test_conquer_and_report_work_on_a_simulate_run_dir(self, runner, tmp_path):
+        base = ["--seed", "7", "--cache-dir", str(tmp_path / "sim")]
+        for command in (["simulate", "--n-questions", "60"], ["conquer", "--strategy", "pkr"],
+                        ["report"]):
+            result = runner.invoke(main, base + command)
+            assert result.exit_code == 0, (command, result.output)
+        report = json.loads((tmp_path / "sim" / "reports" / "report.json").read_text())
+        assert report["dataset"] == "sim-uniform_correct"
+        assert sorted(report["strategies"]) == ["fcr+sc", "pkr", "ztcot"]
+
     def test_degenerate_profiles_all_high(self, runner, tmp_path):
         result = runner.invoke(main, [
             "--seed", "3", "--cache-dir", str(tmp_path / "sim"),
@@ -728,6 +768,17 @@ class TestSimulateCommand:
         assert result.exit_code == 3
         assert "FAIL" in result.output
 
+
+    def test_a_configured_profile_file_brings_its_assertions(self, runner, tmp_path):
+        profiles = tmp_path / "p.jsonl"
+        assertions = json.dumps({"assertions": {"spearman_min": 0.99}})
+        profiles.write_text(assertions + "\n" + TOY_PROFILES.read_text())
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"profiles": str(profiles)}}))
+        result = runner.invoke(main, ["--config", str(config), "--seed", "7", "--cache-dir",
+                                      str(tmp_path / "sim"), "simulate"])
+        assert result.exit_code == 3, result.output
+        assert "FAIL spearman: rho=" in result.output
 
     def test_simulate_takes_the_config_under_its_options(self, runner, tmp_path):
         config = tmp_path / "config.json"
@@ -1267,6 +1318,35 @@ def _first_divide_key():
     return f"request {divide_requests(load_dataset(TOY_DATA)[0], 5)[0].key()} failed after 2"
 
 
+def _transcript_edit(edit, expect):
+    """Conquer a divided run after `edit` changed its first transcript entry, which
+    carries a request."""
+    def case(runner, tmp_path, monkeypatch):
+        base, run_dir = divided(runner, tmp_path)
+        path = run_dir / "transcript.jsonl"
+        first, *rest = path.read_text().splitlines(keepends=True)
+        entry = json.loads(first)
+        edit(entry)
+        path.write_text(json.dumps(entry) + "\n" + "".join(rest))
+        return base + ["conquer", "--strategy", "fcr"], expect
+    return case
+
+
+def _conquer_without_partition(runner, tmp_path, monkeypatch):
+    from qtriage.manifest import new_manifest
+
+    config = write_config(tmp_path, tmp_path / "run")
+    new_manifest({}, 0, tmp_path / "run").save()
+    return ["--config", str(config), "conquer"], "partition file missing; run divide first"
+
+
+def _simulate_replay_without_transcript(runner, tmp_path, monkeypatch):
+    config = tmp_path / "replay.json"
+    config.write_text(json.dumps({"backend": {"kind": "replay"}}))
+    return ["--config", str(config), "--cache-dir", str(tmp_path / "sim"), "simulate",
+            "--n-questions", "10"], "no entry for key"
+
+
 FAILURES = {  # name -> (build the case, expected exit code)
     "conquer-missing-dataset": (_missing_dataset(["conquer", "--strategy", "fcr"]), 1),
     "report-missing-dataset": (_missing_dataset(["report", "--partial"]), 1),
@@ -1333,6 +1413,23 @@ FAILURES = {  # name -> (build the case, expected exit code)
         _simulate("--n-questions", "-3", expect="n_questions is not an integer >= 1: -3"), 1),
     "simulate-n-questions-0": (
         _simulate("--n-questions", "0", expect="n_questions is not an integer >= 1: 0"), 1),
+    "simulate-profiles-beside-family": (
+        _simulate("--profiles", str(TOY_PROFILES), "--family", "nope",
+                  expect="family and n_questions are for generated profiles"), 1),
+    "simulate-profiles-beside-n-questions": (
+        _simulate("--profiles", str(TOY_PROFILES), "--n-questions", "10",
+                  expect=f"not beside backend.profiles {TOY_PROFILES}"), 1),
+    "simulate-replay-without-transcript": (_simulate_replay_without_transcript, 1),
+    "conquer-without-partition": (_conquer_without_partition, 1),
+    "conquer-transcript-entry-without-key": (
+        _transcript_edit(lambda entry: entry.pop("key"),
+                         "transcript.jsonl: entry at line 1 has no key"), 1),
+    "conquer-transcript-request-without-temperature": (
+        _transcript_edit(lambda entry: entry["request"].pop("temperature"),
+                         "transcript.jsonl: corrupted request at line 1"), 1),
+    "conquer-transcript-temperature-not-number": (
+        _transcript_edit(lambda entry: entry["request"].update(temperature="hot"),
+                         "transcript.jsonl: corrupted request at line 1"), 1),
     "report-compare-without-strategies": (_compare_without_strategies, 1),
     "report-compare-strategy-not-object": (
         _compare_report({"strategies": {"fcr": 5}}, "report.json: strategies.fcr is"), 1),
@@ -1463,6 +1560,20 @@ def test_the_readme_names_every_cli_option():
              for param in command.params if isinstance(param, click.Option)}
     named = {flag for flag in flags if re.search(rf"(?<![\w-]){flag}(?![\w-])", readme)}
     assert sorted(flags - named) == []
+
+
+def test_the_readme_simulation_passes_its_three_assertions():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    config, command = re.search(
+        r"^echo '([^']*)' > sim\.json\n(qtriage --config sim\.json .*)$", readme,
+        re.MULTILINE).groups()
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("sim.json").write_text(config)
+        result = runner.invoke(main, shlex.split(command)[1:])
+    assert result.exit_code == 0, result.output
+    passed = [line for line in result.output.splitlines() if line.startswith("PASS ")]
+    assert len(passed) == 3 and "delta=4.4pp" in passed[-1], result.output
 
 
 def test_import_loads_neither_requests_nor_scipy():

@@ -24,6 +24,7 @@ from qtriage.pipeline import (
     run_report_phase,
 )
 from qtriage.prompts import STRATEGIES, build_prompt
+from qtriage.report import em_accuracy
 from qtriage.simulate import run_simulation
 from qtriage.synth import (
     MockBackend,
@@ -32,6 +33,7 @@ from qtriage.synth import (
     generate_synthetic,
     load_profiles,
     questions_from_profiles,
+    save_profiles,
 )
 
 TOY_DATA = bundled_data_path("toy20.jsonl")
@@ -425,14 +427,16 @@ class TestReportStatus:
 # sha256 of each output file, computed at commit 4c420e8, before the mock's
 # rationale and the transcript line writer were rewritten to write the same
 # bytes faster. A change to the mock's draws or to any writer fails here.
-# report.json is stable here because a simulation's config holds no paths.
+# report.json is stable across run dirs because its run id hashes the
+# generated profiles.jsonl by content, not by path.
 GOLDEN = {
     "uniform_correct": (
         0.0, (("FCR", True),), {
             "outcomes_fcr+sc.jsonl": "5da9951f5a5d38d6725d9d9f63676146a82afb2abdf4a17b3a7df4be0bdff57c",
             "partition.jsonl": "f6cf51f75cdf445d0d09c41a43bdc9660df6850d973e6402bdce08fce1398522",
+            "profiles.jsonl": "4e8ad02903370a0d68ce2a82946a3207e0ba0827381eadbaf43bc0fb72a25776",
             "reports/curves.csv": "bc5a092495ed4ec2f98e8f61f4be53b34de61d5d2db0363bdc140d627e672dd4",
-            "reports/report.json": "1e725345a5286bb2bf1cc64468746f65148e08d5b02ec8c239841ad387c5baf6",
+            "reports/report.json": "fae86230bba665f8a8a9b6ac70f87811948315dd6846aff2ebafdf2ac216dc6c",
             "reports/summary.csv": "08182ad7bba27f220a7cb06d4e9e8c56e6014471ba91b6ad77c215b849b575ca",
             "transcript.jsonl": "de5dcfe4d696a24458e72c22946374422ffdd7dfd9c86369a7e7e39249c96ae3",
         },
@@ -441,8 +445,9 @@ GOLDEN = {
         0.05, (("COM2", True),), {
             "outcomes_com2+sc.jsonl": "d093ae80ff020497619c590bff46a2333df1e47bfd1045efad037d2aaf3c2b4e",
             "partition.jsonl": "b3c73e7c145bab46c20d5357551523609d284c143eefa77c1a8fd36bed546535",
+            "profiles.jsonl": "7a0b8f415f4b0fbd1a389d7a6115264eb94b681e807b8c42faa8bceb603b4bb3",
             "reports/curves.csv": "5e25204cb3303c0c9d790b22cc875ad5b0ea4440e8d1fcd08b591ca5be18792e",
-            "reports/report.json": "71c572e0b687b5980a4833ec428181a72387a5e99726ee9f950c0f6ab736ae64",
+            "reports/report.json": "2d7a89dce63d1f47077ca64140a8bbb5f330eba39d5602641e956036be01578b",
             "reports/summary.csv": "20c9485bcb65d24ac9809c6aa33104e895fdaae40a29eba1d05b8c8be4c817ec",
             "transcript.jsonl": "a02682537c882928cc34e3249deb5881fdeff1137403b913c027854b6c5eba23",
         },
@@ -453,14 +458,13 @@ GOLDEN = {
 def test_simulation_takes_gold_uplift_from_its_config(tmp_path):
     outcomes = {}
     for uplift in (None, 1, 3):
-        settings = parse_config(("test", {"backend": {
-            "gold_uplift": uplift, "kind": "http", "profiles": str(TOY_PROFILES)}}))
+        settings = parse_config(("test", {"backend": {"gold_uplift": uplift, "kind": "mock"}}))
         run_dir = tmp_path / str(uplift)
         run_simulation(run_dir, 7, settings, family="second_gold", n_questions=60,
                        strategies=(("PKR", False),))
         outcomes[uplift] = (run_dir / "outcomes_pkr.jsonl").read_bytes()
         stored = RunManifest.load(run_dir).config
-        assert stored["backend"]["kind"] == "mock" and "profiles" not in stored["backend"]
+        assert stored["backend"]["profiles"] == str((run_dir / "profiles.jsonl").resolve())
         assert stored["dataset"]["name"] == "sim-second_gold" and "path" not in stored["dataset"]
     assert outcomes[1] == outcomes[None] != outcomes[3]
 
@@ -510,16 +514,64 @@ def test_an_all_high_simulation_fails_fcr_uplift_for_want_of_questions(strategie
 
 
 def test_fcr_uplift_scores_only_the_questions_with_a_gold(tmp_path):
-    profiles = {
+    profiles = tmp_path / "gold.jsonl"
+    save_profiles(profiles, {
         "q0001": QuestionProfile("q0001", {"A": 0.5, "B": 0.5}),
         "q0002": QuestionProfile("q0002", {"A": 0.3, "B": 0.3, "C": 0.4}, gold="C"),
-    }
-    settings = parse_config(("test", {"assertions": ALL_ASSERTIONS}))
-    result = run_simulation(tmp_path, 7, settings, profiles=profiles)
+    })
+    settings = parse_config(("test", {"assertions": ALL_ASSERTIONS,
+                                      "backend": {"profiles": str(profiles)}}))
+    result = run_simulation(tmp_path, 7, settings)
     name, _, detail = result.checks[-1]
     assert name == "fcr_uplift" and detail.startswith("fcr=")
     conquered = [o["question_id"] for o in load_outcomes(tmp_path / "outcomes_ztcot.jsonl")]
     assert conquered == ["q0001", "q0002"]  # q0001 has no gold to score
+
+
+def test_fcr_uplift_falls_back_to_greedy_fcr(tmp_path):
+    settings = parse_config(("test", {"assertions": ALL_ASSERTIONS}))
+    result = run_simulation(tmp_path, 7, settings, n_questions=100,
+                            strategies=(("ZTCOT", False), ("FCR", False)))
+    golds = {qid: p.gold for qid, p in load_profiles(tmp_path / "profiles.jsonl").items()}
+    scored = [(o["question_id"], o["final_answer"])
+              for o in load_outcomes(tmp_path / "outcomes_fcr.jsonl")]
+    accuracy = float(em_accuracy(scored, golds))
+    name, _, detail = result.checks[-1]
+    assert name == "fcr_uplift" and detail.startswith(f"fcr={accuracy:.3f} "), detail
+
+
+@pytest.mark.parametrize("strategies", [(("FCR", True),), (("ZTCOT", False), ("PKR", False))])
+def test_fcr_uplift_needs_a_ztcot_and_an_fcr_outcome_set(strategies, tmp_path):
+    settings = parse_config(("test", {"assertions": ALL_ASSERTIONS}))
+    result = run_simulation(tmp_path, 7, settings, n_questions=30, strategies=strategies)
+    assert result.checks[-1] == ("fcr_uplift", False, "needs ztcot and fcr strategies")
+
+
+def test_run_ids_hash_the_input_files_by_content(tmp_path):
+    """Different inputs give different run ids; the same inputs in another run dir
+    give the same report.json."""
+    trimmed = tmp_path / "trimmed.jsonl"
+    trimmed.write_text("".join(TOY_PROFILES.read_text().splitlines(keepends=True)[1:]))
+    runs = {f"n{n}": ({}, {"n_questions": n}) for n in (50, 80)}
+    runs.update({path.stem: ({"backend": {"profiles": str(path)}}, {})
+                 for path in (TOY_PROFILES, trimmed)})
+    runs["n50-again"] = runs["n50"]
+    for name, (config, options) in runs.items():
+        run_simulation(tmp_path / name, 7, parse_config(("test", config)),
+                       strategies=(("ZTCOT", False),), **options)
+    ids = {name: RunManifest.load(tmp_path / name).run_id for name in runs}
+    assert len(set(ids.values())) == 4 and ids["n50"] == ids["n50-again"]
+    report = [(tmp_path / name / "reports" / "report.json").read_bytes()
+              for name in ("n50", "n50-again")]
+    assert report[0] == report[1]
+
+
+@pytest.mark.parametrize("dotted", ["dataset.path", "backend.profiles"])
+def test_an_unreadable_input_file_is_named_by_its_key(dotted, tmp_path):
+    section, key = dotted.split(".")
+    for path in (tmp_path / "gone.jsonl", tmp_path):  # missing, and a directory
+        with pytest.raises(ConfigError, match=f"config {dotted} is unreadable: .*{path.name}"):
+            new_manifest({section: {key: str(path)}}, 0, tmp_path / "run")
 
 
 def test_a_question_shell_numbers_itself_only_from_decimal_digits():
