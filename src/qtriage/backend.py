@@ -58,6 +58,8 @@ def _params_hash(prompt: str, temperature: float, max_output_tokens: int) -> str
 
 @dataclass(frozen=True)
 class CompletionRequest:
+    """One completion to fetch; construction raises `ConfigError` for a field out of range."""
+
     prompt: str
     temperature: float
     max_output_tokens: int
@@ -76,7 +78,7 @@ class CompletionRequest:
         h = _params_hash(self.prompt, self.temperature, self.max_output_tokens)
         return f"{self.question_id}|{self.phase}|{self.sample_index}|{h}"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0 <= self.temperature <= 2):
             raise ConfigError(f"temperature {self.temperature} outside [0, 2]")
         if self.max_output_tokens <= 0:
@@ -194,7 +196,6 @@ class HttpChatBackend(Backend):
     def complete(self, req: CompletionRequest) -> Completion:
         import requests
 
-        req.validate()
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": req.prompt}],

@@ -79,7 +79,7 @@ def _run(ctx) -> tuple[dict, RunManifest]:
     settings = _settings(ctx, (label, config))
     manifest = RunManifest.load(settings["run_dir"])
     if not config:
-        settings = _settings(ctx, (f"{manifest.run_dir}/manifest.json: config", manifest.config))
+        settings = _settings(ctx, (f"{manifest.path}: config", manifest.resolved_config()))
     return settings, manifest
 
 

@@ -254,7 +254,6 @@ def run_divide(
     its own slice of the in-order completions, so output is independent of
     completion order.
     """
-    spec.validate()
     t = spec.divide_base
     requests = [r for q in questions for r in divide_requests(q, t)]
     done = zip(requests, execute(requests, backend, parallelism))

@@ -3,8 +3,7 @@ and `manifest.json`, which stores them in one form and makes a run replayable.
 
 This module alone knows the layout of a run directory. Every run file is
 named relative to the directory the manifest was created in or loaded from,
-so `manifest.json` stores no run file path and a run directory can be moved,
-unless it holds an input file, such as the profiles a simulation generated.
+so `manifest.json` stores no run file path and a run directory can be moved.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ def dataset_spec(settings: dict) -> DatasetSpec:
 
 # How requests travel: stored, but left out of run_id, as parallelism is.
 _TRANSPORT = ("backend.kind", "backend.endpoint", "backend.max_attempts", "backend.base_delay")
-# The input files: stored as absolute paths, hashed into run_id by content.
+# The input files: hashed into run_id by content; stored relative to the run dir if in it.
 _INPUTS = ("dataset.path", "backend.profiles")
 PROFILES = "profiles.jsonl"  # in a run dir: the profiles `simulate` generated
 
@@ -176,6 +175,15 @@ class RunManifest:
 
     def report_dir(self) -> Path:
         return self.run_dir / "reports"
+
+    def resolved_config(self) -> dict:
+        """`config` with each input path relative to the run dir joined to it."""
+        tree = {k: dict(v) if isinstance(v, dict) else v for k, v in self.config.items()}
+        for section, _, key in (dotted.partition(".") for dotted in _INPUTS):
+            node = tree.get(section)
+            if isinstance(node, dict) and isinstance(node.get(key), str) and node[key]:
+                node[key] = str(self.run_dir / node[key])
+        return tree
 
     def hold(self, key: object, read: Callable[[], T], inputs: object = None) -> T:
         """The result held under `key`, a run file path or the name of a result
@@ -250,17 +258,19 @@ def derive_run_id(config: dict, seed: int) -> str:
 
 def new_manifest(config: dict, seed: int, run_dir: str | Path) -> RunManifest:
     """A pending run of the config tree `config`, which `parse_config` checks. It
-    stores the tree's `stored_config` with input paths absolute; its run id hashes
-    that less how requests travel, with each input file by content. An unreadable
-    input file raises `ConfigError` naming its key."""
+    stores the tree's `stored_config`, each input path relative to `run_dir` if in it,
+    else absolute; its run id hashes that less how requests travel, with each input
+    file by content. An unreadable input file raises `ConfigError` naming its key."""
     settings = parse_config(("config", config))
     paths, computed = {}, dict.fromkeys(_TRANSPORT)
+    root = Path(run_dir).resolve()
     for dotted in filter(settings.get, _INPUTS):
-        paths[dotted] = str(Path(settings[dotted]).resolve())
+        path = Path(settings[dotted]).resolve()
         try:
-            computed[dotted] = hashlib.sha256(Path(paths[dotted]).read_bytes()).hexdigest()
+            computed[dotted] = hashlib.sha256(path.read_bytes()).hexdigest()
         except OSError as exc:
             raise ConfigError(f"config {dotted} is unreadable: {exc}") from None
+        paths[dotted] = str(path.relative_to(root) if path.is_relative_to(root) else path)
     run_id = derive_run_id(stored_config({**settings, **computed}), seed)
     manifest = RunManifest(run_id, stored_config({**settings, **paths}), seed, Path(run_dir))
     status = {"divide": "pending", "conquer": "pending", "report": "pending"}

@@ -67,6 +67,7 @@ class Question:
     """One test item: a stem plus an ordered, labeled choice list.
 
     Cloze questions carry no choices and a normalized numeric gold string.
+    Construction raises `DatasetError` for a question that breaks either form.
     """
 
     id: str
@@ -80,7 +81,7 @@ class Question:
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.choices)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in ("mcq", "cloze"):
             raise DatasetError(f"question {self.id}: unknown kind {self.kind!r}")
         if self.kind == "cloze":
@@ -126,14 +127,14 @@ class LabelMapping:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Per-dataset divide configuration: sample count and partition thresholds."""
+    """Per-dataset divide settings: sample count and partition thresholds, checked when made."""
 
     name: str
     divide_base: int
     mu: Fraction = Fraction(4, 5)
     nu: Fraction = Fraction(3, 5)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.divide_base < 2:
             raise DatasetError(f"divide_base must be >= 2, got {self.divide_base}")
         if not (0 < self.mu <= 1):
@@ -144,16 +145,8 @@ class DatasetSpec:
 
 def relabel_choices(contents: list[str]) -> list[tuple[str, str]]:
     """Assign contiguous labels 'A', 'B', ... to contents in order."""
-    if not contents:
-        raise DatasetError("cannot relabel an empty choice list")
     if len(contents) > len(LABELS):
         raise DatasetError(f"cannot label {len(contents)} choices: more than 26 not supported")
-    seen = set()
-    for content in contents:
-        key = _norm_ws(content)
-        if key in seen:
-            raise DatasetError(f"duplicate choice content {content!r}")
-        seen.add(key)
     return [(LABELS[i], content) for i, content in enumerate(contents)]
 
 
@@ -186,9 +179,7 @@ def cloze_to_mcq(q: Question, prior_answers: list[str]) -> tuple[Question, Label
     for ans in prior_answers:
         if ans not in uniq:
             uniq.append(ans)
-    mcq, mapping = restrict_choices(q, [(ans, ans) for ans in uniq])
-    mcq.validate()
-    return mcq, mapping
+    return restrict_choices(q, [(ans, ans) for ans in uniq])
 
 
 def parse_as(kind: type, value):
@@ -292,24 +283,24 @@ def decode_jsonl(
     return out
 
 
-def _question_from_record(rec: dict, schema: str, lineno: int) -> Question:
+def _question_from_record(rec: dict, schema: str) -> Question:
     def need(field_name: str) -> object:
         if field_name not in rec:
-            raise DatasetError(f"line {lineno}: missing field {field_name!r}")
+            raise DatasetError(f"missing field {field_name!r}")
         return rec[field_name]
 
     qid = need("id")
     text = need("question")
     if not isinstance(qid, str) or not qid:
-        raise DatasetError(f"line {lineno}: field 'id' must be a non-empty string")
+        raise DatasetError("field 'id' must be a non-empty string")
     if not isinstance(text, str) or not text:
-        raise DatasetError(f"line {lineno}: field 'question' must be a non-empty string")
+        raise DatasetError("field 'question' must be a non-empty string")
 
     if schema == "cloze-jsonl":
         gold_raw = need("gold")
         gold = normalize_number(str(gold_raw))
         if gold is None:
-            raise DatasetError(f"line {lineno}: field 'gold' is not numeric: {gold_raw!r}")
+            raise DatasetError(f"field 'gold' is not numeric: {gold_raw!r}")
         return Question(
             id=qid, text=text, gold=gold, source=rec.get("source", ""),
             kind="cloze", meta=rec.get("meta", {}),
@@ -317,33 +308,26 @@ def _question_from_record(rec: dict, schema: str, lineno: int) -> Question:
 
     contents = need("choices")
     if not isinstance(contents, list) or not all(isinstance(c, str) for c in contents):
-        raise DatasetError(f"line {lineno}: field 'choices' must be a list of strings")
-    try:
-        choices = relabel_choices(contents)
-    except DatasetError as exc:
-        raise DatasetError(f"line {lineno}: {exc}") from exc
-    gold = rec.get("gold")
-    q = Question(
-        id=qid, text=text, choices=tuple(choices), gold=gold,
+        raise DatasetError("field 'choices' must be a list of strings")
+    return Question(
+        id=qid, text=text, choices=tuple(relabel_choices(contents)), gold=rec.get("gold"),
         source=rec.get("source", ""), kind="mcq", meta=rec.get("meta", {}),
     )
-    return q
 
 
 def load_dataset(path: str | Path, schema: str = "mcq-jsonl") -> list[Question]:
-    """Load questions from a JSONL file, validating every invariant."""
+    """The questions of a JSONL file; a bad record raises `DatasetError` naming file and line."""
     if schema not in SCHEMAS:
         raise DatasetError(f"unknown schema {schema!r}")
     questions: list[Question] = []
     seen_ids: set[str] = set()
     for lineno, rec in read_jsonl(path, DatasetError):
-        q = _question_from_record(rec, schema, lineno)
         try:
-            q.validate()
+            q = _question_from_record(rec, schema)
+            if q.id in seen_ids:
+                raise DatasetError(f"duplicate question id {q.id!r}")
         except DatasetError as exc:
-            raise DatasetError(f"line {lineno}: {exc}") from exc
-        if q.id in seen_ids:
-            raise DatasetError(f"line {lineno}: duplicate question id {q.id!r}")
+            raise DatasetError(f"{path} line {lineno}: {exc}") from exc
         seen_ids.add(q.id)
         questions.append(q)
     return questions
@@ -351,18 +335,18 @@ def load_dataset(path: str | Path, schema: str = "mcq-jsonl") -> list[Question]:
 
 def save_dataset(path: str | Path, questions: list[Question]) -> None:
     """Write questions as JSONL; inverse of load_dataset."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for q in questions:
-            rec: dict = {"id": q.id, "question": q.text}
-            if q.kind == "cloze":
+    lines = []
+    for q in questions:
+        rec: dict = {"id": q.id, "question": q.text}
+        if q.kind == "cloze":
+            rec["gold"] = q.gold
+        else:
+            rec["choices"] = [content for _, content in q.choices]
+            if q.gold is not None:
                 rec["gold"] = q.gold
-            else:
-                rec["choices"] = [content for _, content in q.choices]
-                if q.gold is not None:
-                    rec["gold"] = q.gold
-            if q.source:
-                rec["source"] = q.source
-            if q.meta:
-                rec["meta"] = q.meta
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+        if q.source:
+            rec["source"] = q.source
+        if q.meta:
+            rec["meta"] = q.meta
+        lines.append(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_atomic(path, "".join(lines))

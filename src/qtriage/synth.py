@@ -209,7 +209,6 @@ class MockBackend(Backend):
         return _filler(rng.randrange(len(_FILLER_WORDS)), target)
 
     def complete(self, req: CompletionRequest) -> Completion:
-        req.validate()
         profile = self.profiles.get(req.question_id)
         if profile is None:
             raise ConfigError(f"no simulator profile for question {req.question_id!r}")
@@ -256,18 +255,16 @@ def questions_from_profiles(profiles: dict[str, QuestionProfile]) -> list[Questi
         n_choices = max(LABELS.index(lab) for lab in p.answer_distribution) + 1
         number = qid.lstrip("q")
         i = int(number) if number.isdecimal() else 0
-        q = Question(
-            id=qid,
-            text=f"Synthetic reasoning item number {i}: which candidate fits best?",
-            choices=tuple((lab, f"candidate {lab.lower()}{i}") for lab in LABELS[:n_choices]),
-            gold=p.gold,
-            source="profile",
-        )
         try:
-            q.validate()
+            questions.append(Question(
+                id=qid,
+                text=f"Synthetic reasoning item number {i}: which candidate fits best?",
+                choices=tuple((lab, f"candidate {lab.lower()}{i}") for lab in LABELS[:n_choices]),
+                gold=p.gold,
+                source="profile",
+            ))
         except DatasetError as exc:
             raise ConfigError(f"profile {qid}: {exc}") from exc
-        questions.append(q)
     return questions
 
 

@@ -723,6 +723,20 @@ class TestSimulateCommand:
         assert report["dataset"] == "sim-uniform_correct"
         assert sorted(report["strategies"]) == ["fcr+sc", "pkr", "ztcot"]
 
+    def test_a_moved_run_dir_conquers_and_reports_as_it_would_unmoved(self, runner, tmp_path):
+        for name in ("moved", "kept"):
+            result = runner.invoke(main, ["--seed", "7", "--cache-dir", str(tmp_path / name),
+                                          "simulate", "--n-questions", "30"])
+            assert result.exit_code == 0, result.output
+        (tmp_path / "moved").rename(tmp_path / "elsewhere")
+        for name in ("elsewhere", "kept"):
+            for command in (["conquer", "--strategy", "pkr"], ["report"]):
+                result = runner.invoke(main, ["--cache-dir", str(tmp_path / name), *command])
+                assert result.exit_code == 0, (name, command, result.output)
+        reports = [(tmp_path / name / "reports" / "report.json").read_bytes()
+                   for name in ("elsewhere", "kept")]
+        assert reports[0] == reports[1]
+
     def test_degenerate_profiles_all_high(self, runner, tmp_path):
         result = runner.invoke(main, [
             "--seed", "3", "--cache-dir", str(tmp_path / "sim"),
@@ -1347,6 +1361,31 @@ def _simulate_replay_without_transcript(runner, tmp_path, monkeypatch):
             "--n-questions", "10"], "no entry for key"
 
 
+def _dataset_line(record, expect):
+    """A divide of a one-line dataset holding `record`; the error starts with its path."""
+    def case(runner, tmp_path, monkeypatch):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        config = write_config(tmp_path, tmp_path / "run", **{"dataset.path": str(path)})
+        return ["--config", str(config), "divide"], f"error: {path} line 1: {expect}"
+    return case
+
+
+def _without_credential(runner, tmp_path, monkeypatch):
+    monkeypatch.delenv("QTRIAGE_API_KEY", raising=False)
+    backend = {"kind": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m"}
+    config = write_config(tmp_path, tmp_path / "run", backend=backend)
+    return ["--config", str(config), "divide"], "missing API credential; set QTRIAGE_API_KEY"
+
+
+def _manifest_without_run_id(runner, tmp_path, monkeypatch):
+    base, run_dir = divided(runner, tmp_path)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    del manifest["run_id"]
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    return base + ["report"], "manifest.json: bad manifest: KeyError('run_id')"
+
+
 FAILURES = {  # name -> (build the case, expected exit code)
     "conquer-missing-dataset": (_missing_dataset(["conquer", "--strategy", "fcr"]), 1),
     "report-missing-dataset": (_missing_dataset(["report", "--partial"]), 1),
@@ -1474,6 +1513,25 @@ FAILURES = {  # name -> (build the case, expected exit code)
     "report-stored-config-bad": (_stored_config_bad, 1),
     "divide-misspelt-divide-base": (
         _divide_config("dataset.divide_bsae", 9, "dataset.divide_bsae"), 1),
+    "divide-http-without-credential": (_without_credential, 1),
+    "divide-http-without-endpoint": (
+        _http(_timeout, "live backend requires an endpoint URL", endpoint=""), 1),
+    "divide-without-dataset-or-profiles": (
+        _configured(["divide"], "no dataset.path configured and no backend.profiles to derive "
+                    "one from", **{"dataset.path": "", "backend.profiles": ""}), 1),
+    "divide-mock-without-profiles": (
+        _configured(["divide"], "mock backend requires backend.profiles path",
+                    **{"backend.profiles": ""}), 1),
+    "report-manifest-without-run-id": (_manifest_without_run_id, 1),
+    "divide-dataset-id-not-string": (
+        _dataset_line({"id": 5, "question": "q?", "choices": ["a", "b"]},
+                      "field 'id' must be a non-empty string"), 1),
+    "divide-dataset-empty-choice": (
+        _dataset_line({"id": "q1", "question": "q?", "choices": ["a", " "]},
+                      "question q1: empty choice content"), 1),
+    "divide-dataset-duplicate-choices": (
+        _dataset_line({"id": "q1", "question": "q?", "choices": ["a b", " a  b"]},
+                      "question q1: duplicate choice content ' a  b'"), 1),
 }
 
 
@@ -1487,6 +1545,39 @@ def test_every_failure_is_one_error_line(runner, tmp_path, monkeypatch, case):
     assert "Traceback" not in result.output
     errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and expect in errors[0], result.output
+
+
+def test_a_missing_credential_writes_no_run_file(runner, tmp_path, monkeypatch):
+    args, _ = _without_credential(runner, tmp_path, monkeypatch)
+    assert runner.invoke(main, args).exit_code == 1
+    assert not (tmp_path / "run").exists()
+
+
+# The command that reads each input file a run has.
+INPUT_READERS = {"dataset": ["report"], "profiles": ["conquer", "--strategy", "pkr"],
+                 "partition.jsonl": ["report"], "outcomes_fcr.jsonl": ["report"],
+                 "transcript.jsonl": ["report"]}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_READERS))
+def test_a_bad_input_record_is_named_by_its_file_and_line(runner, tmp_path, name):
+    inputs = {"dataset": tmp_path / "toy20.jsonl", "profiles": tmp_path / "profiles.jsonl"}
+    inputs["dataset"].write_bytes(TOY_DATA.read_bytes())
+    inputs["profiles"].write_bytes(TOY_PROFILES.read_bytes())
+    run_dir = tmp_path / "run"
+    config = write_config(tmp_path, run_dir, **{"dataset.path": str(inputs["dataset"]),
+                                                 "backend.profiles": str(inputs["profiles"])})
+    base = ["--config", str(config), "--seed", "42"]
+    for command in (["divide"], ["conquer", "--strategy", "fcr"]):
+        assert runner.invoke(main, base + command).exit_code == 0
+    path = inputs.get(name, run_dir / name)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = "{}\n"  # a JSON object without one field its reader needs
+    path.write_text("".join(lines))
+    result = runner.invoke(main, base + INPUT_READERS[name])
+    assert result.exit_code == 1, result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and str(path) in errors[0] and "line 2" in errors[0], result.output
 
 
 FULL_CONFIG = {  # a good value for every key of the config table

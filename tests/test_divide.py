@@ -122,7 +122,7 @@ class TestPartition:
             k = min(k, t)
             answers = (["A"] * k + [None] * (t - k)) or [None]
             h = histogram_from_answers(answers)
-            reports.append(report_for(f"q{i}", h, spec(t)))
+            reports.append(report_for(f"q{i}", h, spec()))
         parts = partition(reports)
         ids = [qid for s in parts.values() for qid in s]
         assert len(ids) == len(reports)

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qtriage.backend import CompletionRequest, ConfigError
 from qtriage.model import (
     DatasetError,
     DatasetSpec,
@@ -114,12 +116,12 @@ class TestRelabelChoices:
         assert relabel_choices(["x"]) == [("A", "x")]
 
     def test_empty_errors(self):
-        with pytest.raises(DatasetError):
-            relabel_choices([])
+        with pytest.raises(DatasetError, match="mcq question needs choices"):
+            Question(id="q", text="t?", choices=tuple(relabel_choices([])))
 
     def test_duplicates_error(self):
-        with pytest.raises(DatasetError):
-            relabel_choices(["a", " a "])
+        with pytest.raises(DatasetError, match="duplicate choice content ' a '"):
+            Question(id="q", text="t?", choices=tuple(relabel_choices(["a", " a "])))
 
     def test_27_contents_rejected(self):
         contents = [f"opt{i}" for i in range(27)]
@@ -179,13 +181,54 @@ class TestClozeToMcq:
 
 class TestDatasetSpec:
     def test_valid(self):
-        DatasetSpec(name="d", divide_base=5).validate()
+        spec = DatasetSpec(name="d", divide_base=5)
+        assert (spec.divide_base, spec.mu, spec.nu) == (5, Fraction(4, 5), Fraction(3, 5))
 
     def test_nu_must_be_below_mu(self):
-        from fractions import Fraction
         with pytest.raises(DatasetError):
-            DatasetSpec(name="d", divide_base=5, mu=Fraction(3, 5), nu=Fraction(4, 5)).validate()
+            DatasetSpec(name="d", divide_base=5, mu=Fraction(3, 5), nu=Fraction(4, 5))
 
     def test_divide_base_minimum(self):
         with pytest.raises(DatasetError):
-            DatasetSpec(name="d", divide_base=1).validate()
+            DatasetSpec(name="d", divide_base=1)
+
+
+# A valid value of each kind that checks itself when made; each refusal changes its fields.
+VALID = {
+    Question: {"id": "q1", "text": "t?", "choices": (("A", "x"), ("B", "y")), "gold": "A"},
+    DatasetSpec: {"name": "d", "divide_base": 5},
+    CompletionRequest: {"prompt": "p", "temperature": 0.7, "max_output_tokens": 8,
+                        "sample_index": 0, "question_id": "q1", "phase": "divide"},
+}
+
+
+@pytest.mark.parametrize("kind, changes, error, refusal", [
+    (Question, {"kind": "essay"}, DatasetError, "question q1: unknown kind 'essay'"),
+    (Question, {"kind": "cloze", "gold": None}, DatasetError,
+     "question q1: cloze question must have no choices"),
+    (Question, {"kind": "cloze", "choices": (), "gold": "1,000"}, DatasetError,
+     "question q1: cloze gold '1,000' is not a normalized number"),
+    (Question, {"choices": ()}, DatasetError, "question q1: mcq question needs choices"),
+    (Question, {"choices": (("A", "x"), ("C", "y"))}, DatasetError,
+     "question q1: labels ('A', 'C') are not contiguous from 'A'"),
+    (Question, {"choices": (("A", "x"), ("B", " \t"))}, DatasetError,
+     "question q1: empty choice content"),
+    (Question, {"choices": (("A", "x y"), ("B", " x  y "))}, DatasetError,
+     "question q1: duplicate choice content ' x  y '"),
+    (Question, {"gold": "C"}, DatasetError, "question q1: gold 'C' not among labels"),
+    (DatasetSpec, {"divide_base": 1}, DatasetError, "divide_base must be >= 2, got 1"),
+    (DatasetSpec, {"mu": Fraction(0)}, DatasetError, "mu must be in (0, 1], got 0"),
+    (DatasetSpec, {"nu": Fraction(4, 5)}, DatasetError,
+     "nu must be in [0, mu), got nu=4/5 mu=4/5"),
+    (CompletionRequest, {"temperature": float("nan")}, ConfigError,
+     "temperature nan outside [0, 2]"),
+    (CompletionRequest, {"max_output_tokens": -3}, ConfigError,
+     "max_output_tokens must be positive"),
+    (CompletionRequest, {"sample_index": -2}, ConfigError, "sample_index must be non-negative"),
+    (CompletionRequest, {"phase": ""}, ConfigError, "unknown phase ''"),
+])
+def test_a_value_that_breaks_its_checks_cannot_be_made(kind, changes, error, refusal):
+    kind(**VALID[kind])
+    with pytest.raises(error) as info:
+        kind(**{**VALID[kind], **changes})
+    assert str(info.value) == refusal

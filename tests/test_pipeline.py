@@ -464,7 +464,7 @@ def test_simulation_takes_gold_uplift_from_its_config(tmp_path):
                        strategies=(("PKR", False),))
         outcomes[uplift] = (run_dir / "outcomes_pkr.jsonl").read_bytes()
         stored = RunManifest.load(run_dir).config
-        assert stored["backend"]["profiles"] == str((run_dir / "profiles.jsonl").resolve())
+        assert stored["backend"]["profiles"] == "profiles.jsonl"  # in the run dir, so relative
         assert stored["dataset"]["name"] == "sim-second_gold" and "path" not in stored["dataset"]
     assert outcomes[1] == outcomes[None] != outcomes[3]
 
