@@ -15,7 +15,6 @@ from .backend import (
 )
 from .conquer import (
     ConquerOutcome,
-    RationaleCluster,
     conquer_item,
     filter_choices,
     select_rationales,
@@ -64,7 +63,6 @@ __all__ = [
     "NoFetchBackend",
     "Question",
     "QuestionProfile",
-    "RationaleCluster",
     "TranscriptCache",
     "cloze_to_mcq",
     "confidence_score",

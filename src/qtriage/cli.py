@@ -22,7 +22,6 @@ from .pipeline import (
 from .prompts import STRATEGIES
 from .report import ReportError
 from .simulate import run_simulation
-from .synth import load_profile_file
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -140,12 +139,8 @@ def cmd_conquer(ctx, strategy, sc, rationale_select, subsets, tail):
 @click.pass_context
 def cmd_simulate(ctx, profiles_path, family, n_questions, divide_base, noise_rate):
     """Run the full pipeline and check the configured assertions."""
-    config = _config(ctx)
-    options = {"dataset": {"divide_base": divide_base},
-               "backend": {"noise_rate": noise_rate, "profiles": profiles_path}}
-    path = _settings(ctx, config, **options)["backend.profiles"]
-    assertions = load_profile_file(path)[1] if path else {}
-    settings = _settings(ctx, config, (f"{path}:", {"assertions": assertions}), **options)
+    settings = _settings(ctx, _config(ctx), dataset={"divide_base": divide_base},
+                         backend={"noise_rate": noise_rate, "profiles": profiles_path})
     result = run_simulation(settings["run_dir"], settings["seed"] or 0, settings,
                             family=family, n_questions=n_questions)
     for name, passed, detail in result.checks:

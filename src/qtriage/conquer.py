@@ -62,14 +62,6 @@ def check_subsets(subsets: Sequence[str]) -> None:
 
 
 @dataclass(frozen=True)
-class RationaleCluster:
-    """All divide-phase rationales that led to one particular answer."""
-
-    answer: str
-    rationales: tuple[tuple[str, int, int], ...]  # (text, length, sample_index)
-
-
-@dataclass(frozen=True)
 class ConquerOutcome:
     question_id: str
     strategy: str
@@ -107,49 +99,31 @@ def _strip_sentinel(text: str) -> str:
     return "\n".join(lines)
 
 
-def clusters_from_records(records: Sequence[InferenceRecord]) -> list[RationaleCluster]:
-    """Group parsed divide records by answer, preserving sample order."""
-    grouped: dict[str, list[tuple[str, int, int]]] = {}
-    for rec in sorted(records, key=lambda r: r.sample_index):
-        if rec.answer is None:
-            continue
-        body = _strip_sentinel(rec.text)
-        grouped.setdefault(rec.answer, []).append((body, len(body), rec.sample_index))
-    return [RationaleCluster(answer=a, rationales=tuple(rs)) for a, rs in grouped.items()]
-
-
 def select_rationales(
-    clusters: Sequence[RationaleCluster],
+    records: Sequence[InferenceRecord],
     strategy: str = "longest",
     seed: Optional[int] = None,
 ) -> list[tuple[str, str]]:
-    """Pick one rationale per cluster; this is the prior-knowledge set.
+    """Pick one rationale per parsed answer of a question's divide `records`;
+    this is the prior-knowledge set of `(answer, body)` pairs.
 
-    Output is ordered by descending cluster size, then by earliest first
-    occurrence, so the model's modal answer leads the prior block.
+    A body is a record's text without its final answer sentence. "longest" and
+    "shortest" pick by body length, ties to the earliest sample; "random" picks
+    by `seed`. Answers are ordered by descending count, then by earliest
+    sample, so the model's modal answer leads the prior block.
     """
-    if not clusters:
-        raise ConquerError("no rationale clusters to select from")
     if strategy not in RATIONALE_SELECT_MODES:
         raise ConquerError(f"unknown rationale selection strategy {strategy!r}")
-    for c in clusters:
-        if not c.rationales:
-            raise ConquerError(f"cluster for answer {c.answer!r} is empty")
-
+    bodies: dict[str, list[str]] = {}
+    for rec in sorted(records, key=lambda r: r.sample_index):
+        if rec.answer is not None:
+            bodies.setdefault(rec.answer, []).append(_strip_sentinel(rec.text))
+    if not bodies:
+        raise ConquerError("no parsed divide records to select rationales from")
     rng = random.Random(seed) if strategy == "random" else None
-    ordered = sorted(
-        clusters, key=lambda c: (-len(c.rationales), min(r[2] for r in c.rationales))
-    )
-    picked: list[tuple[str, str]] = []
-    for c in ordered:
-        if strategy == "longest":
-            best = max(c.rationales, key=lambda r: (r[1], -r[2]))
-        elif strategy == "shortest":
-            best = min(c.rationales, key=lambda r: (r[1], r[2]))
-        else:
-            best = c.rationales[rng.randrange(len(c.rationales))]
-        picked.append((c.answer, best[0]))
-    return picked
+    pick = {"longest": lambda bs: max(bs, key=len), "shortest": lambda bs: min(bs, key=len),
+            "random": lambda bs: bs[rng.randrange(len(bs))]}[strategy]
+    return [(a, pick(bs)) for a, bs in sorted(bodies.items(), key=lambda ab: -len(ab[1]))]
 
 
 def filter_choices(q: Question, h: AnswerHistogram) -> tuple[Question, LabelMapping]:
@@ -171,15 +145,6 @@ def filter_choices(q: Question, h: AnswerHistogram) -> tuple[Question, LabelMapp
     if bad:
         raise ConquerError(f"question {q.id}: prior answers {bad} are not valid labels")
     return restrict_choices(q, [(lab, content) for lab, content in q.choices if lab in h.counts])
-
-
-def _map_rationale_labels(
-    rationales: list[tuple[str, str]], mapping: Optional[LabelMapping]
-) -> list[tuple[str, str]]:
-    if mapping is None:
-        return rationales
-    inverse = {orig: new for new, orig in mapping.forward}
-    return [(inverse.get(ans, ans), text) for ans, text in rationales]
 
 
 class _Plan(NamedTuple):
@@ -231,14 +196,15 @@ def _plan_item(
     if row.rationales:
         key = (q.id, rationale_select, seed)
         if key not in prior:
-            clusters = clusters_from_records(own_records)
-            prior[key] = select_rationales(clusters, rationale_select, seed=seed)
-        rationales = _map_rationale_labels(prior[key], mapping)
+            prior[key] = select_rationales(own_records, rationale_select, seed=seed)
+        rationales = prior[key]
+        if mapping is not None:
+            rationales = [(mapping.to_new(a), body) for a, body in rationales]
 
     prompt = build_prompt(working, strategy, rationales=rationales, tail_override=tail_override)
     metadata: dict = {"strategy": strategy}
     if mapping is not None:
-        metadata["label_map"] = [list(pair) for pair in mapping.forward]
+        metadata["label_map"] = mapping.forward
 
     n_samples = sc_samples if self_consistency else 1
     temperature = SC_TEMPERATURE if self_consistency else GREEDY_TEMPERATURE
@@ -287,7 +253,7 @@ def _conquer_plans(
         batch = [
             (i, plans[i].requests[len(records[i])])
             for i in dict.fromkeys(i for i, _ in batch)
-            if not vote_decided(
+            if len(records[i]) < len(plans[i].requests) and not vote_decided(
                 histogram_from_answers([r.answer for r in records[i]]),
                 len(plans[i].requests) - len(records[i]),
             )

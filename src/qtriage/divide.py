@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -116,30 +117,53 @@ def confidence_score(h: AnswerHistogram) -> Fraction:
     return Fraction(max(h.counts.values()), h.total_samples)
 
 
+def vote_rank(count: int, first_seen: int) -> tuple[int, int]:
+    """The order every vote ranks answers by: the higher count wins, and a tie
+    goes to the answer whose first sample came earliest."""
+    return count, -first_seen
+
+
 def majority_answer(h: AnswerHistogram) -> str:
-    """Most frequent answer; ties go to the answer seen at the earliest sample."""
+    """The most frequent answer, ties broken as `vote_rank` breaks them."""
     if not h.counts:
         raise DivideError("cannot vote on a histogram with no parsed answers")
-    best = max(h.counts.values())
-    tied = [a for a, c in h.counts.items() if c == best]
-    return min(tied, key=lambda a: h.first_seen[a])
+    return max(h.counts, key=lambda a: vote_rank(h.counts[a], h.first_seen[a]))
 
 
 def vote_decided(h: AnswerHistogram, remaining: int) -> bool:
     """True when no answers of `remaining` more samples can change `majority_answer(h)`.
 
     A rival overtakes only if every remaining sample goes to it; an answer not
-    seen yet would be first seen after the leader, so it must pass it outright.
+    seen yet would be first seen after every sample so far.
     """
     if not h.counts:
         return remaining == 0
     lead = majority_answer(h)
-    top = h.counts[lead]
-    return remaining <= top and all(
-        c + remaining < top or (c + remaining == top and h.first_seen[lead] < h.first_seen[a])
-        for a, c in h.counts.items()
-        if a != lead
-    )
+    bar = vote_rank(h.counts[lead], h.first_seen[lead])
+    rivals = [(c, h.first_seen[a]) for a, c in h.counts.items() if a != lead]
+    return all(vote_rank(c + remaining, first) < bar
+               for c, first in (*rivals, (0, h.total_samples)))
+
+
+def prefix_majorities(answers: Sequence[tuple[int, Optional[str]]], t: int) -> list[Optional[str]]:
+    """`majority_answer` of the first k `(sample_index, answer)` pairs, for k = 1..t.
+
+    One pass in sample order keeps the counts, each answer's first occurrence
+    and the leader; None while nothing parsed. Past the last pair the vote
+    stays the same.
+    """
+    counts: dict[str, int] = {}
+    first_seen: dict[str, int] = {}
+    leader, lead_rank = None, None
+    votes: list[Optional[str]] = []
+    for idx, (_, ans) in enumerate(sorted(answers, key=itemgetter(0))):
+        if ans is not None:
+            counts[ans] = counts.get(ans, 0) + 1
+            rank = vote_rank(counts[ans], first_seen.setdefault(ans, idx))
+            if leader is None or rank > lead_rank:
+                leader, lead_rank = ans, rank
+        votes.append(leader)
+    return votes + [leader] * (t - len(votes))
 
 
 def assign_subset(cs: Fraction, mu: Fraction, nu: Fraction) -> str:

@@ -50,7 +50,7 @@ CONFIG = {
     "backend.max_attempts": (int, lambda n: n >= 1, "an integer >= 1", 5),
     "backend.base_delay": (float, lambda x: 0 <= x < math.inf, "a number >= 0", 1.0),
     "assertions.spearman_min": (float, None, "a number", None),
-    "assertions.subset_ordering": (bool, None, "true or false", False),
+    "assertions.subset_ordering": (bool, None, "true or false", None),
     "assertions.fcr_uplift_min_pp": (float, None, "a number", None),
 }
 _SECTIONS = {dotted.split(".")[0] for dotted in CONFIG if "." in dotted}

@@ -113,7 +113,8 @@ class Question:
 
 @dataclass(frozen=True)
 class LabelMapping:
-    """Maps relabeled choice letters back to the original label space."""
+    """FCR's relabel of the kept choices: new label <-> original label (or, for a
+    cloze question, answer value), one pair per kept choice."""
 
     forward: tuple[tuple[str, str], ...]  # (new label, original label), ordered
     origin: str = ""
@@ -123,6 +124,12 @@ class LabelMapping:
             if new == new_label:
                 return orig
         raise KeyError(f"label {new_label!r} not in mapping for {self.origin!r}")
+
+    def to_new(self, original: str) -> str:
+        for new, orig in self.forward:
+            if orig == original:
+                return new
+        raise KeyError(f"label {original!r} not in mapping for {self.origin!r}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ drivable from tests and notebooks.
 
 from __future__ import annotations
 
+import gc
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
@@ -80,6 +81,24 @@ def _phase(manifest: RunManifest, on_failure: dict[str, str]) -> Iterator[Transc
                 manifest.mark(phase, state)
             manifest.save()
             raise
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """No cyclic collection inside the block; the collector is left as it was found.
+
+    The report phase builds only acyclic objects, so a collection inside it
+    frees nothing. Whether the full collection that the earlier phases made
+    due lands in it hangs on how much those phases allocated, and it costs as
+    much as the rest of the phase; held off, it runs after the phase.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _divide_records(
@@ -170,6 +189,7 @@ def run_conquer_phase(
     return outcomes
 
 
+@_gc_paused()
 def run_report_phase(
     questions: Sequence[Question],
     spec: DatasetSpec,

@@ -7,12 +7,18 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .conquer import ConquerOutcome
-from .divide import LOW_BINS, SUBSETS, ConfidenceReport, InferenceRecord, majority_answer
+from .divide import (
+    LOW_BINS,
+    SUBSETS,
+    ConfidenceReport,
+    InferenceRecord,
+    majority_answer,
+    prefix_majorities,
+)
 from .model import QtriageError, Question, write_atomic
 
 
@@ -159,28 +165,6 @@ def strategy_metrics(
     return {name: _subset_metrics(name, rows, golds) for name, rows in sorted(grouped.items())}
 
 
-def _prefix_votes(answers: Sequence[tuple[int, Optional[str]]], t: int) -> list[Optional[str]]:
-    """The first-k majority vote of `(sample_index, answer)` pairs for k = 1..t.
-
-    One pass in sample order keeps the counts, each answer's first occurrence
-    and the leader, which is `majority_answer` of the answers so far: the
-    highest count, ties to the earliest first occurrence; None while nothing
-    parsed. Past the last answer the vote stays the same.
-    """
-    counts: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    leader: Optional[str] = None
-    votes: list[Optional[str]] = []
-    for idx, (_, ans) in enumerate(sorted(answers, key=itemgetter(0))):
-        if ans is not None:
-            count = counts[ans] = counts.get(ans, 0) + 1
-            first = first_seen.setdefault(ans, idx)
-            if leader is None or (count, -first) > (counts[leader], -first_seen[leader]):
-                leader = ans
-        votes.append(leader)
-    return votes + [leader] * (t - len(votes))
-
-
 def accuracy_curves(
     questions: Sequence[Question],
     reports: Sequence[ConfidenceReport],
@@ -201,7 +185,7 @@ def accuracy_curves(
             if r.subset != subset or gold is None:
                 continue
             n += 1
-            for k, vote in enumerate(_prefix_votes(answers_by_q.get(r.question_id, ()), t)):
+            for k, vote in enumerate(prefix_majorities(answers_by_q.get(r.question_id, ()), t)):
                 correct[k] += vote == gold
         rows += [
             (subset, k, float(Fraction(c, n)) if n else None) for k, c in enumerate(correct, 1)

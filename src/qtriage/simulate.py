@@ -17,13 +17,14 @@ from .backend import ConfigError
 from .divide import SUBSETS, ConfidenceReport
 from .manifest import PROFILES, dataset_spec, new_manifest, parse_config, stored_config
 from .pipeline import (
-    load_inputs,
+    build_backend,
+    load_questions,
     run_conquer_phase,
     run_divide_phase,
     run_report_phase,
 )
 from .report import _prior_metrics, em_accuracy, prior_predictions
-from .synth import generate_synthetic, save_profiles
+from .synth import generate_synthetic, load_profile_file, save_profiles
 
 
 @dataclass
@@ -103,7 +104,9 @@ def run_simulation(
     reads them. Without a `backend.profiles` file, `n_questions` (default 500)
     profiles of the `family` (default `uniform_correct`) are written to the run
     dir and used, and name the dataset `sim-<family>` unless `dataset.name` is
-    set; beside one, `family` and `n_questions` raise `ConfigError`.
+    set; beside one, `family` and `n_questions` raise `ConfigError`. The file is
+    read once; an assertion that `settings` leave unset is taken from its
+    assertions record.
     """
     settings = settings or parse_config()
     if not settings["backend.profiles"]:
@@ -117,8 +120,14 @@ def run_simulation(
     elif family is not None or n_questions is not None:
         raise ConfigError("family and n_questions are for generated profiles, not beside "
                           f"backend.profiles {settings['backend.profiles']}")
+    path = settings["backend.profiles"]
+    profiles, record = load_profile_file(path)
+    record = parse_config((f"{path}:", {"assertions": record}))
+    settings = {k: record[k] if v is None and k.startswith("assertions.") else v
+                for k, v in settings.items()}
     spec, parallelism = dataset_spec(settings), settings["parallelism"]
-    questions, backend = load_inputs(settings, seed)
+    questions = load_questions(settings, profiles)
+    backend = build_backend(settings, seed, profiles)
     manifest = new_manifest(stored_config(settings), seed, run_dir)
     reports, _records = run_divide_phase(
         questions, spec, backend, manifest, parallelism=parallelism

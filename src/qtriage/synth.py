@@ -7,7 +7,8 @@ the assumptions it makes about a model:
   prompt), so reruns and replays are bit-exact whatever the scheduling.
 - Temperature 0 takes the argmax, a tie going to the first label in sorted
   order; above 0 it samples the raw distribution.
-- A request's `label_map` (the choices FCR kept) restricts and renames the support.
+- A request's `label_map`, the `(new, original)` pairs of FCR's `LabelMapping`,
+  restricts the support to the kept choices and renames them.
 - `gold_uplift` scales the gold's probability for a request built for a strategy
   in `UPLIFTED`, which is every conquer strategy but the plain re-query: reusing
   rationales lets longer reasoning paths avoid harmful shortcuts (PKR), and

@@ -15,8 +15,9 @@ from click.testing import CliRunner
 
 from qtriage.backend import CachingBackend, NoFetchBackend, TranscriptCache
 from qtriage.cli import main
-from qtriage.conquer import filter_choices, run_conquer, select_rationales, RationaleCluster
+from qtriage.conquer import filter_choices, run_conquer, select_rationales
 from qtriage.divide import (
+    InferenceRecord,
     assign_subset,
     confidence_score,
     histogram_from_answers,
@@ -113,21 +114,23 @@ def test_criterion_4_fcr_round_trip():
 def test_criterion_5_pkr_selection():
     rng = random.Random(31)
     for _ in range(1000):
-        n_clusters = rng.randint(1, 6)
-        clusters = []
-        for i in range(n_clusters):
-            rationales = tuple(
-                (f"text-{i}-{j}", rng.randint(1, 60), j)
-                for j in range(rng.randint(1, 5))
-            )
-            clusters.append(RationaleCluster(answer=LABELS[i], rationales=rationales))
-        picked = select_rationales(clusters, "longest")
-        assert len(picked) == n_clusters
+        n_answers = rng.randint(1, 6)
+        # divide sample idx gave samples[idx]: an answer and its rationale body
+        samples = [(LABELS[i], f"text-{i}-{j}-" + "x" * rng.randint(1, 60))
+                   for i in range(n_answers) for j in range(rng.randint(1, 5))]
+        rng.shuffle(samples)
+        records = [
+            InferenceRecord("q", "divide", idx, f"{text}\nSo the answer is ({answer}).",
+                            answer, 1, 1)
+            for idx, (answer, text) in enumerate(samples)
+        ]
+        picked = select_rationales(records, "longest")
+        assert len(picked) == n_answers
         for answer, text in picked:
-            c = next(c for c in clusters if c.answer == answer)
             # brute-force enumeration oracle over (length, index) pairs
-            best = sorted(c.rationales, key=lambda r: (-r[1], r[2]))[0]
-            assert text == best[0]
+            own = [(len(t), idx, t) for idx, (a, t) in enumerate(samples) if a == answer]
+            best = sorted(own, key=lambda r: (-r[0], r[1]))[0]
+            assert text == best[2]
     ok("5 PKR selection", "longest with earliest-index tie-break vs brute force")
 
 

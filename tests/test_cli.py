@@ -151,17 +151,17 @@ class TestDivideCommand:
         from qtriage import synth
 
         reads = []
-        read = synth.load_profile_file
+        read = synth.read_jsonl  # the profile file's one reader, whoever asks for it
 
-        def counted(path):
+        def counted(path, error):
             reads.append(path)
-            return read(path)
+            return read(path, error)
 
-        monkeypatch.setattr(synth, "load_profile_file", counted)
+        monkeypatch.setattr(synth, "read_jsonl", counted)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"backend": {"profiles": str(TOY_PROFILES)},
                                       "run_dir": str(tmp_path / "run")}))
-        for command in (["divide"], ["conquer", "--strategy", "pkr"]):
+        for command in (["divide"], ["conquer", "--strategy", "pkr"], ["simulate"]):
             before = len(reads)
             result = runner.invoke(main, ["--config", str(config), *command])
             assert result.exit_code == 0, result.output

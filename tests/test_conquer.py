@@ -9,10 +9,8 @@ from hypothesis import given, settings, strategies as st
 from qtriage.backend import Backend, Completion, execute
 from qtriage.conquer import (
     ConquerError,
-    RationaleCluster,
     _fold_item,
     _plan_item,
-    clusters_from_records,
     conquer_item,
     filter_choices,
     run_conquer,
@@ -37,10 +35,17 @@ def question(qid="q1", n=5, gold=None):
     return Question(id=qid, text="which one?", choices=choices, gold=gold)
 
 
-def cluster(answer, lengths_and_indices):
-    return RationaleCluster(
-        answer=answer,
-        rationales=tuple((f"r{answer}{i}" * max(1, ln // 4), ln, i) for ln, i in lengths_and_indices),
+def body(length, index):
+    """A rationale body of `length` characters that names its sample index."""
+    return f"{index:02d}" + "x" * (length - 2)
+
+
+def record(answer, length, index, qid="q1"):
+    """A divide record giving `answer`, whose rationale is `body(length, index)`."""
+    return InferenceRecord(
+        question_id=qid, phase="divide", sample_index=index,
+        text=f"{body(length, index)}\nSo the answer is ({answer}).",
+        answer=answer, prompt_tokens=1, output_tokens=1,
     )
 
 
@@ -50,47 +55,54 @@ def spec(t=5):
 
 class TestSelectRationales:
     def test_longest_per_cluster_modal_first(self):
-        clusters = [cluster("A", [(40, 0), (95, 3)]), cluster("B", [(60, 1)])]
-        picked = select_rationales(clusters, "longest")
-        assert [p[0] for p in picked] == ["A", "B"]
-        assert picked[0][1] == clusters[0].rationales[1][0]
-        assert picked[1][1] == clusters[1].rationales[0][0]
+        records = [record("A", 40, 0), record("B", 60, 1), record("A", 95, 3)]
+        assert select_rationales(records, "longest") == [("A", body(95, 3)), ("B", body(60, 1))]
 
     def test_shortest(self):
-        clusters = [cluster("A", [(40, 0), (95, 3)]), cluster("B", [(60, 1)])]
-        picked = select_rationales(clusters, "shortest")
-        assert picked[0][1] == clusters[0].rationales[0][0]
+        records = [record("A", 40, 0), record("B", 60, 1), record("A", 95, 3)]
+        assert select_rationales(records, "shortest")[0] == ("A", body(40, 0))
 
     def test_equal_length_tie_breaks_to_earliest_index(self):
-        c = cluster("A", [(50, 2), (50, 0), (50, 4)])
-        picked = select_rationales([c], "longest")
-        assert picked[0][1] == c.rationales[1][0]  # the index-0 rationale
+        records = [record("A", 50, 2), record("A", 50, 0), record("A", 50, 4)]
+        assert select_rationales(records, "longest") == [("A", body(50, 0))]
+
+    def test_unparsed_records_give_no_rationale(self):
+        records = [record("A", 40, 0), record(None, 90, 1), record("B", 20, 2)]
+        assert select_rationales(records, "longest") == [("A", body(40, 0)), ("B", body(20, 2))]
 
     def test_random_is_seed_deterministic(self):
-        clusters = [cluster("A", [(10, 0), (20, 1), (30, 2)])]
-        a = select_rationales(clusters, "random", seed=5)
-        b = select_rationales(clusters, "random", seed=5)
+        records = [record("A", 10, 0), record("A", 20, 1), record("A", 30, 2)]
+        a = select_rationales(records, "random", seed=5)
+        b = select_rationales(records, "random", seed=5)
         assert a == b
 
     def test_empty_cluster_list_errors(self):
-        with pytest.raises(ConquerError):
-            select_rationales([], "longest")
+        for records in ([], [record(None, 40, 0)]):
+            with pytest.raises(ConquerError):
+                select_rationales(records, "longest")
+
+    def test_unknown_mode_errors(self):
+        with pytest.raises(ConquerError, match="unknown rationale selection"):
+            select_rationales([record("A", 40, 0)], "median")
 
     def test_one_per_cluster_count_identity(self):
         rng = random.Random(7)
         for _ in range(200):
-            n_clusters = rng.randint(1, 5)
-            clusters = [
-                cluster(LABELS[i], [(rng.randint(1, 100), j) for j in range(rng.randint(1, 6))])
-                for i in range(n_clusters)
-            ]
-            picked = select_rationales(clusters, "longest")
-            assert len(picked) == n_clusters
-            # oracle: enumerate all (length, index) pairs per cluster
+            samples = [(LABELS[i], rng.randint(2, 100))
+                       for i in range(rng.randint(1, 5)) for _ in range(rng.randint(1, 6))]
+            rng.shuffle(samples)  # sample index i gave answer samples[i][0]
+            records = [record(a, length, i) for i, (a, length) in enumerate(samples)]
+            rng.shuffle(records)
+            picked = select_rationales(records, "longest")
+            answers = [a for a, _ in samples]
+            assert [a for a, _ in picked] == sorted(
+                set(answers), key=lambda a: (-answers.count(a), answers.index(a))
+            )
+            # oracle: enumerate all (length, index) pairs per answer
             for answer, text in picked:
-                c = next(c for c in clusters if c.answer == answer)
-                best = sorted(c.rationales, key=lambda r: (-r[1], r[2]))[0]
-                assert text == best[0]
+                own = [(length, i) for i, (a, length) in enumerate(samples) if a == answer]
+                length, i = sorted(own, key=lambda li: (-li[0], li[1]))[0]
+                assert text == body(length, i)
 
 
 class TestFilterChoices:
@@ -256,12 +268,12 @@ class TestConquerItem:
         q = question()
         answers = ["A", "B", "A", "C", "A"]
         records = self.divide_records(answers)
-        clusters = clusters_from_records(records)
-        assert len(clusters) == 3
+        assert [a for a, _ in select_rationales(records)] == ["A", "B", "C"]
         report = report_for("q1", histogram_from_answers(answers), spec())
         backend = Recording(self.profiles({"A": 1.0}), seed=0)
         outcome = conquer_item(q, report, "PKR", backend, divide_records=records)
-        assert "Prior reasoning:" in backend.requests[0].prompt
+        prior_block = backend.requests[0].prompt.split("Prior reasoning:\n")[1]
+        assert [line[:3] for line in prior_block.splitlines()[:-1]] == ["(A)", "(B)", "(C)"]
         assert outcome.final_answer == "A"
 
     def test_com2_filters_and_includes_rationales(self):

@@ -18,6 +18,7 @@ from qtriage.divide import (
     load_reports,
     majority_answer,
     partition,
+    prefix_majorities,
     records_from_transcript,
     report_for,
     run_divide,
@@ -154,6 +155,19 @@ class TestMajorityAnswer:
             best = max(counts.values())
             expected = next(a for a in answers if counts[a] == best)
             assert got == expected
+
+
+class TestPrefixMajorities:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["A", "B", "C", None]), min_size=1, max_size=10), st.randoms())
+    def test_each_vote_is_the_majority_of_its_prefix(self, answers, rnd):
+        pairs = list(enumerate(answers))
+        rnd.shuffle(pairs)  # the votes follow sample index, not list order
+        votes = prefix_majorities(pairs, len(answers) + 2)
+        for k in range(1, len(answers) + 1):
+            h = histogram_from_answers(answers[:k])
+            assert votes[k - 1] == (majority_answer(h) if h.counts else None), k
+        assert votes[len(answers):] == [votes[len(answers) - 1]] * 2  # past the last sample
 
 
 class TestRunDivide:

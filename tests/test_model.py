@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from qtriage.backend import CompletionRequest, ConfigError
 from qtriage.model import (
+    LABELS,
     DatasetError,
     DatasetSpec,
     Question,
@@ -13,6 +14,7 @@ from qtriage.model import (
     load_dataset,
     normalize_number,
     relabel_choices,
+    restrict_choices,
     save_dataset,
 )
 
@@ -177,6 +179,25 @@ class TestClozeToMcq:
                 expected.append(p)
         assert contents == expected
         assert len(contents) == len(set(priors))
+
+
+@given(st.data())
+def test_to_new_and_to_original_are_inverse_over_the_kept_choices(data):
+    if data.draw(st.booleans(), label="cloze"):
+        originals = data.draw(st.lists(st.integers(0, 99).map(str), min_size=1, max_size=10))
+        _, mapping = cloze_to_mcq(Question(id="c", text="?", kind="cloze"), originals)
+    else:
+        n = data.draw(st.integers(1, 26), label="choices")
+        q = Question(id="m", text="?", choices=tuple((LABELS[i], f"c{i}") for i in range(n)))
+        kept = data.draw(st.lists(st.sampled_from(q.choices), min_size=1, unique=True))
+        _, mapping = restrict_choices(q, kept)
+        originals = list(q.labels())
+    for new, orig in mapping.forward:
+        assert mapping.to_new(mapping.to_original(new)) == new
+        assert mapping.to_original(mapping.to_new(orig)) == orig
+    for dropped in set(originals) - {orig for _, orig in mapping.forward}:
+        with pytest.raises(KeyError):
+            mapping.to_new(dropped)
 
 
 class TestDatasetSpec:

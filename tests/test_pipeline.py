@@ -1,6 +1,7 @@
 """Held run results, the conquer fallback for unparsed questions, report status,
 and the golden bytes of two small simulations."""
 
+import gc
 import hashlib
 import json
 import tempfile
@@ -423,6 +424,31 @@ class TestReportStatus:
         run_divide_phase(questions, DatasetSpec(name="toy20", divide_base=3), backend, manifest)
         assert RunManifest.load(tmp_path / "run").status["report"] == "pending"
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_report_phase_holds_off_the_collector_and_restores_it(
+        self, enabled, monkeypatch, tmp_path
+    ):
+        questions, backend, manifest = toy_run(tmp_path / "run")
+        spec = DatasetSpec(name="toy20", divide_base=5)
+        run_divide_phase(questions, spec, backend, manifest)
+        seen = []
+        curves = pipeline.accuracy_curves
+
+        def watched(*args):
+            seen.append(gc.isenabled())
+            return curves(*args)
+
+        monkeypatch.setattr(pipeline, "accuracy_curves", watched)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            run_report_phase(questions, spec, manifest, partial=True)
+            assert seen == [False] and gc.isenabled() is enabled
+            with pytest.raises(DatasetError, match=questions[0].id):
+                run_report_phase(questions[1:], spec, manifest, partial=True)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
 
 # sha256 of each output file, computed at commit 4c420e8, before the mock's
 # rationale and the transcript line writer were rewritten to write the same
@@ -491,6 +517,17 @@ def test_a_simulation_runs_every_assertion_that_is_set(tmp_path):
     result = run_simulation(tmp_path, 7, settings, n_questions=200)
     assert [name for name, _, _ in result.checks] == ["spearman", "subset_ordering", "fcr_uplift"]
     assert result.ok, result.checks
+
+
+def test_an_assertion_the_settings_leave_unset_comes_from_the_profile_file(tmp_path):
+    profiles = tmp_path / "p.jsonl"
+    record = {"assertions": {"spearman_min": -1, "subset_ordering": True}}
+    profiles.write_text(json.dumps(record) + "\n" + TOY_PROFILES.read_text())
+    for given, checks in ((None, ["spearman", "subset_ordering"]), (False, ["spearman"])):
+        settings = parse_config(("test", {"backend": {"profiles": str(profiles)},
+                                          "assertions": {"subset_ordering": given}}))
+        result = run_simulation(tmp_path / f"run-{given}", 7, settings)
+        assert [name for name, _, _ in result.checks] == checks, given
 
 
 def test_fcr_beats_a_greedy_requery_once_the_mock_uplifts_it(tmp_path):
