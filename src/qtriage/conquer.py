@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
-from .backend import Backend, CompletionRequest, execute
+from .backend import Backend, CompletionRequest
 from .divide import (
     DEFAULT_MAX_OUTPUT_TOKENS,
     LOW_BINS,
@@ -22,11 +22,10 @@ from .divide import (
     AnswerHistogram,
     ConfidenceReport,
     InferenceRecord,
-    extract_for,
     histogram_from_answers,
     majority_answer,
     questions_for,
-    vote_decided,
+    sample,
 )
 from .extraction import extract_choice_answer  # unused here; bench/tracing.py wraps this name
 from .model import (
@@ -237,28 +236,11 @@ def _fold_item(plan: _Plan, records: Sequence[InferenceRecord]) -> ConquerOutcom
 def _conquer_plans(
     plans: Sequence[_Plan], backend: Backend, parallelism: int = 1
 ) -> list[ConquerOutcome]:
-    """Issue each plan's samples in rounds until its vote is decided, then fold.
-
-    Round 1 issues the first ceil(n/2) of a plan's n samples, since that many
-    equal answers already win; each later round issues the next sample of
-    every plan whose vote is not yet decided. Each round is one `execute`
-    batch, and the issued samples are a prefix of the plan's requests.
-    """
-    records: list[list[InferenceRecord]] = [[] for _ in plans]
-    batch = [(i, r) for i, p in enumerate(plans) for r in p.requests[: (len(p.requests) + 1) // 2]]
-    while batch:
-        for (i, req), comp in zip(batch, execute([r for _, r in batch], backend, parallelism)):
-            answer = extract_for(plans[i].asked, comp.text)
-            records[i].append(InferenceRecord.from_completion(req, comp, answer))
-        batch = [
-            (i, plans[i].requests[len(records[i])])
-            for i in dict.fromkeys(i for i, _ in batch)
-            if len(records[i]) < len(plans[i].requests) and not vote_decided(
-                histogram_from_answers([r.answer for r in records[i]]),
-                len(plans[i].requests) - len(records[i]),
-            )
-        ]
-    return [_fold_item(p, recs) for p, recs in zip(plans, records)]
+    """Sample each plan until its vote is decided, round 1 asking ceil(n/2) of
+    its n samples since that many equal answers already win; then fold."""
+    sampled = sample([(p.asked, p.requests) for p in plans], backend, parallelism,
+                     first=lambda n: (n + 1) // 2)
+    return list(map(_fold_item, plans, sampled))
 
 
 def conquer_item(

@@ -9,16 +9,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from operator import itemgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .backend import (
     Backend,
     CacheMissError,
+    CachingBackend,
     Completion,
     CompletionRequest,
+    NoFetchBackend,
     TranscriptCache,
     execute,
 )
@@ -32,6 +34,7 @@ FINE_SPLIT = Fraction(2, 5)  # low subset splits into top/bottom at 0.4
 
 SUBSETS = ("high", "med", "low")
 LOW_BINS = ("low_top", "low_bottom")  # the fine bins the low subset splits into
+BY_QUESTION = attrgetter("question_id", "sample_index")  # the order divide records come in
 
 
 class DivideError(QtriageError, ValueError):
@@ -250,7 +253,7 @@ def extract_for(q: Question, text: str) -> Optional[str]:
 
 
 def divide_requests(q: Question, samples: int) -> list[CompletionRequest]:
-    """The ZTCOT requests divide issues for `q`; later phases look them up by key."""
+    """The ZTCOT requests divide issues for `q`; replay asks the transcript for them."""
     prompt = build_prompt(q, "ZTCOT")
     return [
         CompletionRequest(
@@ -265,6 +268,30 @@ def divide_requests(q: Question, samples: int) -> list[CompletionRequest]:
     ]
 
 
+def sample(
+    plans: Sequence[tuple[Question, Sequence[CompletionRequest]]],
+    backend: Backend,
+    parallelism: int = 1,
+    first: Callable[[int], int] = lambda n: n,
+) -> list[list[InferenceRecord]]:
+    """Each plan's records in sample order; a plan is a question as asked and its requests.
+
+    Round 1 issues the first `first(n)` of each plan's n requests, by default
+    all of them; each later round, the next request of every plan whose vote
+    `vote_decided` has not settled. Each round is one `execute` batch, in plan order.
+    """
+    records: list[list[InferenceRecord]] = [[] for _ in plans]
+    batch = [(i, r) for i, (_, reqs) in enumerate(plans) for r in reqs[: first(len(reqs))]]
+    while batch:
+        for (i, req), comp in zip(batch, execute([r for _, r in batch], backend, parallelism)):
+            answer = extract_for(plans[i][0], comp.text)
+            records[i].append(InferenceRecord.from_completion(req, comp, answer))
+        left = {i: len(plans[i][1]) - len(records[i]) for i, _ in batch}  # samples not issued
+        batch = [(i, plans[i][1][-n]) for i, n in left.items() if n and not vote_decided(
+            histogram_from_answers([r.answer for r in records[i]]), n)]
+    return records
+
+
 def run_divide(
     questions: Sequence[Question],
     spec: DatasetSpec,
@@ -274,24 +301,17 @@ def run_divide(
 ) -> tuple[list[ConfidenceReport], list[InferenceRecord]]:
     """Sample each question divide_base times and score its confidence.
 
-    All requests run as one batch; each question's answers are folded from
-    its own slice of the in-order completions, so output is independent of
-    completion order.
+    All samples are `sample`'s first round, one batch in question order, so
+    output is independent of completion order.
     """
-    t = spec.divide_base
-    requests = [r for q in questions for r in divide_requests(q, t)]
-    done = zip(requests, execute(requests, backend, parallelism))
-    records: list[InferenceRecord] = []
-    reports: list[ConfidenceReport] = []
-    for q in questions:
-        own = islice(done, t)
-        recs = [InferenceRecord.from_completion(r, c, extract_for(q, c.text)) for r, c in own]
-        records += recs
-        reports.append(report_for(q.id, histogram_from_answers([r.answer for r in recs]), spec))
-        if progress is not None:
-            progress(f"{q.id}: cs={float(reports[-1].cs):.2f} subset={reports[-1].subset}")
-    records.sort(key=lambda r: (r.question_id, r.sample_index))
-    return reports, records
+    sampled = sample([(q, divide_requests(q, spec.divide_base)) for q in questions],
+                     backend, parallelism)
+    reports = [report_for(q.id, histogram_from_answers([r.answer for r in recs]), spec)
+               for q, recs in zip(questions, sampled)]
+    if progress is not None:
+        for r in reports:
+            progress(f"{r.question_id}: cs={float(r.cs):.2f} subset={r.subset}")
+    return reports, sorted(chain(*sampled), key=BY_QUESTION)
 
 
 def questions_for(
@@ -316,22 +336,19 @@ def records_from_transcript(
     questions: Sequence[Question],
     reports: Sequence[ConfidenceReport],
 ) -> list[InferenceRecord]:
-    """The divide records behind each report: its own requests, looked up by key.
+    """The divide records behind each report: its own divide plan, replayed by
+    `sample` over the cache and a backend that never fetches.
 
     Raises `DatasetError` for a report whose question is not in `questions`,
     and `CacheMissError` naming the key of the first request the cache lacks.
     """
-    records = []
-    for q, report in zip(questions_for(questions, reports), reports):
-        for req in divide_requests(q, report.histogram.total_samples):
-            comp = cache.get(req.key())
-            if comp is None:
-                raise CacheMissError(
-                    f"divide transcript incomplete: no entry for key {req.key()!r}"
-                )
-            records.append(InferenceRecord.from_completion(req, comp, extract_for(q, comp.text)))
-    records.sort(key=lambda r: (r.question_id, r.sample_index))
-    return records
+    plans = [(q, divide_requests(q, r.histogram.total_samples))
+             for q, r in zip(questions_for(questions, reports), reports)]
+    try:
+        sampled = sample(plans, CachingBackend(NoFetchBackend(), cache))
+    except CacheMissError as exc:
+        raise CacheMissError(f"divide transcript incomplete: {exc}") from None
+    return sorted(chain(*sampled), key=BY_QUESTION)
 
 
 def load_reports(path: str | Path) -> list[ConfidenceReport]:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtriage.backend import Backend, Completion, execute
+from qtriage.backend import Backend, Completion
 from qtriage.conquer import (
     ConquerError,
     _fold_item,
@@ -18,11 +18,11 @@ from qtriage.conquer import (
 )
 from qtriage.divide import (
     InferenceRecord,
-    extract_for,
     histogram_from_answers,
     majority_answer,
     report_for,
     run_divide,
+    sample,
     vote_decided,
 )
 from qtriage.model import LABELS, Question, DatasetSpec
@@ -513,11 +513,51 @@ class TestSCPrefix:
             # Every sample of the question in one batch, as before votes could stop early.
             own = [r for r in records if r.question_id == report.question_id]
             plan = _plan_item(by_id[report.question_id], report, strategy, own, {}, **options)
-            full = [
-                InferenceRecord.from_completion(req, comp, extract_for(plan.asked, comp.text))
-                for req, comp in zip(plan.requests, execute(plan.requests, backend))
-            ]
+            full = sample([(plan.asked, plan.requests)], backend)[0]
             assert outcome.question_id == report.question_id
             assert outcome.records == tuple(full[: len(outcome.records)])
             assert len(outcome.records) >= min(1, len(full))
             assert outcome.final_answer == _fold_item(plan, full).final_answer
+
+
+class BatchCounting(Backend):
+    """`inner`'s completions; counts the batches `execute` ends, one per round trip."""
+
+    waits = False
+
+    def __init__(self, inner):
+        self.inner, self.batches = inner, 0
+
+    def complete(self, req):
+        return self.inner.complete(req)
+
+    def end_batch(self):
+        self.batches += 1
+
+
+class TestRoundTrips:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(1, 20),
+        family=st.sampled_from(["uniform_correct", "second_gold"]),
+        seed=st.integers(0, 10_000),
+        strategy=st.sampled_from(list(STRATEGIES)),
+        sc_samples=st.integers(1, 10),
+    )
+    def test_one_batch_per_round(self, n, family, seed, strategy, sc_samples):
+        questions, profiles = generate_synthetic(n, family=family, seed=seed)
+        backend = BatchCounting(MockBackend(profiles, seed=seed, noise_rate=0.1))
+        reports, records = run_divide(questions, spec(), backend)
+        assert backend.batches == 1
+        for sc in (False, True):
+            backend.batches = 0
+            outcomes = run_conquer(questions, reports, strategy, backend, divide_records=records,
+                                   self_consistency=sc, sc_samples=sc_samples)
+            issued = [len(o.records) for o in outcomes if o.records]
+            if not issued:
+                assert backend.batches == 0
+            elif not sc:
+                assert backend.batches == 1
+            else:
+                assert backend.batches == 1 + max(issued) - (sc_samples + 1) // 2
+                assert backend.batches <= sc_samples // 2 + 1

@@ -1,14 +1,16 @@
+import json
 import random
+import re
 import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qtriage.backend import CachingBackend, TranscriptCache
-from qtriage.conquer import ConquerError, run_conquer
+from qtriage.backend import CacheMissError, CachingBackend, TranscriptCache
+from qtriage.conquer import run_conquer
 from qtriage.divide import (
     DivideError,
     assign_fine_bin,
@@ -23,8 +25,12 @@ from qtriage.divide import (
     report_for,
     run_divide,
 )
-from qtriage.model import DatasetError, DatasetSpec, Question, encode_jsonl
+from qtriage.manifest import dataset_spec, new_manifest, parse_config
+from qtriage.model import DatasetError, DatasetSpec, Question, encode_jsonl, save_dataset
+from qtriage.pipeline import run_conquer_phase, run_divide_phase
+from qtriage.report import prior_predictions
 from qtriage.synth import MockBackend, QuestionProfile, generate_synthetic
+from reference import reference_partition
 
 MU = Fraction(4, 5)
 NU = Fraction(3, 5)
@@ -233,13 +239,22 @@ class TestRecordsFromTranscript:
             with TranscriptCache(path) as cache:
                 backend = CachingBackend(MockBackend(profiles, seed=seed, noise_rate=noise), cache)
                 big_reports, big_records = run_divide(questions, spec(t + extra), backend)
-                try:
-                    run_conquer(questions, big_reports, strategy, backend,
-                                divide_records=big_records, self_consistency=True, sc_samples=3)
-                except ConquerError:  # no parsed prior answer to filter or reuse
-                    run_conquer(questions, big_reports, "ZTCOT", backend)
+                run_conquer(questions, big_reports, strategy, backend,
+                            divide_records=big_records, self_consistency=True, sc_samples=3)
                 reports, records = run_divide(questions, spec(t), backend)
             assert records_from_transcript(TranscriptCache(path), questions, reports) == records
+
+    def test_missing_entry_is_named_and_nothing_is_written(self, tmp_path):
+        questions, profiles = generate_synthetic(3, family="uniform_correct", seed=1)
+        path = tmp_path / "transcript.jsonl"
+        with TranscriptCache(path) as cache:
+            reports, _ = run_divide(questions, spec(), CachingBackend(MockBackend(profiles, seed=1), cache))
+        lines = path.read_text().splitlines(keepends=True)
+        key = json.loads(lines.pop(7))["key"]
+        path.write_text("".join(lines))
+        with pytest.raises(CacheMissError, match=rf"^divide transcript incomplete: .*{re.escape(key)}"):
+            records_from_transcript(TranscriptCache(path), questions, reports)
+        assert path.read_text() == "".join(lines)
 
     def test_question_missing_from_dataset_is_named(self, tmp_path):
         questions, profiles = generate_synthetic(3, family="uniform_correct", seed=1)
@@ -248,3 +263,41 @@ class TestRecordsFromTranscript:
             reports, _ = run_divide(questions, spec(), backend)
         with pytest.raises(DatasetError, match=questions[0].id):
             records_from_transcript(cache, questions[1:], reports)
+
+
+class TestDivideReference:
+    @settings(max_examples=20, deadline=None)
+    # Runs that put questions exactly on mu, nu and the fine split, and tie votes.
+    @example(n=40, t=5, extra=1, family="second_gold", strategy="PKR", noise=0.05, seed=0)
+    @example(n=40, t=10, extra=2, family="uniform_correct", strategy="FCR", noise=0.0, seed=1)
+    @given(
+        n=st.integers(1, 40),
+        t=st.integers(2, 10),
+        extra=st.integers(1, 3),
+        family=st.sampled_from(["uniform_correct", "second_gold"]),
+        strategy=st.sampled_from(["PKR", "FCR"]),
+        noise=st.floats(0.0, 0.3),
+        seed=st.integers(0, 10_000),
+    )
+    def test_partition_equals_the_reference(self, n, t, extra, family, strategy, noise, seed):
+        # The transcript also holds an earlier, larger divide and its conquer lines.
+        questions, profiles = generate_synthetic(n, family=family, seed=seed)
+        backend = MockBackend(profiles, seed=seed, noise_rate=noise)
+        with tempfile.TemporaryDirectory() as tmp:
+            run_dir = Path(tmp)
+            save_dataset(run_dir / "dataset.jsonl", questions)
+            for samples in (t + extra, t):
+                config = {"dataset": {"path": str(run_dir / "dataset.jsonl"),
+                                      "divide_base": samples},
+                          "backend": {"noise_rate": noise}}
+                manifest = new_manifest(config, seed, run_dir)
+                reports, _ = run_divide_phase(
+                    questions, dataset_spec(parse_config(("config", config))), backend, manifest
+                )
+                if samples > t:
+                    run_conquer_phase(questions, reports, strategy, backend, manifest,
+                                      self_consistency=True, sc_samples=3)
+            lines, majorities = reference_partition(run_dir)
+            written = (run_dir / "partition.jsonl").read_text(encoding="utf-8").splitlines()
+            assert [json.loads(line) for line in written] == lines
+            assert dict(prior_predictions(load_reports(run_dir / "partition.jsonl"))) == majorities
