@@ -154,7 +154,7 @@ def cmd_simulate(ctx, profiles_path, family, n_questions, divide_base, noise_rat
 @click.option("--compare", nargs=2, type=click.Path(), default=None,
               help="Diff two run directories strategy-by-strategy.")
 @click.option("--partial/--no-partial", default=False,
-              help="Emit a report flagged partial even if phases are incomplete.")
+              help="Emit a report flagged partial even if phases are not current.")
 @click.pass_context
 def cmd_report(ctx, compare, partial):
     """Emit report.json, summary.csv, and curves.csv for a completed run."""

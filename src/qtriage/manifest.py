@@ -135,11 +135,11 @@ def stored_config(settings: dict) -> dict:
 
 @dataclass
 class RunManifest:
-    """A run's identity and phase status, and the results this process holds:
-    the partition's reports, each outcome set, the divide records and the
-    conquer prior (see `hold`). Status and outcome names are held for
-    manifest.json, so another writer's are read. A loaded manifest holds
-    nothing else, so a CLI command reads each file.
+    """A run's identity, the record of each phase, and the results this process
+    holds: the partition's reports, each outcome set, the divide records and the
+    conquer prior (see `hold`). The phase records are held for manifest.json,
+    so another writer's are read. A loaded manifest holds nothing else, so a
+    CLI command reads each file.
     """
 
     run_id: str
@@ -197,48 +197,63 @@ class RunManifest:
             entry = self._held[key] = (inputs, read())
         return entry[1]
 
-    def _state(self) -> dict:
-        return self.hold(self.path, lambda: _read(self.path))
+    def digest(self, path: Path) -> Optional[str]:
+        """The sha256 of the file at `path`, held while the file is unchanged; None if missing."""
+        identity = _file_identity(path)
+        return identity and self.hold(
+            ("sha256", path), lambda: hashlib.sha256(path.read_bytes()).hexdigest(), identity)
 
     @property
-    def status(self) -> dict:  # phase -> state
-        return self._state().setdefault("status", {})
+    def phases(self) -> dict:
+        """Each phase run (`divide`, `conquer:<outcome name>`, `report`) -> the record of
+        what its file was computed from, or None if it failed. A new manifest reads
+        its run dir's earlier records: an equal partition keeps each outcome set current."""
+        return self.hold(self.path, lambda: _phases(self.path))
 
-    @property
-    def outcomes(self) -> list[str]:  # conquered outcome names, sorted
-        return self._state()["outcomes"]
+    def record(self, phase: str, inputs: object) -> None:
+        """Store `inputs`, as JSON reads them back, as `phase`'s record, and save."""
+        self.phases[phase] = json.loads(json.dumps(inputs))
+        self.save()
 
-    def mark(self, phase: str, state: str) -> None:
-        self.status[phase] = state
+    def stale(self) -> dict[str, str]:
+        """Each phase a report reads that is not current, `conquer` while none has run ->
+        a note naming its missing file, else "". A phase is current when its file exists
+        and its record matches its inputs now: the run id, or the partition's digest."""
+        partition, phases = self.digest(self.partition_path), self.phases
+        stale = {} if partition and phases.get("divide") == self.run_id else {"divide": ""}
+        conquers = sorted(p for p in phases if p.startswith("conquer:"))
+        for phase in conquers:
+            path, record = self.outcome_path(phase.removeprefix("conquer:")), phases[phase]
+            if not path.is_file():
+                stale[phase] = f" ({path.name} missing)"
+            elif not (partition and isinstance(record, dict)) or record.get("partition") != partition:
+                stale[phase] = ""
+        return stale if conquers else {**stale, "conquer": ""}
 
     def save(self) -> None:
-        state = {"outcomes": self.outcomes, "status": self.status}
-        d = {"config": self.config, "run_id": self.run_id, "seed": self.seed, **state}
+        phases = self.phases
+        d = {"config": self.config, "phases": phases, "run_id": self.run_id, "seed": self.seed}
         write_atomic(self.path, json.dumps(d, indent=2, sort_keys=True) + "\n")
-        self.hold(self.path, lambda: state)  # for the file as written
+        self.hold(self.path, lambda: phases)  # for the file as written
 
     @staticmethod
     def load(run_dir: str | Path) -> "RunManifest":
         run_dir = Path(run_dir)
         path = run_dir / "manifest.json"
-        d = _read(path)
+        d = read_json(path, ManifestError)
         try:
-            return RunManifest(
-                run_id=d["run_id"], config=d["config"], seed=int(d["seed"]), run_dir=run_dir
-            )
+            return RunManifest(d["run_id"], d["config"], int(d["seed"]), run_dir)
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"{path}: bad manifest: {exc!r}") from exc
 
 
-def _read(path: Path) -> dict:
-    d = read_json(path, ManifestError)
-    outcomes = d.get("outcomes")
-    if not isinstance(outcomes, list) or not all(isinstance(n, str) for n in outcomes):
-        raise ManifestError(
-            f"{path}: no 'outcomes' list; written before run directories named"
-            " their own files; rerun divide and each conquer to rebuild it"
-        )
-    return d
+def _phases(path: Path) -> dict:
+    """manifest.json's phase records; none if it is missing, unreadable or older than them."""
+    try:
+        phases = read_json(path, ManifestError).get("phases")
+    except ManifestError:
+        return {}
+    return phases if isinstance(phases, dict) else {}
 
 
 def _file_identity(path: Path) -> Optional[tuple[int, int, int]]:
@@ -257,7 +272,7 @@ def derive_run_id(config: dict, seed: int) -> str:
 
 
 def new_manifest(config: dict, seed: int, run_dir: str | Path) -> RunManifest:
-    """A pending run of the config tree `config`, which `parse_config` checks. It
+    """A run of the config tree `config`, which `parse_config` checks. It
     stores the tree's `stored_config`, each input path relative to `run_dir` if in it,
     else absolute; its run id hashes that less how requests travel, with each input
     file by content. An unreadable input file raises `ConfigError` naming its key."""
@@ -272,7 +287,4 @@ def new_manifest(config: dict, seed: int, run_dir: str | Path) -> RunManifest:
             raise ConfigError(f"config {dotted} is unreadable: {exc}") from None
         paths[dotted] = str(path.relative_to(root) if path.is_relative_to(root) else path)
     run_id = derive_run_id(stored_config({**settings, **computed}), seed)
-    manifest = RunManifest(run_id, stored_config({**settings, **paths}), seed, Path(run_dir))
-    status = {"divide": "pending", "conquer": "pending", "report": "pending"}
-    manifest.hold(manifest.path, lambda: {"outcomes": [], "status": status})  # not an old run's
-    return manifest
+    return RunManifest(run_id, stored_config({**settings, **paths}), seed, Path(run_dir))

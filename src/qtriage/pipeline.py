@@ -64,22 +64,16 @@ def build_backend(settings: dict, seed: int, profiles: Optional[dict]) -> Backen
 
 
 @contextmanager
-def _phase(manifest: RunManifest, on_failure: dict[str, str]) -> Iterator[TranscriptCache]:
-    """The run's transcript for one phase's work, closed (and synced) when it ends.
-
-    A failure marks each phase in `on_failure` with its state and saves the
-    manifest. A `CacheError` leaves manifest.json as it is: the transcript is
-    unreadable, or another writer owns the run dir and its manifest.
-    """
+def _phase(manifest: RunManifest, phase: str) -> Iterator[TranscriptCache]:
+    """The run's transcript for `phase`'s work, closed (and synced) when it ends. A
+    failure sets the phase's record to None, but a `CacheError` leaves manifest.json
+    as it is: the transcript is unreadable, or another writer owns the run dir."""
     with manifest.transcript as cache:
         try:
             yield cache
-        except CacheError:
-            raise
-        except Exception:
-            for phase, state in on_failure.items():
-                manifest.mark(phase, state)
-            manifest.save()
+        except Exception as exc:
+            if not isinstance(exc, CacheError):
+                manifest.record(phase, None)
             raise
 
 
@@ -138,17 +132,16 @@ def run_divide_phase(
     parallelism: int = 1,
     progress=None,
 ) -> tuple[list[ConfidenceReport], list[InferenceRecord]]:
-    with _phase(manifest, {"divide": "partial"}) as cache:
+    with _phase(manifest, "divide") as cache:
         reports, records = run_divide(
             questions, spec, CachingBackend(backend, cache),
             parallelism=parallelism, progress=progress,
         )
-    encode_jsonl(manifest.partition_path, reports)
-    manifest.hold(manifest.partition_path, lambda: tuple(reports))
-    _divide_records(manifest, questions, reports, lambda: tuple(records))
-    manifest.mark("divide", "done")
-    manifest.mark("report", "pending")
-    manifest.save()
+        encode_jsonl(manifest.partition_path, reports)
+        manifest.hold(manifest.partition_path, lambda: tuple(reports))
+        manifest.digest(manifest.partition_path)  # hashed once, for each conquer's record
+        _divide_records(manifest, questions, reports, lambda: tuple(records))
+        manifest.record("divide", manifest.run_id)
     return reports, records
 
 
@@ -162,15 +155,14 @@ def run_conquer_phase(
     **options,
 ) -> list[ConquerOutcome]:
     """Conquer one strategy through the run's transcript; `options` go to `run_conquer`.
-
-    A failed strategy stays marked `conquer:<outcome name>: failed` until a
-    rerun of it succeeds; `conquer` reads `done` only while none is marked.
-    Rejected subsets leave the manifest as it is.
-    """
+    Its record holds the partition's digest and the options but `parallelism`.
+    Rejected subsets leave the manifest as it is."""
     if "subsets" in options:
         check_subsets(options["subsets"])
     name = f"{strategy.lower()}{'+sc' if self_consistency else ''}"
-    with _phase(manifest, {f"conquer:{name}": "failed", "conquer": "partial"}) as cache:
+    read = {"partition": manifest.digest(manifest.partition_path), **options}
+    read.pop("parallelism", None)
+    with _phase(manifest, f"conquer:{name}") as cache:
         needs = strategy_row(strategy).rationales
         divide_records = _divide_records(manifest, questions, reports) if needs else ()
         outcomes = run_conquer(
@@ -178,14 +170,9 @@ def run_conquer_phase(
             divide_records=divide_records, prior=_prior(manifest, questions, reports),
             self_consistency=self_consistency, **options,
         )
-    encode_jsonl(manifest.outcome_path(name), outcomes)
-    manifest.hold(manifest.outcome_path(name), lambda: tuple(outcomes))
-    manifest.outcomes[:] = sorted({*manifest.outcomes, name})
-    manifest.status.pop(f"conquer:{name}", None)
-    failed = any(phase.startswith("conquer:") for phase in manifest.status)
-    manifest.mark("conquer", "partial" if failed else "done")
-    manifest.mark("report", "pending")
-    manifest.save()
+        encode_jsonl(manifest.outcome_path(name), outcomes)
+        manifest.hold(manifest.outcome_path(name), lambda: tuple(outcomes))
+        manifest.record(f"conquer:{name}", read)
     return outcomes
 
 
@@ -196,32 +183,32 @@ def run_report_phase(
     manifest: RunManifest,
     partial: bool = False,
 ) -> dict[str, Path]:
-    """Write the report files; a report over incomplete phases needs `partial`."""
-    incomplete = sorted(p for p, s in manifest.status.items() if s != "done" and p != "report")
-    if incomplete and not partial:
-        raise ManifestError(
-            f"phases incomplete: {', '.join(incomplete)}; rerun or pass --partial"
-        )
+    """Write the report files over the partition and each current outcome set, and
+    record the records of the phases read; a report while a phase is not current
+    (see `RunManifest.stale`) needs `partial`."""
     reports = manifest.hold(manifest.partition_path, lambda: load_reports(manifest.partition_path))
+    stale = manifest.stale()
+    if stale and not partial:
+        named = ", ".join(phase + note for phase, note in stale.items())
+        raise ManifestError(f"phases not current: {named}; rerun or pass --partial")
+    read = {p: r for p, r in manifest.phases.items()
+            if p == "divide" or p.startswith("conquer:") and p not in stale}
     divide_records = _divide_records(manifest, questions, reports)
 
     prior = subset_prior_metrics(questions, reports, divide_records)
     strategies = {}
-    for name in manifest.outcomes:
+    for name in (p.removeprefix("conquer:") for p in read if p != "divide"):
         path = manifest.outcome_path(name)
         outcomes = manifest.hold(path, lambda: read_outcomes(path))
         strategies[name] = strategy_metrics(questions, reports, outcomes)
     cost = cost_summary(divide_records, reports, sc_budget=spec.divide_base)
     curves = accuracy_curves(questions, reports, divide_records)
-    # A write that fails part way must not leave the old report reading done.
-    manifest.mark("report", "pending")
-    manifest.save()
+    manifest.record("report", None)  # a write that fails part way leaves no record
     files = emit_report(
         manifest.report_dir(), spec.name, prior, strategies, cost, curves,
-        run_id=manifest.run_id, partial=bool(incomplete),
+        run_id=manifest.run_id, partial=bool(stale),
     )
-    manifest.mark("report", "partial" if incomplete else "done")
-    manifest.save()
+    manifest.record("report", read)
     return files
 
 

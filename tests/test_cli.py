@@ -342,14 +342,17 @@ class TestConquerCommand:
         path = run_dir / "manifest.json"
         as_given = json.loads(config.read_text())
         del as_given["run_dir"]
-        manifest = {**json.loads(path.read_text()), "config": as_given, "run_id": "0123456789ab"}
+        manifest = {**json.loads(path.read_text()), "config": as_given, "run_id": "0123456789ab",
+                    "phases": {"divide": "0123456789ab"}}  # its partition is that run's
         path.write_text(json.dumps(manifest))
         for args in (["conquer", "--strategy", "pkr"], ["report"]):
             result = runner.invoke(main, ["--cache-dir", str(run_dir), *args])
             assert result.exit_code == 0, result.output
         stored = json.loads(path.read_text())
         assert (stored["config"], stored["run_id"]) == (as_given, "0123456789ab")
-        assert stored["outcomes"] == ["pkr"] and set(stored["status"].values()) == {"done"}
+        phases = stored["phases"]
+        assert sorted(phases) == ["conquer:pkr", "divide", "report"]
+        assert phases["report"] == {"conquer:pkr": phases["conquer:pkr"], "divide": "0123456789ab"}
         report = json.loads((run_dir / "reports" / "report.json").read_text())
         assert report["run_id"] == "0123456789ab" and report["strategies"]["pkr"]
 
@@ -381,24 +384,24 @@ class TestConquerCommand:
         reports, _ = run_divide_phase(questions, DatasetSpec(name="toy", divide_base=5),
                                       backend, manifest)
         run_conquer_phase(questions, reports, "FCR", backend, manifest, self_consistency=True)
-        assert RunManifest.load(run_dir).status["conquer"] == "done"
+        assert runner.invoke(main, ["--config", str(config), "report"]).exit_code == 0
         backend.armed = True
         with pytest.raises(TransportError):
             run_conquer_phase(questions, reports, "PKR", backend, manifest)
-        assert RunManifest.load(run_dir).status["conquer"] == "partial"
+        assert RunManifest.load(run_dir).phases["conquer:pkr"] is None
         result = runner.invoke(main, ["--config", str(config), "report"])
         assert result.exit_code == 1
-        assert "conquer" in result.output and "--partial" in result.output
-        # A later success of another strategy leaves the failed one marked.
+        assert "conquer:pkr" in result.output and "--partial" in result.output
+        # A later success of another strategy leaves the failed one without a record.
         backend.armed = False
         run_conquer_phase(questions, reports, "FCR", backend, manifest, self_consistency=True)
-        assert RunManifest.load(run_dir).status["conquer"] == "partial"
+        assert RunManifest.load(run_dir).phases["conquer:pkr"] is None
         result = runner.invoke(main, ["--config", str(config), "report"])
         assert result.exit_code == 1
-        assert "conquer:pkr" in result.output
-        # Rerunning the failed strategy clears its mark.
+        assert "not current: conquer:pkr (outcomes_pkr.jsonl missing);" in result.output
+        # Rerunning the failed strategy records it again.
         run_conquer_phase(questions, reports, "PKR", backend, manifest)
-        assert RunManifest.load(run_dir).status["conquer"] == "done"
+        assert RunManifest.load(run_dir).stale() == {}
         assert runner.invoke(main, ["--config", str(config), "report"]).exit_code == 0
 
     def test_sc_after_greedy_fetches_every_sample(self, runner, tmp_path):
@@ -894,8 +897,14 @@ class TestReportCommand:
         assert {p.name: p.read_bytes() for p in reports.iterdir()} == first
 
 
-def status(run_dir):
-    return json.loads((run_dir / "manifest.json").read_text())["status"]
+def phases(run_dir):
+    return json.loads((run_dir / "manifest.json").read_text())["phases"]
+
+
+def report_reads_every_phase(run_dir):
+    """Whether the report's record holds the record of every other phase."""
+    records = phases(run_dir)
+    return records.get("report") == {p: r for p, r in records.items() if p != "report"}
 
 
 class TestReportStatus:
@@ -903,11 +912,11 @@ class TestReportStatus:
         base, run_dir = divided(runner, tmp_path)
         for args in (["conquer", "--strategy", "fcr"], ["report"]):
             assert runner.invoke(main, base + args).exit_code == 0
-        assert status(run_dir)["report"] == "done"
+        assert report_reads_every_phase(run_dir)
         assert runner.invoke(main, base + ["conquer", "--strategy", "pkr"]).exit_code == 0
-        assert status(run_dir)["report"] == "pending"
+        assert not report_reads_every_phase(run_dir)
         assert runner.invoke(main, base + ["report"]).exit_code == 0
-        assert status(run_dir)["report"] == "done"
+        assert report_reads_every_phase(run_dir)
         report = json.loads((run_dir / "reports" / "report.json").read_text())
         assert sorted(report["strategies"]) == ["fcr", "pkr"]
 
@@ -917,7 +926,7 @@ class TestReportStatus:
         import errno
 
         run_dir = run_pipeline(runner, tmp_path, tmp_path / "run")
-        assert status(run_dir)["report"] == "done"
+        assert report_reads_every_phase(run_dir)
         replace = os.replace
 
         def no_space_for_summary(src, dst):
@@ -931,7 +940,31 @@ class TestReportStatus:
         assert isinstance(result.exception, SystemExit), repr(result.exception)
         errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
         assert len(errors) == 1 and "summary.csv" in errors[0], result.output
-        assert status(run_dir)["report"] != "done"
+        assert phases(run_dir)["report"] is None
+
+    def test_an_old_manifest_reads_as_nothing_current_and_reruns_with_zero_calls(
+        self, runner, tmp_path, monkeypatch
+    ):
+        run_dir = run_pipeline(runner, tmp_path, tmp_path / "run")
+        reports = run_dir / "reports"
+        before = {p.name: p.read_bytes() for p in reports.iterdir()}
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["phases"]  # as written before phases were recorded
+        manifest.update(outcomes=["fcr+sc"], status=dict.fromkeys(["divide", "report"], "done"))
+        path.write_text(json.dumps(manifest))
+        base = ["--config", str(tmp_path / "config.json"), "--seed", "42"]
+        result = runner.invoke(main, base + ["report"])
+        assert result.exit_code == 1 and "not current: divide, conquer;" in result.output
+
+        complete, calls = MockBackend.complete, []
+        monkeypatch.setattr(MockBackend, "complete",
+                            lambda self, req: calls.append(req) or complete(self, req))
+        for args in (["divide"], ["conquer", "--strategy", "fcr", "--sc"], ["report"]):
+            result = runner.invoke(main, base + args)
+            assert result.exit_code == 0, result.output
+        assert calls == []
+        assert {p.name: p.read_bytes() for p in reports.iterdir()} == before
 
 
 class TestRunDirLayout:
@@ -957,8 +990,8 @@ class TestRunDirLayout:
         run_dir = tmp_path / "moved" / "b"
         assert {p.name: p.read_bytes() for p in (run_dir / "reports").iterdir()} == before
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert sorted(manifest) == ["config", "outcomes", "run_id", "seed", "status"]
-        assert manifest["outcomes"] == ["fcr+sc", "pkr"]
+        assert sorted(manifest) == ["config", "phases", "run_id", "seed"]
+        assert sorted(manifest["phases"]) == ["conquer:fcr+sc", "conquer:pkr", "divide", "report"]
         assert "run_dir" not in manifest["config"]
         assert "runs/a" not in (run_dir / "manifest.json").read_text()
 
@@ -981,7 +1014,7 @@ class TestRunDirLayout:
         assert {p: p.read_bytes() for p in other.rglob("*") if p.is_file()} == before
         run_dir = tmp_path / "w" / "runs" / "a"
         assert (run_dir / "outcomes_pkr.jsonl").is_file()
-        assert RunManifest.load(run_dir).outcomes == ["pkr"]
+        assert sorted(RunManifest.load(run_dir).phases) == ["conquer:pkr", "divide"]
 
     def test_later_commands_find_relative_inputs_from_another_dir(
         self, runner, tmp_path, monkeypatch
@@ -1267,10 +1300,10 @@ def _bad_outcome_record(runner, tmp_path, monkeypatch):
 def _manifest_without_outcomes(runner, tmp_path, monkeypatch):
     base, run_dir = divided(runner, tmp_path)
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    manifest.pop("outcomes", None)  # the layout before run dirs named their own files
-    manifest.update(run_dir=str(run_dir), paths={"outcomes": {}})
+    manifest.pop("phases")  # the layout before run dirs named their own files
+    manifest.update(run_dir=str(run_dir), paths={"outcomes": {}}, status={"divide": "done"})
     (run_dir / "manifest.json").write_text(json.dumps(manifest))
-    return base + ["report", "--partial"], "manifest.json: no 'outcomes'"
+    return base + ["report"], "phases not current: divide, conquer;"
 
 
 def _stored_config_bad(runner, tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from qtriage.backend import ConfigError, TransportError
 from qtriage.cli import main
 from qtriage.conquer import load_outcomes
 from qtriage.divide import load_reports
-from qtriage.manifest import RunManifest, new_manifest, parse_config
+from qtriage.manifest import ManifestError, RunManifest, new_manifest, parse_config
 from qtriage.model import DatasetError, DatasetSpec, load_dataset
 from qtriage.pipeline import (
     run_conquer_phase,
@@ -267,8 +267,9 @@ class TestHeldResults:
             partition = manifest.partition_path
             for m in (manifest, fresh):
                 assert list(held(m, partition)) == load_reports(partition)
-            assert len(manifest.outcomes) == 2 * len(STRATEGIES)
-            for name in manifest.outcomes:
+            names = [p.removeprefix("conquer:") for p in manifest.phases if p.startswith("conquer:")]
+            assert len(names) == 2 * len(STRATEGIES)
+            for name in names:
                 path = manifest.outcome_path(name)
                 written = [json.loads(line) for line in path.read_text().splitlines()]
                 assert load_outcomes(path) == written
@@ -312,19 +313,21 @@ class TestHeldResults:
         with pytest.raises(TransportError):
             run_conquer_phase(questions, reports, "PKR", backend, manifest, seed=42,
                               rationale_select="shortest")
-        assert manifest.status["conquer:pkr"] == "failed"
+        assert manifest.phases["conquer:pkr"] is None
         failed = report_bytes(questions, spec, manifest)
         assert failed == report_bytes(questions, spec, RunManifest.load(run_dir))
 
-        # The first manifest reads the status the other one wrote, so its report
+        # The first manifest reads the record the other one wrote, so its report
         # is the first one again, not flagged partial.
         backend.calls_left = None
         run_conquer_phase(questions, reports, "PKR", backend, RunManifest.load(run_dir),
                           seed=42)
-        assert "conquer:pkr" not in manifest.status
+        assert manifest.phases["conquer:pkr"] is not None
         assert report_bytes(questions, spec, manifest) == first
-        assert RunManifest.load(run_dir).status == {
-            "divide": "done", "conquer": "done", "report": "done"}
+        loaded = RunManifest.load(run_dir)
+        assert loaded.stale() == {}
+        assert loaded.phases["report"] == {
+            p: r for p, r in loaded.phases.items() if p != "report"}
 
 
 # Conquer runs that share each question's prior: every rationale_select mode,
@@ -410,7 +413,7 @@ class TestUnparsedDivideFallsBackToZtcot:
             assert [prompts[h] for h in sent[o.question_id]] == [
                 build_prompt(by_id[o.question_id], "ZTCOT")
             ]
-        assert RunManifest.load(tmp_path / "run").status["conquer"] == "done"
+        assert RunManifest.load(tmp_path / "run").stale() == {}
 
 
 class TestReportStatus:
@@ -420,9 +423,40 @@ class TestReportStatus:
         reports, _ = run_divide_phase(questions, spec, backend, manifest)
         run_conquer_phase(questions, reports, "FCR", backend, manifest)
         run_report_phase(questions, spec, manifest)
-        assert RunManifest.load(tmp_path / "run").status["report"] == "done"
         run_divide_phase(questions, DatasetSpec(name="toy20", divide_base=3), backend, manifest)
-        assert RunManifest.load(tmp_path / "run").status["report"] == "pending"
+        # The manifest's run id is unchanged, but the partition it recorded FCR from is not.
+        assert RunManifest.load(tmp_path / "run").stale() == {"conquer:fcr": ""}
+        with pytest.raises(ManifestError, match="^phases not current: conquer:fcr;"):
+            run_report_phase(questions, spec, manifest)
+
+    def test_a_divide_rerun_to_an_equal_partition_keeps_every_outcome_set(self, tmp_path):
+        runner, base = CliRunner(), cli_config(tmp_path, tmp_path / "run")
+        reports = tmp_path / "run" / "reports"
+        for args in (["divide"], ["conquer", "--strategy", "fcr"], ["report"]):
+            result = runner.invoke(main, base + args)
+            assert result.exit_code == 0, result.output
+        before = {p.name: p.read_bytes() for p in reports.iterdir()}
+        partition = (tmp_path / "run" / "partition.jsonl").read_bytes()
+        for args in (["divide"], ["report"]):
+            result = runner.invoke(main, base + args)
+            assert result.exit_code == 0, result.output
+        assert (tmp_path / "run" / "partition.jsonl").read_bytes() == partition
+        assert {p.name: p.read_bytes() for p in reports.iterdir()} == before
+
+    def test_a_divide_rerun_to_another_partition_leaves_no_outcome_set_current(self, tmp_path):
+        runner, base = CliRunner(), cli_config(tmp_path, tmp_path / "run")
+        for args in (["divide"], ["conquer", "--strategy", "fcr"], ["report"],
+                     ["divide", "--divide-base", "3"]):
+            result = runner.invoke(main, base + args)
+            assert result.exit_code == 0, result.output
+        result = runner.invoke(main, base + ["report"])
+        assert result.exit_code == 1
+        errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+        assert errors == ["error: phases not current: conquer:fcr; rerun or pass --partial"]
+        result = runner.invoke(main, base + ["report", "--partial"])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "run" / "reports" / "report.json").read_text())
+        assert report["partial"] is True and report["strategies"] == {}
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_the_report_phase_holds_off_the_collector_and_restores_it(
