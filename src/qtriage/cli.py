@@ -10,7 +10,7 @@ import click
 from .backend import ConfigError, TransportError
 from .conquer import RATIONALE_SELECT_MODES
 from .divide import SUBSETS, load_reports
-from .manifest import RunManifest, dataset_spec, new_manifest, parse_config, stored_config
+from .manifest import RunManifest, dataset_spec, new_manifest, parse_config
 from .model import QtriageError, read_json
 from .pipeline import (
     load_inputs,
@@ -47,7 +47,8 @@ class QtriageGroup(click.Group):
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON configuration file; flags override its values.")
 @click.option("--seed", type=int, default=None,
-              help="Seed for all stochastic steps (conquer: defaults to the run's).")
+              help="Seed for divide and simulate; conquer: for --rationale-select "
+                   "random (default: the run's).")
 @click.option("--parallelism", type=int, default=None, help="Max in-flight requests.")
 @click.option("--cache-dir", type=click.Path(), default=None,
               help="Directory for the run transcript and outputs.")
@@ -72,14 +73,11 @@ def _settings(ctx, *sources: tuple[str, dict], **options) -> dict:
 
 
 def _run(ctx) -> tuple[dict, RunManifest]:
-    """The settings and manifest of the run `conquer` or `report` works on; a run
-    without a `--config` that holds anything is read with the config it stored."""
-    label, config = _config(ctx)
-    settings = _settings(ctx, (label, config))
-    manifest = RunManifest.load(settings["run_dir"])
-    if not config:
-        settings = _settings(ctx, (f"{manifest.path}: config", manifest.resolved_config()))
-    return settings, manifest
+    """The manifest of the run `conquer` or `report` works on, and its settings (see
+    `RunManifest.settings`) under the options, then `--config`, which is checked whole."""
+    config = _config(ctx)
+    manifest = RunManifest.load(_settings(ctx, config)["run_dir"])
+    return manifest.settings(("option", ctx.obj["options"]), config), manifest
 
 
 @main.command("divide")
@@ -93,7 +91,7 @@ def cmd_divide(ctx, mu, nu, divide_base):
                          dataset={"mu": mu, "nu": nu, "divide_base": divide_base})
     seed = settings["seed"] or 0
     questions, backend = load_inputs(settings, seed)
-    manifest = new_manifest(stored_config(settings), seed, settings["run_dir"])
+    manifest = new_manifest(settings, seed, settings["run_dir"])
     reports, _ = run_divide_phase(
         questions, dataset_spec(settings), backend, manifest,
         parallelism=settings["parallelism"], progress=click.echo,
@@ -116,14 +114,13 @@ def cmd_conquer(ctx, strategy, sc, rationale_select, subsets, tail):
     """Re-solve the selected confidence subsets with one strategy."""
     settings, manifest = _run(ctx)
     reports = load_reports(manifest.partition_path)
-    seed = manifest.seed if settings["seed"] is None else settings["seed"]
-    questions, backend = load_inputs(settings, seed)
+    questions, backend = load_inputs(settings, manifest.seed)
     subset_list = tuple(s.strip() for s in subsets.split(",") if s.strip())
     outcomes = run_conquer_phase(
         questions, reports, strategy.upper(), backend, manifest,
         subsets=subset_list, self_consistency=sc,
         sc_samples=settings["dataset.divide_base"], parallelism=settings["parallelism"],
-        rationale_select=rationale_select, seed=seed, tail_override=tail,
+        rationale_select=rationale_select, seed=settings["seed"], tail_override=tail,
     )
     solved = sum(1 for o in outcomes if o.final_answer is not None)
     click.echo(f"{len(outcomes)} outcomes ({solved} parsed) for subsets {subsets}")

@@ -113,6 +113,7 @@ def dataset_spec(settings: dict) -> DatasetSpec:
 
 # How requests travel: stored, but left out of run_id, as parallelism is.
 _TRANSPORT = ("backend.kind", "backend.endpoint", "backend.max_attempts", "backend.base_delay")
+_RUN = ("dataset", "backend")  # the stored sections; the run id hashes them less _TRANSPORT
 # The input files: hashed into run_id by content; stored relative to the run dir if in it.
 _INPUTS = ("dataset.path", "backend.profiles")
 PROFILES = "profiles.jsonl"  # in a run dir: the profiles `simulate` generated
@@ -120,12 +121,11 @@ PROFILES = "profiles.jsonl"  # in a run dir: the profiles `simulate` generated
 
 def stored_config(settings: dict) -> dict:
     """The canonical config tree of `settings`: each dataset and backend setting
-    that is set, with the dataset name filled in and fractions as `[n, d]`."""
-    settings = {**settings, "dataset.name": dataset_spec(settings).name}
+    that is set, with fractions as `[n, d]`."""
     tree: dict = {}
     for dotted, value in settings.items():
         section, _, key = dotted.partition(".")
-        if section not in ("dataset", "backend") or value is None:
+        if section not in _RUN or value is None:
             continue
         if isinstance(value, Fraction):
             value = [value.numerator, value.denominator]
@@ -176,14 +176,18 @@ class RunManifest:
     def report_dir(self) -> Path:
         return self.run_dir / "reports"
 
-    def resolved_config(self) -> dict:
-        """`config` with each input path relative to the run dir joined to it."""
-        tree = {k: dict(v) if isinstance(v, dict) else v for k, v in self.config.items()}
-        for section, _, key in (dotted.partition(".") for dotted in _INPUTS):
-            node = tree.get(section)
-            if isinstance(node, dict) and isinstance(node.get(key), str) and node[key]:
-                node[key] = str(self.run_dir / node[key])
-        return tree
+    def settings(self, *sources: tuple[str, dict]) -> dict:
+        """The settings to work on this run with. Each one its run id hashes is the
+        stored one, set or not, with an input path joined to the run dir. Each other one
+        (run_dir, seed, parallelism, how requests travel) comes from the first of
+        `sources` that holds it, else the stored config and seed, else its default."""
+        others = [(label, {dotted: value for dotted, value in _leaves(label, tree)
+                           if dotted in _TRANSPORT or dotted.split(".")[0] not in _RUN})
+                  for label, tree in sources]
+        settings = parse_config(*others, (f"{self.path}: config", {**self.config, "seed": self.seed}))
+        for dotted in filter(settings.get, _INPUTS):
+            settings[dotted] = str(self.run_dir / settings[dotted])
+        return settings
 
     def hold(self, key: object, read: Callable[[], T], inputs: object = None) -> T:
         """The result held under `key`, a run file path or the name of a result
@@ -272,11 +276,12 @@ def derive_run_id(config: dict, seed: int) -> str:
 
 
 def new_manifest(config: dict, seed: int, run_dir: str | Path) -> RunManifest:
-    """A run of the config tree `config`, which `parse_config` checks. It
-    stores the tree's `stored_config`, each input path relative to `run_dir` if in it,
+    """A run of the config tree `config` (or its settings), which `parse_config` checks.
+    It stores the tree's `stored_config`, each input path relative to `run_dir` if in it,
     else absolute; its run id hashes that less how requests travel, with each input
     file by content. An unreadable input file raises `ConfigError` naming its key."""
     settings = parse_config(("config", config))
+    settings["dataset.name"] = dataset_spec(settings).name  # before a path becomes its digest
     paths, computed = {}, dict.fromkeys(_TRANSPORT)
     root = Path(run_dir).resolve()
     for dotted in filter(settings.get, _INPUTS):

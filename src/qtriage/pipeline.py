@@ -201,7 +201,7 @@ def run_report_phase(
         path = manifest.outcome_path(name)
         outcomes = manifest.hold(path, lambda: read_outcomes(path))
         strategies[name] = strategy_metrics(questions, reports, outcomes)
-    cost = cost_summary(divide_records, reports, sc_budget=spec.divide_base)
+    cost = cost_summary(divide_records, reports)
     curves = accuracy_curves(questions, reports, divide_records)
     manifest.record("report", None)  # a write that fails part way leaves no record
     files = emit_report(

@@ -64,11 +64,11 @@ def weighted_average(rows: Sequence[tuple[int, float]]) -> float:
 def cost_summary(
     records: Sequence[InferenceRecord],
     reports: Sequence[ConfidenceReport] = (),
-    sc_budget: int = 0,
 ) -> dict:
     """Exact query/token counts per phase, plus queries avoided by fixing high.
 
-    The avoided queries are an upper bound: an SC vote may stop before `sc_budget`.
+    Each high question avoids its divide samples, the SC budget conquer would
+    give it: an upper bound, since an SC vote may stop early.
     """
     queries: dict[str, int] = {}
     tokens: dict[str, dict[str, int]] = {}
@@ -77,12 +77,9 @@ def cost_summary(
         tk = tokens.setdefault(rec.phase, {"prompt": 0, "output": 0})
         tk["prompt"] += rec.prompt_tokens
         tk["output"] += rec.output_tokens
-    high = sum(1 for r in reports if r.subset == "high")
-    return {
-        "queries_by_phase": queries,
-        "tokens_by_phase": tokens,
-        "queries_saved_by_fixing_high": high * sc_budget,
-    }
+    high = (r.histogram.total_samples for r in reports if r.subset == "high")
+    return {"queries_by_phase": queries, "tokens_by_phase": tokens,
+            "queries_saved_by_fixing_high": sum(high)}
 
 
 def prior_predictions(

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .backend import ConfigError
 from .divide import SUBSETS, ConfidenceReport
-from .manifest import PROFILES, dataset_spec, new_manifest, parse_config, stored_config
+from .manifest import PROFILES, dataset_spec, new_manifest, parse_config
 from .pipeline import (
     build_backend,
     load_questions,
@@ -128,7 +128,7 @@ def run_simulation(
     spec, parallelism = dataset_spec(settings), settings["parallelism"]
     questions = load_questions(settings, profiles)
     backend = build_backend(settings, seed, profiles)
-    manifest = new_manifest(stored_config(settings), seed, run_dir)
+    manifest = new_manifest(settings, seed, run_dir)
     reports, _records = run_divide_phase(
         questions, spec, backend, manifest, parallelism=parallelism
     )

@@ -5,6 +5,7 @@ import os
 import random
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import threading
@@ -579,14 +580,24 @@ class TestEndToEnd:
             assert (d1 / rel).read_bytes() == (d8 / rel).read_bytes(), rel
 
     def test_http_runs_are_equal_across_parallelism(self, runner, tmp_path, monkeypatch):
+        # A faulty run fails each payload's first k tries, k < max_attempts drawn from
+        # the payload, each with a transient fault; the backend retries each one.
         import requests
 
-        threads = set()
+        threads, tries, lock, faulty, met = set(), {}, threading.Lock(), [False], []
+        faults = [_Response(429, headers={"Retry-After": "0"}), _Response(429), _Response(503),
+                  _Response(200, {"choices": []})]
 
         def post(self, url, json, headers, timeout):
             """Answers as a pure function of the payload, after a random few ms."""
             threads.add(threading.get_ident())
             digest = hashlib.sha256(repr(sorted(json.items())).encode()).digest()
+            with lock:
+                tried = tries[digest] = tries.get(digest, 0) + 1
+            if faulty[0] and tried <= digest[4] % 4:
+                fault = (digest[5] + tried) % len(faults)
+                met.append(fault)
+                return faults[fault]
             time.sleep(random.uniform(0.001, 0.005))
             text = ("i cannot settle on one." if digest[0] % 4 == 0
                     else f"So the answer is ({'AB'[digest[1] % 2]}).")
@@ -595,27 +606,29 @@ class TestEndToEnd:
 
         monkeypatch.setattr(requests.Session, "post", post)
         monkeypatch.setenv("QTRIAGE_API_KEY", "test-key")
-        backend = {"kind": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m"}
+        backend = {"kind": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m",
+                   "max_attempts": 4, "base_delay": 0}
         runs = {}
-        for parallelism in (1, 4):
-            run_dir = tmp_path / f"p{parallelism}"
+        for faulty[0], parallelism in ((False, 1), (False, 4), (True, 1), (True, 4)):
+            tries.clear()
+            run_dir = tmp_path / f"p{parallelism}{'-faulty' if faulty[0] else ''}"
             config = write_config(tmp_path, run_dir, backend=backend)
             base = ["--config", str(config), "--seed", "42", "--parallelism", str(parallelism)]
             for args in (["divide"], ["conquer", "--strategy", "fcr", "--sc"],
                          ["conquer", "--strategy", "pkr"], ["report"]):
                 result = runner.invoke(main, base + args)
                 assert result.exit_code == 0, result.output
-            runs[parallelism] = {p.relative_to(run_dir).as_posix(): p.read_bytes()
-                                 for p in run_dir.rglob("*") if p.is_file()}
+            runs[run_dir.name] = run_files(run_dir)
         # The transcript is appended as completions arrive: the same entries,
         # in an order that depends on scheduling.
         entries = [{entry["key"]: entry["completion"]
                     for entry in map(json.loads, files.pop("transcript.jsonl").splitlines())}
                    for files in runs.values()]
-        assert entries[0] == entries[1]
-        assert runs[1] == runs[4]
-        assert runs[1]["outcomes_fcr+sc.jsonl"] and runs[1]["outcomes_pkr.jsonl"]
+        assert all(each == entries[0] for each in entries)
+        assert all(files == runs["p1"] for files in runs.values())
+        assert runs["p1"]["outcomes_fcr+sc.jsonl"] and runs["p1"]["outcomes_pkr.jsonl"]
         assert len(threads) > 1
+        assert sorted(set(met)) == [0, 1, 2, 3] and len(met) > 50
 
     @pytest.mark.parametrize("commands", [
         [["simulate", "--n-questions", "60"]],
@@ -844,7 +857,7 @@ class TestReportCommand:
         config = write_config(tmp_path, run_dir)
         run_dir.mkdir()
         from qtriage.manifest import new_manifest
-        new_manifest({}, 0, run_dir).save()
+        new_manifest(json.loads(config.read_text()), 0, run_dir).save()
         result = runner.invoke(main, ["--config", str(config), "report"])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
@@ -1105,10 +1118,89 @@ class TestRunDirLayout:
         assert len(posts) == calls
 
 
-def divided(runner, tmp_path):
-    """Divide the toy run under `tmp_path` at seed 42; returns its CLI args and run dir."""
+def run_files(run_dir):
+    return {p.relative_to(run_dir).as_posix(): p.read_bytes()
+            for p in run_dir.rglob("*") if p.is_file()}
+
+
+class TestTheRunHoldsItsSettings:
+    """`conquer` and `report` take every setting the run id hashes from manifest.json;
+    from the options and `--config`, only where the run is, its seed and parallelism,
+    and how requests travel."""
+
+    OTHER_BACKEND = {"backend.noise_rate": 0.9, "dataset.divide_base": 7}
+
+    def copy_under(self, tmp_path, run_dir, **overrides):
+        """A copy of `run_dir` and the CLI args of a config for it with `overrides`."""
+        copy = tmp_path / "copy"
+        shutil.copytree(run_dir, copy / "run")
+        return ["--config", str(write_config(copy, copy / "run", **overrides))], copy / "run"
+
+    def test_conquer_under_another_backend_config_is_the_runs_own(self, runner, tmp_path):
+        own, run_dir = divided(runner, tmp_path, seed=1)
+        other, copy = self.copy_under(tmp_path, run_dir, **self.OTHER_BACKEND)
+        for base in (own, other + ["--seed", "1"]):
+            result = runner.invoke(main, base + ["conquer", "--strategy", "pkr", "--sc"])
+            assert result.exit_code == 0, result.output
+        assert run_files(copy) == run_files(run_dir)
+        assert phases(run_dir)["conquer:pkr+sc"]["sc_samples"] == 5
+
+    def test_report_under_another_backend_config_is_the_runs_own(self, runner, tmp_path):
+        own, run_dir = divided(runner, tmp_path, seed=1)
+        assert runner.invoke(main, own + ["conquer", "--strategy", "pkr", "--sc"]).exit_code == 0
+        other, copy = self.copy_under(tmp_path, run_dir, **self.OTHER_BACKEND)
+        for base in (own, other):
+            result = runner.invoke(main, base + ["report"])
+            assert result.exit_code == 0, result.output
+        assert run_files(copy / "reports") == run_files(run_dir / "reports")
+        report = json.loads((run_dir / "reports" / "report.json").read_text())
+        assert report["cost"]["queries_saved_by_fixing_high"] == 5 * report["prior"]["high"]["n"]
+
+    def test_conquer_seed_leaves_the_mock_at_the_runs_seed(self, runner, tmp_path):
+        own, run_dir = divided(runner, tmp_path, seed=1)
+        other, copy = self.copy_under(tmp_path, run_dir)
+        for base, seed in ((own, "1"), (other, "5")):
+            result = runner.invoke(main, base + ["--seed", seed, "conquer", "--strategy", "fcr",
+                                                 "--sc"])
+            assert result.exit_code == 0, result.output
+        for name in ("outcomes_fcr+sc.jsonl", "transcript.jsonl"):
+            assert (copy / name).read_bytes() == (run_dir / name).read_bytes(), name
+        assert phases(copy)["conquer:fcr+sc"]["seed"] == 5
+
+    def test_a_replay_config_conquers_with_zero_calls(self, runner, tmp_path, monkeypatch):
+        own, run_dir = divided(runner, tmp_path)
+        assert runner.invoke(main, own + ["conquer", "--strategy", "pkr"]).exit_code == 0
+        copy = tmp_path / "copy" / "run"
+        shutil.copytree(run_dir, copy)
+        (copy / "outcomes_pkr.jsonl").unlink()
+        config = tmp_path / "replay.json"  # naming no inputs
+        config.write_text(json.dumps({"backend": {"kind": "replay"}, "run_dir": str(copy)}))
+        replay = ["--config", str(config)]
+        monkeypatch.setattr(MockBackend, "complete", lambda self, req: pytest.fail("a call"))
+        result = runner.invoke(main, replay + ["conquer", "--strategy", "pkr"])
+        assert result.exit_code == 0, result.output
+        assert run_files(copy) == run_files(run_dir)
+
+    def test_a_profile_only_run_keeps_its_questions(self, runner, tmp_path):
+        run_dir = tmp_path / "run"
+        own = tmp_path / "own.json"
+        own.write_text(json.dumps({"backend": {"kind": "mock", "profiles": str(TOY_PROFILES)},
+                                   "run_dir": str(run_dir)}))
+        assert runner.invoke(main, ["--config", str(own), "divide"]).exit_code == 0
+        data = tmp_path / "other.jsonl"  # toy20 questions, asked otherwise
+        data.write_text(TOY_DATA.read_text().replace("Synthetic reasoning item", "Item"))
+        other, copy = self.copy_under(tmp_path, run_dir, **{"dataset.path": str(data)})
+        for base in (["--config", str(own)], other):
+            result = runner.invoke(main, base + ["conquer", "--strategy", "pkr"])
+            assert result.exit_code == 0, result.output
+        assert run_files(copy) == run_files(run_dir)
+
+
+def divided(runner, tmp_path, seed=42, **overrides):
+    """Divide the toy run under `tmp_path` at `seed`, its config changed by `overrides`
+    (see `write_config`); returns its CLI args and run dir."""
     run_dir = tmp_path / "run"
-    base = ["--config", str(write_config(tmp_path, run_dir)), "--seed", "42"]
+    base = ["--config", str(write_config(tmp_path, run_dir, **overrides)), "--seed", str(seed)]
     result = runner.invoke(main, base + ["divide"])
     assert result.exit_code == 0, result.output
     return base, run_dir
@@ -1122,8 +1214,10 @@ def corrupt_line(path, index=0):
 
 def _missing_dataset(command):
     def case(runner, tmp_path, monkeypatch):
-        base, run_dir = divided(runner, tmp_path)
-        write_config(tmp_path, run_dir, **{"dataset.path": str(tmp_path / "gone.jsonl")})
+        data = tmp_path / "gone.jsonl"
+        data.write_bytes(TOY_DATA.read_bytes())
+        base, _ = divided(runner, tmp_path, **{"dataset.path": str(data)})
+        data.unlink()
         return base + command, "gone.jsonl"
     return case
 
@@ -1195,13 +1289,13 @@ def _simulate(*args, expect):
 
 
 def _dataset_lacks_conquered_question(runner, tmp_path, monkeypatch):
-    base, run_dir = divided(runner, tmp_path)
+    data = tmp_path / "toy20.jsonl"
+    data.write_bytes(TOY_DATA.read_bytes())
+    base, run_dir = divided(runner, tmp_path, **{"dataset.path": str(data)})
     partition = map(json.loads, (run_dir / "partition.jsonl").read_text().splitlines())
     dropped = next(r["question_id"] for r in partition if r["subset"] != "high")
-    data = tmp_path / "fewer.jsonl"
     data.write_text("".join(line for line in TOY_DATA.read_text().splitlines(keepends=True)
                             if json.loads(line)["id"] != dropped))
-    write_config(tmp_path, run_dir, **{"dataset.path": str(data)})
     return base + ["conquer", "--strategy", "fcr"], dropped
 
 
@@ -1316,9 +1410,9 @@ def _stored_config_bad(runner, tmp_path, monkeypatch):
 
 
 class _Response:
-    def __init__(self, status_code, body=None):
+    def __init__(self, status_code, body=None, headers=None):
         self.status_code = status_code
-        self.headers = {}
+        self.headers = headers or {}
         self._body = body
 
     def json(self):

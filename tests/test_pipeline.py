@@ -105,7 +105,9 @@ def spelled_number(x, default):
 @st.composite
 def two_spellings(draw):
     """One value for each number and threshold, spelt two ways, each with its
-    own way for requests to travel; and the value of mu."""
+    own way for requests to travel; and the value of mu. The dataset is named,
+    or is toy20's file, which names it when the name is left out; a spelling may
+    be its tree's settings."""
     nu = draw(st.sampled_from([Fraction(n, 10) for n in range(9)] + [Fraction(3, 5)]))
     mu = draw(st.sampled_from([f for f in (Fraction(4, 5), Fraction(7, 8), Fraction(1)) if f > nu]))
     ways = {
@@ -115,9 +117,13 @@ def two_spellings(draw):
         ("backend", "noise_rate"): spelled_number(draw(st.sampled_from([0.0, 0.05, 0.5])), 0.0),
         ("backend", "gold_uplift"): spelled_number(draw(st.sampled_from([1.0, 2.5, 3])), 1.0),
     }
+    by_path = draw(st.booleans())
     configs = []
     for _ in range(2):
-        config = {"dataset": {"name": "toy20"}, "backend": {
+        dataset = {"path": str(TOY_DATA)} if by_path else {}
+        if not by_path or draw(st.booleans()):
+            dataset["name"] = "toy20"
+        config = {"dataset": dataset, "backend": {
             "kind": draw(st.sampled_from(["mock", "replay", "http"])),
             "max_attempts": draw(st.integers(1, 3)),
         }}
@@ -125,7 +131,7 @@ def two_spellings(draw):
             spelling = draw(st.sampled_from(spellings))
             if spelling is not OMIT:
                 config[section][key] = spelling
-        configs.append(config)
+        configs.append(parse_config(("config", config)) if draw(st.booleans()) else config)
     return configs, mu
 
 

@@ -107,14 +107,19 @@ class TestCostSummary:
 
     def test_divide_query_count_exact(self):
         reports, records = self._run(n_questions=10, t=5)
-        summary = cost_summary(records, reports, sc_budget=5)
+        summary = cost_summary(records, reports)
         assert summary["queries_by_phase"] == {"divide": 50}
 
     def test_queries_saved(self):
         reports, records = self._run(n_questions=8, t=5)
-        summary = cost_summary(records, reports, sc_budget=5)
+        summary = cost_summary(records, reports)
         # all questions are certain -> all high
         assert summary["queries_saved_by_fixing_high"] == 8 * 5
+
+    def test_each_high_question_saves_its_own_divide_samples(self):
+        reports, records = self._run(n_questions=4, t=3)
+        summary = cost_summary(records, reports)
+        assert summary["queries_saved_by_fixing_high"] == 4 * 3
 
     def test_conservation(self):
         reports, records = self._run()
@@ -165,7 +170,7 @@ class TestEmitReport:
         spec = DatasetSpec(name="toy", divide_base=5)
         reports, records = run_divide(questions, spec, MockBackend(profiles, seed=1))
         prior = subset_prior_metrics(questions, reports, records)
-        cost = cost_summary(records, reports, sc_budget=5)
+        cost = cost_summary(records, reports)
         curves = accuracy_curves(questions, reports, records)
         return prior, cost, curves
 
