@@ -9,16 +9,10 @@ import click
 
 from .backend import ConfigError, TransportError
 from .conquer import RATIONALE_SELECT_MODES
-from .divide import SUBSETS, load_reports
-from .manifest import RunManifest, dataset_spec, new_manifest, parse_config
+from .divide import SUBSETS
+from .manifest import parse_config
 from .model import QtriageError, read_json
-from .pipeline import (
-    load_inputs,
-    load_questions,
-    run_conquer_phase,
-    run_divide_phase,
-    run_report_phase,
-)
+from .pipeline import Run
 from .prompts import STRATEGIES
 from .report import ReportError
 from .simulate import run_simulation
@@ -72,12 +66,10 @@ def _settings(ctx, *sources: tuple[str, dict], **options) -> dict:
     return parse_config(("option", {**ctx.obj["options"], **options}), *sources)
 
 
-def _run(ctx) -> tuple[dict, RunManifest]:
-    """The manifest of the run `conquer` or `report` works on, and its settings (see
-    `RunManifest.settings`) under the options, then `--config`, which is checked whole."""
+def _run(ctx) -> Run:
+    """The run to work on, under the options, then `--config`, which is checked whole."""
     config = _config(ctx)
-    manifest = RunManifest.load(_settings(ctx, config)["run_dir"])
-    return manifest.settings(("option", ctx.obj["options"]), config), manifest
+    return Run.open(_settings(ctx, config)["run_dir"], ("option", ctx.obj["options"]), config)
 
 
 @main.command("divide")
@@ -89,15 +81,10 @@ def cmd_divide(ctx, mu, nu, divide_base):
     """Sample each question and partition the dataset by confidence."""
     settings = _settings(ctx, _config(ctx),
                          dataset={"mu": mu, "nu": nu, "divide_base": divide_base})
-    seed = settings["seed"] or 0
-    questions, backend = load_inputs(settings, seed)
-    manifest = new_manifest(settings, seed, settings["run_dir"])
-    reports, _ = run_divide_phase(
-        questions, dataset_spec(settings), backend, manifest,
-        parallelism=settings["parallelism"], progress=click.echo,
-    )
+    run = Run(settings, settings["seed"] or 0, settings["run_dir"])
+    reports, _ = run.divide(progress=click.echo)
     counts = {s: sum(1 for r in reports if r.subset == s) for s in SUBSETS}
-    click.echo(f"partition written to {manifest.partition_path}: {counts}")
+    click.echo(f"partition written to {run.manifest.partition_path}: {counts}")
 
 
 @main.command("conquer")
@@ -112,15 +99,10 @@ def cmd_divide(ctx, mu, nu, divide_base):
 @click.pass_context
 def cmd_conquer(ctx, strategy, sc, rationale_select, subsets, tail):
     """Re-solve the selected confidence subsets with one strategy."""
-    settings, manifest = _run(ctx)
-    reports = load_reports(manifest.partition_path)
-    questions, backend = load_inputs(settings, manifest.seed)
-    subset_list = tuple(s.strip() for s in subsets.split(",") if s.strip())
-    outcomes = run_conquer_phase(
-        questions, reports, strategy.upper(), backend, manifest,
-        subsets=subset_list, self_consistency=sc,
-        sc_samples=settings["dataset.divide_base"], parallelism=settings["parallelism"],
-        rationale_select=rationale_select, seed=settings["seed"], tail_override=tail,
+    run = _run(ctx)
+    outcomes = run.conquer(
+        strategy.upper(), sc, subsets=tuple(s.strip() for s in subsets.split(",") if s.strip()),
+        rationale_select=rationale_select, seed=run.settings["seed"], tail_override=tail,
     )
     solved = sum(1 for o in outcomes if o.final_answer is not None)
     click.echo(f"{len(outcomes)} outcomes ({solved} parsed) for subsets {subsets}")
@@ -158,11 +140,7 @@ def cmd_report(ctx, compare, partial):
     if compare:
         _compare_runs(*compare)
         return
-    settings, manifest = _run(ctx)
-    files = run_report_phase(
-        load_questions(settings), dataset_spec(settings), manifest, partial=partial
-    )
-    for name, path in sorted(files.items()):
+    for name, path in sorted(_run(ctx).report(partial).items()):
         click.echo(f"{name}: {path}")
 
 

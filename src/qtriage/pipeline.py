@@ -1,13 +1,15 @@
 """Glue between configuration, backends, and the phase operations.
 
-The CLI is a thin wrapper over this module so the full pipeline is equally
-drivable from tests and notebooks.
+`Run` is the one way a driver (the CLI, `simulate`) opens a run; it hands the
+run's parts to the phase functions, so the pipeline is equally drivable from tests.
 """
 
 from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -29,7 +31,7 @@ from .divide import (
     records_from_transcript,
     run_divide,
 )
-from .manifest import ManifestError, RunManifest
+from .manifest import ManifestError, RunManifest, dataset_spec, new_manifest
 from .model import DatasetSpec, Question, encode_jsonl, load_dataset
 from .prompts import strategy_row
 from .report import (
@@ -39,28 +41,7 @@ from .report import (
     strategy_metrics,
     subset_prior_metrics,
 )
-from .synth import MockBackend, load_profiles, questions_from_profiles
-
-
-def build_backend(settings: dict, seed: int, profiles: Optional[dict]) -> Backend:
-    """The backend the settings name; a mock plays `profiles`, the `backend.profiles` file's."""
-    if settings["backend.kind"] == "mock":
-        if profiles is None:
-            raise ConfigError("mock backend requires backend.profiles path")
-        return MockBackend(
-            profiles,
-            seed=seed,
-            noise_rate=settings["backend.noise_rate"],
-            gold_uplift=settings["backend.gold_uplift"],
-        )
-    if settings["backend.kind"] == "http":
-        return HttpChatBackend(
-            endpoint=settings["backend.endpoint"],
-            model=settings["backend.model"],
-            max_attempts=settings["backend.max_attempts"],
-            base_delay=settings["backend.base_delay"],
-        )
-    return NoFetchBackend()  # replay: every phase reads the run's own transcript.jsonl first
+from .synth import MockBackend, load_profile_file, questions_from_profiles
 
 
 @contextmanager
@@ -132,6 +113,8 @@ def run_divide_phase(
     parallelism: int = 1,
     progress=None,
 ) -> tuple[list[ConfidenceReport], list[InferenceRecord]]:
+    """Divide `questions` through the run's transcript; `spec` must be the manifest's
+    (`Run.divide` passes it), since its settings alone give the run id."""
     with _phase(manifest, "divide") as cache:
         reports, records = run_divide(
             questions, spec, CachingBackend(backend, cache),
@@ -185,7 +168,8 @@ def run_report_phase(
 ) -> dict[str, Path]:
     """Write the report files over the partition and each current outcome set, and
     record the records of the phases read; a report while a phase is not current
-    (see `RunManifest.stale`) needs `partial`."""
+    (see `RunManifest.stale`) needs `partial`. `spec`, which names the dataset, must
+    be the manifest's (`Run.report` passes it)."""
     reports = manifest.hold(manifest.partition_path, lambda: load_reports(manifest.partition_path))
     stale = manifest.stale()
     if stale and not partial:
@@ -212,20 +196,74 @@ def run_report_phase(
     return files
 
 
-def load_inputs(settings: dict, seed: int) -> tuple[list[Question], Backend]:
-    """The questions (see `load_questions`) and backend of a run; the profile file,
-    if one is configured, is read once, for both."""
-    path = settings["backend.profiles"]
-    profiles = load_profiles(path) if path else None
-    return load_questions(settings, profiles), build_backend(settings, seed, profiles)
+@dataclass
+class Run:
+    """A run's settings (`parse_config`'s), seed and run dir, and its parts, each built
+    at first use. `Run(settings, seed, run_dir)` starts a run; `open` opens a run dir's,
+    with `RunManifest.settings(*sources)`. A phase method hands its phase function the
+    parts, the run's SC budget (`dataset.divide_base`), `parallelism` and seed."""
 
+    settings: dict
+    seed: int
+    run_dir: str | Path
 
-def load_questions(settings: dict, profiles: Optional[dict] = None) -> list[Question]:
-    """A run's questions, whatever its backend: `dataset.path`, else those derived
-    from the `backend.profiles` file, whose `profiles` may already be read."""
-    path = settings["backend.profiles"]
-    if settings["dataset.path"]:
-        return load_dataset(settings["dataset.path"], schema=settings["dataset.schema"])
-    if path:
-        return questions_from_profiles(load_profiles(path) if profiles is None else profiles)
-    raise ConfigError("no dataset.path configured and no backend.profiles to derive one from")
+    @classmethod
+    def open(cls, run_dir: str | Path, *sources: tuple[str, dict]) -> "Run":
+        manifest = RunManifest.load(run_dir)
+        run = cls(manifest.settings(*sources), manifest.seed, run_dir)
+        run.manifest = manifest
+        return run
+
+    @cached_property
+    def manifest(self) -> RunManifest:
+        return new_manifest(self.settings, self.seed, self.run_dir)
+
+    @cached_property
+    def profile_file(self) -> tuple[Optional[dict], dict]:
+        """The `backend.profiles` file's profiles and assertions record; (None, {}) unset."""
+        path = self.settings["backend.profiles"]
+        return load_profile_file(path) if path else (None, {})
+
+    @cached_property
+    def questions(self) -> list[Question]:
+        """`dataset.path`'s questions, whatever the backend, else the profiles'."""
+        s = self.settings
+        if s["dataset.path"]:
+            return load_dataset(s["dataset.path"], schema=s["dataset.schema"])
+        if s["backend.profiles"]:
+            return questions_from_profiles(self.profile_file[0])
+        raise ConfigError("no dataset.path configured and no backend.profiles to derive one from")
+
+    @cached_property
+    def backend(self) -> Backend:
+        """The backend the settings name; a mock plays the profiles at the run's seed."""
+        s = self.settings
+        if s["backend.kind"] == "mock":
+            if self.profile_file[0] is None:
+                raise ConfigError("mock backend requires backend.profiles path")
+            return MockBackend(self.profile_file[0], self.seed, s["backend.noise_rate"],
+                               s["backend.gold_uplift"])
+        if s["backend.kind"] == "http":
+            keys = ("endpoint", "model", "max_attempts", "base_delay")
+            return HttpChatBackend(**{key: s[f"backend.{key}"] for key in keys})
+        return NoFetchBackend()  # replay: every phase reads the run's own transcript.jsonl first
+
+    def divide(self, progress=None) -> tuple[list[ConfidenceReport], list[InferenceRecord]]:
+        # The manifest is built last, so an unreadable input is named by the part that reads it.
+        return run_divide_phase(self.questions, dataset_spec(self.settings), self.backend,
+                                self.manifest, self.settings["parallelism"], progress)
+
+    def conquer(self, strategy: str, self_consistency: bool = False,
+                **options) -> list[ConquerOutcome]:
+        """Conquer the run's partition; `options` go to `run_conquer_phase` and may name
+        another `seed` (for `rationale_select="random"`)."""
+        path = self.manifest.partition_path
+        reports = self.manifest.hold(path, lambda: load_reports(path))
+        options = {"sc_samples": self.settings["dataset.divide_base"],
+                   "parallelism": self.settings["parallelism"], "seed": self.seed, **options}
+        return run_conquer_phase(self.questions, reports, strategy, self.backend, self.manifest,
+                                 self_consistency, **options)
+
+    def report(self, partial: bool = False) -> dict[str, Path]:
+        return run_report_phase(self.questions, dataset_spec(self.settings), self.manifest,
+                                partial)

@@ -15,16 +15,10 @@ from typing import Optional, Sequence
 
 from .backend import ConfigError
 from .divide import SUBSETS, ConfidenceReport
-from .manifest import PROFILES, dataset_spec, new_manifest, parse_config
-from .pipeline import (
-    build_backend,
-    load_questions,
-    run_conquer_phase,
-    run_divide_phase,
-    run_report_phase,
-)
+from .manifest import PROFILES, parse_config
+from .pipeline import Run
 from .report import _prior_metrics, em_accuracy, prior_predictions
-from .synth import generate_synthetic, load_profile_file, save_profiles
+from .synth import generate_synthetic, save_profiles
 
 
 @dataclass
@@ -120,28 +114,14 @@ def run_simulation(
     elif family is not None or n_questions is not None:
         raise ConfigError("family and n_questions are for generated profiles, not beside "
                           f"backend.profiles {settings['backend.profiles']}")
-    path = settings["backend.profiles"]
-    profiles, record = load_profile_file(path)
-    record = parse_config((f"{path}:", {"assertions": record}))
+    run = Run(settings, seed, run_dir)
+    record = parse_config((f"{settings['backend.profiles']}:", {"assertions": run.profile_file[1]}))
     settings = {k: record[k] if v is None and k.startswith("assertions.") else v
                 for k, v in settings.items()}
-    spec, parallelism = dataset_spec(settings), settings["parallelism"]
-    questions = load_questions(settings, profiles)
-    backend = build_backend(settings, seed, profiles)
-    manifest = new_manifest(settings, seed, run_dir)
-    reports, _records = run_divide_phase(
-        questions, spec, backend, manifest, parallelism=parallelism
-    )
-
-    golds = {q.id: q.gold for q in questions}
-    outcome_sets: dict[tuple[str, bool], list] = {}
-    for strategy, sc in strategies:
-        outcome_sets[strategy, sc] = run_conquer_phase(
-            questions, reports, strategy, backend, manifest,
-            self_consistency=sc, sc_samples=spec.divide_base,
-            parallelism=parallelism, seed=seed,
-        )
-    run_report_phase(questions, spec, manifest)
+    reports, _records = run.divide()
+    outcome_sets = {(strategy, sc): run.conquer(strategy, sc) for strategy, sc in strategies}
+    run.report()
+    golds = {q.id: q.gold for q in run.questions}
 
     result = SimulationResult(run_dir=str(run_dir))
 
