@@ -114,7 +114,7 @@ def run_divide_phase(
     progress=None,
 ) -> tuple[list[ConfidenceReport], list[InferenceRecord]]:
     """Divide `questions` through the run's transcript; `spec` must be the manifest's
-    (`Run.divide` passes it), since its settings alone give the run id."""
+    (`Run.divide` passes it), since the manifest's config alone gives the run id."""
     with _phase(manifest, "divide") as cache:
         reports, records = run_divide(
             questions, spec, CachingBackend(backend, cache),

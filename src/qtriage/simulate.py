@@ -118,7 +118,7 @@ def run_simulation(
     record = parse_config((f"{settings['backend.profiles']}:", {"assertions": run.profile_file[1]}))
     settings = {k: record[k] if v is None and k.startswith("assertions.") else v
                 for k, v in settings.items()}
-    reports, _records = run.divide()
+    reports, _ = run.divide()
     outcome_sets = {(strategy, sc): run.conquer(strategy, sc) for strategy, sc in strategies}
     run.report()
     golds = {q.id: q.gold for q in run.questions}

@@ -579,6 +579,32 @@ class TestEndToEnd:
         ):
             assert (d1 / rel).read_bytes() == (d8 / rel).read_bytes(), rel
 
+    def test_run_files_are_equal_across_hash_seeds(self, tmp_path):
+        # Each test runs in one process, so only a second process can show a run
+        # file that hangs on str hashing (set or dict order over strings).
+        import qtriage
+
+        code = ("import json, sys\nfrom qtriage.cli import main\n"
+                "for args in json.loads(sys.argv[1]):\n    main(args, standalone_mode=False)")
+        runs = []
+        for hash_seed in ("0", "12345"):
+            (tmp_path / hash_seed).mkdir()
+            run_dir = tmp_path / hash_seed / "run"
+            config = write_config(tmp_path / hash_seed, run_dir, **{"backend.noise_rate": 0.2})
+            base = ["--config", str(config), "--seed", "1", "--parallelism", "4"]
+            commands = [base + args for args in (
+                ["divide"], ["conquer", "--strategy", "pkr"], ["conquer", "--strategy", "fcr", "--sc"],
+                ["conquer", "--strategy", "com2", "--sc"], ["conquer", "--strategy", "com1"],
+                ["report"])]
+            env = {**os.environ, "PYTHONPATH": str(Path(qtriage.__file__).parents[1]),
+                   "PYTHONHASHSEED": hash_seed}
+            subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                           capture_output=True, timeout=120, check=True)
+            runs.append(run_files(run_dir))
+        assert runs[0] == runs[1]
+        assert {"transcript.jsonl", "manifest.json", "outcomes_com2+sc.jsonl",
+                "reports/report.json"} <= set(runs[0])
+
     def test_http_runs_are_equal_across_parallelism(self, runner, tmp_path, monkeypatch):
         # A faulty run fails each payload's first k tries, k < max_attempts drawn from
         # the payload, each with a transient fault; the backend retries each one.

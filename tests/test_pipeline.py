@@ -4,6 +4,7 @@ and the golden bytes of two small simulations."""
 import gc
 import hashlib
 import json
+import shutil
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +21,7 @@ from qtriage.divide import load_reports
 from qtriage.manifest import ManifestError, RunManifest, new_manifest, parse_config
 from qtriage.model import DatasetError, DatasetSpec, load_dataset
 from qtriage.pipeline import (
+    Run,
     run_conquer_phase,
     run_divide_phase,
     run_report_phase,
@@ -488,6 +490,74 @@ class TestReportStatus:
             assert gc.isenabled() is enabled
         finally:
             gc.enable()
+
+
+def run_files(run_dir):
+    return {p.relative_to(run_dir).as_posix(): p.read_bytes()
+            for p in Path(run_dir).rglob("*") if p.is_file()}
+
+
+class TestRun:
+    def test_the_benchmark_path_writes_the_run_path_files(self, tmp_path):
+        # bench/run.py calls the phase functions itself, with its own backend, spec and
+        # SC budget; it measures what the CLI and `simulate` run only while these agree.
+        config = parse_config(("test", {
+            "dataset": {"path": str(TOY_DATA), "name": "toy20"},
+            "backend": {"profiles": str(TOY_PROFILES), "noise_rate": 0.2}, "parallelism": 2}))
+        run = Run(config, 42, tmp_path / "run")
+        run.divide()
+        run.conquer("FCR", True)
+        run.conquer("PKR")
+        run.report()
+
+        questions = load_dataset(TOY_DATA)
+        backend = MockBackend(load_profiles(TOY_PROFILES), seed=42, noise_rate=0.2)
+        spec = DatasetSpec(name="toy20", divide_base=5)
+        manifest = new_manifest(config, 42, tmp_path / "bench")
+        reports, _ = run_divide_phase(questions, spec, backend, manifest, parallelism=2)
+        for strategy, sc in (("FCR", True), ("PKR", False)):
+            run_conquer_phase(questions, reports, strategy, backend, manifest,
+                              self_consistency=sc, sc_samples=5, parallelism=2, seed=42)
+        run_report_phase(questions, spec, manifest)
+        assert run_files(tmp_path / "run") == run_files(tmp_path / "bench")
+        assert {"outcomes_fcr+sc.jsonl", "outcomes_pkr.jsonl"} <= set(run_files(tmp_path / "run"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["uniform_correct", "second_gold", "certain"]),
+        noise_rate=st.floats(0.0, 0.3),
+        n=st.integers(1, 20),
+        bases=st.integers(3, 10).flatmap(lambda t: st.tuples(st.integers(2, t - 1), st.just(t))),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_smaller_divide_replays_a_prefix_of_a_larger_one(
+        self, family, noise_rate, n, bases, seed
+    ):
+        # Divide samples are keyed by question, sample index and prompt, so a divide
+        # at t' < t asks only for requests that a t-run's transcript already holds.
+        _, profiles = generate_synthetic(n, family=family, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            save_profiles(tmp / "profiles.jsonl", profiles)
+
+            def run(name, divide_base):
+                tree = {"dataset": {"name": family, "divide_base": divide_base},
+                        "backend": {"profiles": str(tmp / "profiles.jsonl"),
+                                    "noise_rate": noise_rate}}
+                return Run(parse_config(("test", tree)), seed, tmp / name)
+
+            small, large = bases
+            run("large", large).divide()
+            shutil.copytree(tmp / "large", tmp / "replay")
+            transcript = (tmp / "replay" / "transcript.jsonl").read_bytes()
+            replay = run("replay", small)
+            replay.divide()
+            assert replay.backend.calls == 0
+            assert (tmp / "replay" / "transcript.jsonl").read_bytes() == transcript
+            run("fresh", small).divide()
+            partitions = [(tmp / name / "partition.jsonl").read_bytes()
+                          for name in ("replay", "fresh")]
+            assert partitions[0] == partitions[1]
 
 
 # sha256 of each output file, computed at commit 4c420e8, before the mock's
