@@ -10,7 +10,6 @@ from .backend import (
     Completion,
     CompletionRequest,
     HttpChatBackend,
-    NoFetchBackend,
     TranscriptCache,
 )
 from .conquer import (
@@ -60,7 +59,6 @@ __all__ = [
     "HttpChatBackend",
     "LabelMapping",
     "MockBackend",
-    "NoFetchBackend",
     "Question",
     "QuestionProfile",
     "TranscriptCache",

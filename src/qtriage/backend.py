@@ -4,7 +4,7 @@ cache, and the request engine. The simulator is in `synth`.
 All backends implement a single `complete(request)` method and are safe to
 call from multiple threads. A persistent append-only transcript cache can
 wrap any backend so completed work is never refetched; replay is that cache
-over a backend that never fetches. `execute` is the one way every phase
+with no backend behind it. `execute` is the one way every phase
 issues a batch of requests; only for a backend that `waits` outside the
 interpreter does it run each request as one task of a thread pool.
 """
@@ -403,18 +403,20 @@ class TranscriptCache:
 
 
 class CachingBackend(Backend):
-    """Wraps a backend with a TranscriptCache; hits skip the inner backend."""
+    """Wraps a backend with a TranscriptCache; hits skip the inner backend. With no
+    inner backend it is replay: a miss raises `CacheMissError` naming the key."""
 
-    def __init__(self, inner: Backend, cache: TranscriptCache) -> None:
+    def __init__(self, inner: Optional[Backend], cache: TranscriptCache) -> None:
         self.inner = inner
         self.cache = cache
-        self.waits = inner.waits
+        self.waits = inner is not None and inner.waits
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
 
     def end_batch(self) -> None:
-        self.inner.end_batch()
+        if self.inner is not None:
+            self.inner.end_batch()
 
     def complete(self, req: CompletionRequest) -> Completion:
         key = req.key()
@@ -423,20 +425,13 @@ class CachingBackend(Backend):
             with self._lock:
                 self.hits += 1
             return cached
+        if self.inner is None:
+            raise CacheMissError(f"transcript has no entry for key {key!r}")
         completion = self.inner.complete(req)
         self.cache.put(req, completion, key)
         with self._lock:
             self.misses += 1
         return completion
-
-
-class NoFetchBackend(Backend):
-    """Inner backend for replay: every request the transcript lacks is a miss."""
-
-    waits = False
-
-    def complete(self, req: CompletionRequest) -> Completion:
-        raise CacheMissError(f"transcript has no entry for key {req.key()!r}")
 
 
 def execute(

@@ -66,12 +66,6 @@ def _settings(ctx, *sources: tuple[str, dict], **options) -> dict:
     return parse_config(("option", {**ctx.obj["options"], **options}), *sources)
 
 
-def _run(ctx) -> Run:
-    """The run to work on, under the options, then `--config`, which is checked whole."""
-    config = _config(ctx)
-    return Run.open(_settings(ctx, config)["run_dir"], ("option", ctx.obj["options"]), config)
-
-
 @main.command("divide")
 @click.option("--mu", type=str, default=None, help="High/med threshold, e.g. 0.8 or 4/5.")
 @click.option("--nu", type=str, default=None, help="Med/low threshold.")
@@ -82,7 +76,9 @@ def cmd_divide(ctx, mu, nu, divide_base):
     settings = _settings(ctx, _config(ctx),
                          dataset={"mu": mu, "nu": nu, "divide_base": divide_base})
     run = Run(settings, settings["seed"] or 0, settings["run_dir"])
-    reports, _ = run.divide(progress=click.echo)
+    reports, _ = run.divide()
+    for r in reports:
+        click.echo(f"{r.question_id}: cs={float(r.cs):.2f} subset={r.subset}")
     counts = {s: sum(1 for r in reports if r.subset == s) for s in SUBSETS}
     click.echo(f"partition written to {run.manifest.partition_path}: {counts}")
 
@@ -99,7 +95,7 @@ def cmd_divide(ctx, mu, nu, divide_base):
 @click.pass_context
 def cmd_conquer(ctx, strategy, sc, rationale_select, subsets, tail):
     """Re-solve the selected confidence subsets with one strategy."""
-    run = _run(ctx)
+    run = Run.open(("option", ctx.obj["options"]), _config(ctx))
     outcomes = run.conquer(
         strategy.upper(), sc, subsets=tuple(s.strip() for s in subsets.split(",") if s.strip()),
         rationale_select=rationale_select, seed=run.settings["seed"], tail_override=tail,
@@ -140,7 +136,8 @@ def cmd_report(ctx, compare, partial):
     if compare:
         _compare_runs(*compare)
         return
-    for name, path in sorted(_run(ctx).report(partial).items()):
+    run = Run.open(("option", ctx.obj["options"]), _config(ctx))
+    for name, path in sorted(run.report(partial).items()):
         click.echo(f"{name}: {path}")
 
 

@@ -20,7 +20,6 @@ from .backend import (
     CachingBackend,
     Completion,
     CompletionRequest,
-    NoFetchBackend,
     TranscriptCache,
     execute,
 )
@@ -297,7 +296,6 @@ def run_divide(
     spec: DatasetSpec,
     backend: Backend,
     parallelism: int = 1,
-    progress: Optional[Callable[[str], None]] = None,
 ) -> tuple[list[ConfidenceReport], list[InferenceRecord]]:
     """Sample each question divide_base times and score its confidence.
 
@@ -308,9 +306,6 @@ def run_divide(
                      backend, parallelism)
     reports = [report_for(q.id, histogram_from_answers([r.answer for r in recs]), spec)
                for q, recs in zip(questions, sampled)]
-    if progress is not None:
-        for r in reports:
-            progress(f"{r.question_id}: cs={float(r.cs):.2f} subset={r.subset}")
     return reports, sorted(chain(*sampled), key=BY_QUESTION)
 
 
@@ -337,7 +332,7 @@ def records_from_transcript(
     reports: Sequence[ConfidenceReport],
 ) -> list[InferenceRecord]:
     """The divide records behind each report: its own divide plan, replayed by
-    `sample` over the cache and a backend that never fetches.
+    `sample` over the cache with no backend behind it.
 
     Raises `DatasetError` for a report whose question is not in `questions`,
     and `CacheMissError` naming the key of the first request the cache lacks.
@@ -345,7 +340,7 @@ def records_from_transcript(
     plans = [(q, divide_requests(q, r.histogram.total_samples))
              for q, r in zip(questions_for(questions, reports), reports)]
     try:
-        sampled = sample(plans, CachingBackend(NoFetchBackend(), cache))
+        sampled = sample(plans, CachingBackend(None, cache))
     except CacheMissError as exc:
         raise CacheMissError(f"divide transcript incomplete: {exc}") from None
     return sorted(chain(*sampled), key=BY_QUESTION)

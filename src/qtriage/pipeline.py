@@ -19,7 +19,6 @@ from .backend import (
     CachingBackend,
     ConfigError,
     HttpChatBackend,
-    NoFetchBackend,
     TranscriptCache,
 )
 from .conquer import ConquerOutcome, check_subsets, read_outcomes, run_conquer
@@ -31,7 +30,7 @@ from .divide import (
     records_from_transcript,
     run_divide,
 )
-from .manifest import ManifestError, RunManifest, dataset_spec, new_manifest
+from .manifest import ManifestError, RunManifest, dataset_spec, new_manifest, parse_config
 from .model import DatasetSpec, Question, encode_jsonl, load_dataset
 from .prompts import strategy_row
 from .report import (
@@ -108,18 +107,14 @@ def _prior(
 def run_divide_phase(
     questions: Sequence[Question],
     spec: DatasetSpec,
-    backend: Backend,
+    backend: Optional[Backend],
     manifest: RunManifest,
     parallelism: int = 1,
-    progress=None,
 ) -> tuple[list[ConfidenceReport], list[InferenceRecord]]:
     """Divide `questions` through the run's transcript; `spec` must be the manifest's
     (`Run.divide` passes it), since the manifest's config alone gives the run id."""
     with _phase(manifest, "divide") as cache:
-        reports, records = run_divide(
-            questions, spec, CachingBackend(backend, cache),
-            parallelism=parallelism, progress=progress,
-        )
+        reports, records = run_divide(questions, spec, CachingBackend(backend, cache), parallelism)
         encode_jsonl(manifest.partition_path, reports)
         manifest.hold(manifest.partition_path, lambda: tuple(reports))
         manifest.digest(manifest.partition_path)  # hashed once, for each conquer's record
@@ -132,7 +127,7 @@ def run_conquer_phase(
     questions: Sequence[Question],
     reports: Sequence[ConfidenceReport],
     strategy: str,
-    backend: Backend,
+    backend: Optional[Backend],
     manifest: RunManifest,
     self_consistency: bool = False,
     **options,
@@ -199,16 +194,18 @@ def run_report_phase(
 @dataclass
 class Run:
     """A run's settings (`parse_config`'s), seed and run dir, and its parts, each built
-    at first use. `Run(settings, seed, run_dir)` starts a run; `open` opens a run dir's,
-    with `RunManifest.settings(*sources)`. A phase method hands its phase function the
-    parts, the run's SC budget (`dataset.divide_base`), `parallelism` and seed."""
+    at first use. `Run(settings, seed, run_dir)` starts a run; `open` opens the run dir
+    `parse_config(*sources)` names, with `RunManifest.settings(*sources)`. A phase
+    method hands its phase function the parts, the run's SC budget
+    (`dataset.divide_base`), `parallelism` and seed."""
 
     settings: dict
     seed: int
     run_dir: str | Path
 
     @classmethod
-    def open(cls, run_dir: str | Path, *sources: tuple[str, dict]) -> "Run":
+    def open(cls, *sources: tuple[str, dict]) -> "Run":
+        run_dir = parse_config(*sources)["run_dir"]  # checks every source whole
         manifest = RunManifest.load(run_dir)
         run = cls(manifest.settings(*sources), manifest.seed, run_dir)
         run.manifest = manifest
@@ -235,7 +232,7 @@ class Run:
         raise ConfigError("no dataset.path configured and no backend.profiles to derive one from")
 
     @cached_property
-    def backend(self) -> Backend:
+    def backend(self) -> Optional[Backend]:
         """The backend the settings name; a mock plays the profiles at the run's seed."""
         s = self.settings
         if s["backend.kind"] == "mock":
@@ -246,12 +243,12 @@ class Run:
         if s["backend.kind"] == "http":
             keys = ("endpoint", "model", "max_attempts", "base_delay")
             return HttpChatBackend(**{key: s[f"backend.{key}"] for key in keys})
-        return NoFetchBackend()  # replay: every phase reads the run's own transcript.jsonl first
+        return None  # replay: every phase reads the run's own transcript.jsonl alone
 
-    def divide(self, progress=None) -> tuple[list[ConfidenceReport], list[InferenceRecord]]:
+    def divide(self) -> tuple[list[ConfidenceReport], list[InferenceRecord]]:
         # The manifest is built last, so an unreadable input is named by the part that reads it.
         return run_divide_phase(self.questions, dataset_spec(self.settings), self.backend,
-                                self.manifest, self.settings["parallelism"], progress)
+                                self.manifest, self.settings["parallelism"])
 
     def conquer(self, strategy: str, self_consistency: bool = False,
                 **options) -> list[ConquerOutcome]:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qtriage.backend import CachingBackend, NoFetchBackend, TranscriptCache
+from qtriage.backend import CachingBackend, TranscriptCache
 from qtriage.cli import main
 from qtriage.conquer import filter_choices, run_conquer, select_rationales
 from qtriage.divide import (
@@ -221,7 +221,7 @@ def test_criterion_8_replay_economy(tmp_path):
 
     questions = load_dataset(TOY_DATA)
     spec = DatasetSpec(name="toy20", divide_base=5)
-    replay = CachingBackend(NoFetchBackend(), cache)
+    replay = CachingBackend(None, cache)
     reports, _ = run_divide(questions, spec, replay)
     divide_records = records_from_transcript(cache, questions, reports)
     run_conquer(
@@ -278,10 +278,10 @@ def test_criterion_10_exact_replay(tmp_path, monkeypatch):
     for path in written:
         if path.name != "transcript.jsonl":
             path.unlink()
-    calls = []
-    refuse = NoFetchBackend.complete
-    monkeypatch.setattr(NoFetchBackend, "complete",
-                        lambda self, req: calls.append(req) or refuse(self, req))
+    calls = []  # each request the transcript lacks, which replay would have to fetch
+    complete = CachingBackend.complete
+    monkeypatch.setattr(CachingBackend, "complete", lambda self, req: (
+        self.cache.get(req.key()) is None and calls.append(req)) or complete(self, req))
     _full_cli_run(tmp_path, parallelism=1, kind="replay")
     assert calls == []
     differing = sorted(path.name for path, data in written.items() if path.read_bytes() != data)

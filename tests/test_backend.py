@@ -21,7 +21,6 @@ from qtriage.backend import (
     CompletionRequest,
     ConfigError,
     HttpChatBackend,
-    NoFetchBackend,
     TranscriptCache,
     TransportError,
     _json_number,
@@ -522,8 +521,10 @@ class TestExecute:
         assert sorted(finished) == sorted(set(started) - {1, 2})  # none left running
 
 
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_in_process_backend_completes_on_the_calling_thread(self, tmp_path, cached):
+    @pytest.mark.parametrize("cached", [False, True, "replay"])
+    def test_in_process_backend_completes_on_the_calling_thread(
+        self, tmp_path, monkeypatch, cached
+    ):
         class ThreadRecording(MockBackend):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
@@ -542,7 +543,15 @@ class TestExecute:
                 return execute(requests, backend, parallelism), inner.threads
 
         serial, _ = run(1)
-        parallel, threads = run(8)
+        if cached == "replay":
+            # A replay has no inner backend to record its thread, so its `complete` does.
+            threads, complete = set(), CachingBackend.complete
+            monkeypatch.setattr(CachingBackend, "complete", lambda self, r: (
+                threads.add(threading.get_ident()) or complete(self, r)))
+            replay = CachingBackend(None, TranscriptCache(tmp_path / "p1.jsonl"))
+            parallel = execute(requests, replay, 8)
+        else:
+            parallel, threads = run(8)
         assert parallel == serial
         assert threads == {threading.get_ident()}
 
@@ -706,12 +715,12 @@ class TestReplayBackend:
         with TranscriptCache(tmp_path / "t.jsonl") as cache:
             backend = MockBackend({"q1": profile()}, seed=0)
             recorded = CachingBackend(backend, cache).complete(req())
-        replay = CachingBackend(NoFetchBackend(), TranscriptCache(tmp_path / "t.jsonl"))
+        replay = CachingBackend(None, TranscriptCache(tmp_path / "t.jsonl"))
         assert replay.complete(req()) == recorded
         assert replay.hits == 1
 
     def test_missing_key_names_it(self, tmp_path):
-        replay = CachingBackend(NoFetchBackend(), TranscriptCache(tmp_path / "empty.jsonl"))
+        replay = CachingBackend(None, TranscriptCache(tmp_path / "empty.jsonl"))
         with pytest.raises(CacheMissError, match=req().key()):
             replay.complete(req())
 

@@ -81,6 +81,19 @@ class TestDivideCommand:
         partition = run_dir / "partition.jsonl"
         assert len(partition.read_text().splitlines()) == 20
 
+    def test_prints_each_question_in_dataset_order_then_the_partition(self, runner, tmp_path):
+        run_dir = tmp_path / "run"
+        config = write_config(tmp_path, run_dir)
+        result = runner.invoke(main, ["--config", str(config), "--seed", "42", "divide"])
+        assert result.exit_code == 0, result.output
+        cs = [0.6, 0.8, 1, 0.6, 1, 0.4, 0.4, 0.4, 1, 0.4, 0.4, 0.6, 0.4, 1, 0.6, 0.8, 0.6, 1, 0.6, 0.6]
+        subset = {0.4: "low", 0.6: "low", 0.8: "med", 1: "high"}  # at mu 0.8, nu 0.6
+        assert result.output.splitlines() == [
+            *(f"q{i:04d}: cs={c:.2f} subset={subset[c]}" for i, c in enumerate(cs)),
+            f"partition written to {run_dir / 'partition.jsonl'}: "
+            "{'high': 5, 'med': 2, 'low': 13}",
+        ]
+
     def test_rerun_is_deterministic(self, runner, tmp_path):
         d1 = run_pipeline(runner, tmp_path / "a", tmp_path / "a" / "run")
         d2 = run_pipeline(runner, tmp_path / "b", tmp_path / "b" / "run")
@@ -683,7 +696,7 @@ class TestEndToEnd:
         assert RunManifest.load(run_dir).config["backend"]["kind"] == "replay"
 
     def test_replay_issues_zero_fetches(self, runner, tmp_path):
-        from qtriage.backend import CachingBackend, NoFetchBackend, TranscriptCache
+        from qtriage.backend import CachingBackend, TranscriptCache
         from qtriage.conquer import run_conquer
         from qtriage.divide import load_reports, run_divide
         from qtriage.manifest import RunManifest
@@ -696,7 +709,7 @@ class TestEndToEnd:
 
         questions = load_dataset(TOY_DATA)
         spec = DatasetSpec(name="toy", divide_base=5)
-        replay = CachingBackend(NoFetchBackend(), cache)
+        replay = CachingBackend(None, cache)
         reports, _ = run_divide(questions, spec, replay)
         assert reports == load_reports(manifest.partition_path)
         from qtriage.divide import records_from_transcript
@@ -1821,11 +1834,15 @@ def test_the_readme_simulation_passes_its_three_assertions():
 
 
 def test_import_loads_neither_requests_nor_scipy():
+    # The benchmark's setup_s pays for every module a bare `import qtriage` loads.
     import qtriage
 
-    code = ("import sys, qtriage, qtriage.cli, qtriage.simulate; "
-            "print(sorted(m for m in ('requests', 'scipy') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(Path(qtriage.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, timeout=60, check=True)
-    assert result.stdout.strip() == "[]"
+    for imports, absent in (
+        ("qtriage, qtriage.cli, qtriage.simulate", ("requests", "scipy")),
+        ("qtriage", ("click", "qtriage.pipeline", "qtriage.manifest", "qtriage.cli")),
+    ):
+        code = f"import sys, {imports}; print(sorted(m for m in {absent!r} if m in sys.modules))"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, timeout=60, check=True)
+        assert result.stdout.strip() == "[]", imports

@@ -289,7 +289,7 @@ class TestConquerItem:
         assert "2 choices" in prompt
 
     def test_replay_reproduces_outcome(self, tmp_path):
-        from qtriage.backend import CachingBackend, NoFetchBackend, TranscriptCache
+        from qtriage.backend import CachingBackend, TranscriptCache
 
         q = question()
         answers = ["C", "E", "C", "E", "C"]
@@ -298,7 +298,7 @@ class TestConquerItem:
         with TranscriptCache(path) as cache:
             live = CachingBackend(MockBackend(self.profiles({"C": 0.5, "E": 0.5}), seed=2), cache)
             first = conquer_item(q, report, "FCR", live, self_consistency=True, sc_samples=5)
-        replay = CachingBackend(NoFetchBackend(), TranscriptCache(path))
+        replay = CachingBackend(None, TranscriptCache(path))
         second = conquer_item(q, report, "FCR", replay, self_consistency=True, sc_samples=5)
         assert first == second
 
