@@ -3,82 +3,43 @@
 Sample each question several times, score confidence as the maximum answer
 frequency, fix the high-confidence subset, and re-solve the rest with
 rationale-reuse and choice-filtering strategies.
+
+Each exported name loads its module at first use (PEP 562), so a bare
+`import qtriage` compiles only this file.
 """
 
-from .backend import (
-    CachingBackend,
-    Completion,
-    CompletionRequest,
-    HttpChatBackend,
-    TranscriptCache,
-)
-from .conquer import (
-    ConquerOutcome,
-    conquer_item,
-    filter_choices,
-    select_rationales,
-)
-from .divide import (
-    AnswerHistogram,
-    ConfidenceReport,
-    confidence_score,
-    histogram_from_answers,
-    majority_answer,
-    partition,
-    run_divide,
-)
-from .extraction import (
-    ExtractedAnswer,
-    extract_choice_answer,
-    extract_numeric_answer,
-)
-from .model import (
-    DatasetSpec,
-    LabelMapping,
-    Question,
-    cloze_to_mcq,
-    load_dataset,
-    normalize_number,
-    relabel_choices,
-    save_dataset,
-)
-from .report import cost_summary, em_accuracy, emit_report, weighted_average
-from .synth import MockBackend, QuestionProfile
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnswerHistogram",
-    "CachingBackend",
-    "Completion",
-    "CompletionRequest",
-    "ConfidenceReport",
-    "ConquerOutcome",
-    "DatasetSpec",
-    "ExtractedAnswer",
-    "HttpChatBackend",
-    "LabelMapping",
-    "MockBackend",
-    "Question",
-    "QuestionProfile",
-    "TranscriptCache",
-    "cloze_to_mcq",
-    "confidence_score",
-    "conquer_item",
-    "cost_summary",
-    "em_accuracy",
-    "emit_report",
-    "extract_choice_answer",
-    "extract_numeric_answer",
-    "filter_choices",
-    "histogram_from_answers",
-    "load_dataset",
-    "majority_answer",
-    "normalize_number",
-    "partition",
-    "relabel_choices",
-    "run_divide",
-    "save_dataset",
-    "select_rationales",
-    "weighted_average",
-]
+_EXPORTS = {  # exported name -> its home module
+    "CachingBackend": "backend", "Completion": "backend", "CompletionRequest": "backend",
+    "HttpChatBackend": "backend", "TranscriptCache": "backend",
+    "ConquerOutcome": "conquer", "conquer_item": "conquer", "filter_choices": "conquer",
+    "select_rationales": "conquer",
+    "AnswerHistogram": "divide", "ConfidenceReport": "divide", "confidence_score": "divide",
+    "histogram_from_answers": "divide", "majority_answer": "divide", "partition": "divide",
+    "run_divide": "divide",
+    "ExtractedAnswer": "extraction", "extract_choice_answer": "extraction",
+    "extract_numeric_answer": "extraction",
+    "DatasetSpec": "model", "LabelMapping": "model", "Question": "model",
+    "cloze_to_mcq": "model", "load_dataset": "model", "normalize_number": "model",
+    "relabel_choices": "model", "save_dataset": "model",
+    "cost_summary": "report", "em_accuracy": "report", "emit_report": "report",
+    "weighted_average": "report",
+    "MockBackend": "synth", "QuestionProfile": "synth",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -19,7 +19,6 @@ import os
 import random
 import threading
 import time
-from concurrent import futures
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -450,6 +449,8 @@ def execute(
     try:
         if parallelism <= 1 or not backend.waits:
             return [backend.complete(r) for r in requests]
+        from concurrent import futures  # only a waiting backend's batch starts a pool
+
         with futures.ThreadPoolExecutor(max(1, min(parallelism, len(requests)))) as pool:
             tasks = [pool.submit(backend.complete, r) for r in requests]
             try:

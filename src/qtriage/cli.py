@@ -154,7 +154,9 @@ def _report_strategies(run_dir: str) -> dict:
             if not isinstance(entry, dict):
                 raise ReportError(f"{path}: {where} is not an object")
             accuracy = entry.get("accuracy")
-            if accuracy is not None and not isinstance(accuracy, (int, float)):
+            # not a boolean, NaN, an infinity or an integer too large for a float
+            finite = type(accuracy) in (int, float) and abs(accuracy) <= sys.float_info.max
+            if accuracy is not None and not finite:
                 raise ReportError(f"{path}: {where}.accuracy is not a number or null")
     return strategies
 

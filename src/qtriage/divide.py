@@ -346,8 +346,9 @@ def records_from_transcript(
     return sorted(chain(*sampled), key=BY_QUESTION)
 
 
-def load_reports(path: str | Path) -> list[ConfidenceReport]:
-    """Read a partition file; a missing one means divide has not finished."""
-    if not Path(path).is_file():
+def load_reports(path: str | Path, data: Optional[bytes] = None) -> list[ConfidenceReport]:
+    """Read a partition file (`data`, its bytes, if already read); a missing one
+    means divide has not finished."""
+    if data is None and not Path(path).is_file():
         raise DivideError(f"partition file missing; run divide first: {path}")
-    return decode_jsonl(path, ConfidenceReport.from_dict, DivideError, "partition")
+    return decode_jsonl(path, ConfidenceReport.from_dict, DivideError, "partition", data)

@@ -201,6 +201,19 @@ class RunManifest:
             entry = self._held[key] = (inputs, read())
         return entry[1]
 
+    def hold_read(self, path: Path, decode: Callable[[Optional[bytes]], T]) -> T:
+        """`decode` of the bytes of the file at `path` (None if it is missing), held
+        as `hold` holds a file's result; the one read also holds the file's digest."""
+        identity = _file_identity(path)
+
+        def read() -> T:
+            data = None if identity is None else path.read_bytes()
+            if data is not None:
+                self.hold(("sha256", path), lambda: hashlib.sha256(data).hexdigest(), identity)
+            return decode(data)
+
+        return self.hold(path, read, identity)
+
     def digest(self, path: Path) -> Optional[str]:
         """The sha256 of the file at `path`, held while the file is unchanged; None if missing."""
         identity = _file_identity(path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import string
@@ -207,11 +208,15 @@ def parse_as(kind: type, value):
     return number
 
 
-def _read_text(path: Path, error: type[QtriageError]) -> str:
-    if not path.is_file():
+def _read_text(path: Path, error: type[QtriageError], data: Optional[bytes] = None) -> str:
+    """The text of the file at `path`; `data` is its bytes, if already read."""
+    if data is None and not path.is_file():
         raise error(f"file not found: {path}")
     try:
-        return path.read_text(encoding="utf-8")
+        if data is None:
+            return path.read_text(encoding="utf-8")
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:  # as read_text reads
+            return text.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from exc
 
@@ -257,14 +262,17 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise QtriageError(f"cannot write {path}: {exc}") from exc
 
 
-def read_jsonl(path: str | Path, error: type[QtriageError]) -> list[tuple[int, dict]]:
-    """(line number, record) for each non-blank line of a JSONL file of objects.
+def read_jsonl(
+    path: str | Path, error: type[QtriageError], data: Optional[bytes] = None
+) -> list[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSONL file of objects;
+    `data` is the file's bytes, if already read.
 
     A missing file, or a line that is not a JSON object, raises `error`
     naming the file and the line.
     """
     path = Path(path)
-    lines = _read_text(path, error).split("\n")
+    lines = _read_text(path, error, data).split("\n")
     return [
         (lineno, _json_object(line, error, path, lineno))
         for lineno, line in enumerate(lines, start=1)
@@ -278,11 +286,13 @@ def encode_jsonl(path: str | Path, items: Iterable) -> None:
 
 
 def decode_jsonl(
-    path: str | Path, decode: Callable[[dict], T], error: type[QtriageError], what: str
+    path: str | Path, decode: Callable[[dict], T], error: type[QtriageError], what: str,
+    data: Optional[bytes] = None,
 ) -> list[T]:
-    """`decode` of each record of a JSONL file; one it rejects raises `error` naming its line."""
+    """`decode` of each record of a JSONL file (`data`, if already read); one it
+    rejects raises `error` naming its line."""
     out = []
-    for lineno, rec in read_jsonl(path, error):
+    for lineno, rec in read_jsonl(path, error, data):
         try:
             out.append(decode(rec))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

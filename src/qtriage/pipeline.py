@@ -94,6 +94,13 @@ def _divide_records(
     )
 
 
+def _reports(manifest: RunManifest) -> Sequence[ConfidenceReport]:
+    """The partition's reports, held while its file is unchanged; the read that
+    decodes them also hashes the file for the phase records."""
+    path = manifest.partition_path
+    return manifest.hold_read(path, lambda data: load_reports(path, data))
+
+
 def _prior(
     manifest: RunManifest, questions: Sequence[Question], reports: Sequence[ConfidenceReport]
 ) -> dict:
@@ -165,7 +172,7 @@ def run_report_phase(
     record the records of the phases read; a report while a phase is not current
     (see `RunManifest.stale`) needs `partial`. `spec`, which names the dataset, must
     be the manifest's (`Run.report` passes it)."""
-    reports = manifest.hold(manifest.partition_path, lambda: load_reports(manifest.partition_path))
+    reports = _reports(manifest)
     stale = manifest.stale()
     if stale and not partial:
         named = ", ".join(phase + note for phase, note in stale.items())
@@ -254,8 +261,7 @@ class Run:
                 **options) -> list[ConquerOutcome]:
         """Conquer the run's partition; `options` go to `run_conquer_phase` and may name
         another `seed` (for `rationale_select="random"`)."""
-        path = self.manifest.partition_path
-        reports = self.manifest.hold(path, lambda: load_reports(path))
+        reports = _reports(self.manifest)
         options = {"sc_samples": self.settings["dataset.divide_base"],
                    "parallelism": self.settings["parallelism"], "seed": self.seed, **options}
         return run_conquer_phase(self.questions, reports, strategy, self.backend, self.manifest,

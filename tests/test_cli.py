@@ -948,6 +948,25 @@ class TestReportCommand:
         assert result.exit_code == 0, result.output
         assert {p.name: p.read_bytes() for p in reports.iterdir()} == first
 
+    def test_conquer_and_report_read_the_partition_once(self, runner, tmp_path, monkeypatch):
+        # One read both decodes the partition and hashes it for the phase records.
+        config = write_config(tmp_path, tmp_path / "run")
+        base = ["--config", str(config), "--seed", "42"]
+        assert runner.invoke(main, base + ["divide"]).exit_code == 0
+        opens = []
+        open_ = Path.open
+
+        def counted(self, *args, **kwargs):
+            opens.append(self.name)
+            return open_(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counted)
+        for command in (["conquer", "--strategy", "fcr"], ["report"]):
+            before = len(opens)
+            result = runner.invoke(main, base + command)
+            assert result.exit_code == 0, result.output
+            assert opens[before:].count("partition.jsonl") == 1, command
+
 
 def phases(run_dir):
     return json.loads((run_dir / "manifest.json").read_text())["phases"]
@@ -1641,6 +1660,15 @@ FAILURES = {  # name -> (build the case, expected exit code)
     "report-compare-accuracy-not-number": (
         _compare_report({"strategies": {"fcr": {"med": {"accuracy": "0.5"}}}},
                         "report.json: strategies.fcr.med.accuracy"), 1),
+    "report-compare-accuracy-boolean": (
+        _compare_report({"strategies": {"fcr": {"med": {"accuracy": True}}}},
+                        "strategies.fcr.med.accuracy is not a number or null"), 1),
+    "report-compare-accuracy-nan": (
+        _compare_report({"strategies": {"fcr": {"med": {"accuracy": float("nan")}}}},
+                        "strategies.fcr.med.accuracy is not a number or null"), 1),
+    "report-compare-accuracy-too-large": (
+        _compare_report({"strategies": {"fcr": {"med": {"accuracy": 10 ** 400}}}},
+                        "strategies.fcr.med.accuracy is not a number or null"), 1),
     "fcr-dataset-lacks-question": (_dataset_lacks_conquered_question, 1),
     "report-corrupt-manifest": (
         _corrupt("manifest.json", ["report", "--partial"], "manifest.json"), 1),
@@ -1846,3 +1874,60 @@ def test_import_loads_neither_requests_nor_scipy():
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 env=env, timeout=60, check=True)
         assert result.stdout.strip() == "[]", imports
+
+
+# What the benchmark's setup probe imports, then a batch on a backend that waits.
+_FIRST_USE = """
+import json, sys, time
+import qtriage
+bare = sorted(m for m in sys.modules if m.startswith("qtriage."))
+from qtriage.backend import MockBackend, load_profiles
+from qtriage.model import load_dataset
+probe = sorted(m for m in ABSENT if m in sys.modules)
+from qtriage.backend import Backend, Completion, CompletionRequest, execute
+
+class Waiting(Backend):
+    def complete(self, req):
+        time.sleep(0.01 * (3 - req.sample_index))  # later requests finish first
+        return Completion(req.question_id, 1, 1)
+
+requests = [CompletionRequest("p", 0.0, 1, i, f"q{i}", "divide") for i in range(4)]
+texts = [c.text for c in execute(requests, Waiting(), parallelism=2)]
+print(json.dumps([bare, probe, texts, "concurrent.futures" in sys.modules]))
+"""
+
+
+def test_each_module_loads_at_first_use():
+    import qtriage
+
+    absent = [f"qtriage.{m}" for m in ("conquer", "divide", "extraction", "prompts", "report",
+                                       "pipeline", "manifest", "cli")]
+    absent += ["concurrent.futures", "logging"]
+    env = {**os.environ, "PYTHONPATH": str(Path(qtriage.__file__).parents[1])}
+    code = f"ABSENT = {absent!r}\n{_FIRST_USE}"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60, check=True)
+    bare, probe, texts, pool = json.loads(result.stdout)
+    assert bare == []
+    assert probe == []
+    assert texts == ["q0", "q1", "q2", "q3"]
+    assert pool
+
+
+def test_each_export_is_its_home_modules_object():
+    import importlib
+
+    import qtriage
+
+    assert qtriage.__all__ == sorted(qtriage._EXPORTS)
+    for name, module in qtriage._EXPORTS.items():
+        assert getattr(qtriage, name) is getattr(importlib.import_module(f"qtriage.{module}"), name)
+    star = {}
+    exec("from qtriage import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == qtriage.__all__
+    assert set(qtriage.__all__) <= set(dir(qtriage))
+    with pytest.raises(AttributeError, match="module 'qtriage' has no attribute 'nope'"):
+        qtriage.nope
+    from qtriage import backend, conquer, divide, pipeline  # as bench/tracing.py imports them
+
+    assert backend.execute and conquer.run_conquer and divide.run_divide and pipeline.Run
