@@ -36,9 +36,7 @@ __all__ = sorted(_EXPORTS)
 def __getattr__(name: str):
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
 
 
 def __dir__() -> list[str]:

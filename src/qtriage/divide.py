@@ -347,8 +347,7 @@ def records_from_transcript(
 
 
 def load_reports(path: str | Path, data: Optional[bytes] = None) -> list[ConfidenceReport]:
-    """Read a partition file (`data`, its bytes, if already read); a missing one
-    means divide has not finished."""
-    if data is None and not Path(path).is_file():
+    """Read a partition file or its `data`; a missing one means divide has not finished."""
+    if not Path(path).is_file():
         raise DivideError(f"partition file missing; run divide first: {path}")
     return decode_jsonl(path, ConfidenceReport.from_dict, DivideError, "partition", data)

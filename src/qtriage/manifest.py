@@ -207,18 +207,19 @@ class RunManifest:
         identity = _file_identity(path)
 
         def read() -> T:
-            data = None if identity is None else path.read_bytes()
-            if data is not None:
-                self.hold(("sha256", path), lambda: hashlib.sha256(data).hexdigest(), identity)
+            data = identity and path.read_bytes()
+            self._sha256(path, identity, lambda: data)
             return decode(data)
 
         return self.hold(path, read, identity)
 
     def digest(self, path: Path) -> Optional[str]:
         """The sha256 of the file at `path`, held while the file is unchanged; None if missing."""
-        identity = _file_identity(path)
+        return self._sha256(path, _file_identity(path), path.read_bytes)
+
+    def _sha256(self, path: Path, identity: Optional[tuple], read: Callable) -> Optional[str]:
         return identity and self.hold(
-            ("sha256", path), lambda: hashlib.sha256(path.read_bytes()).hexdigest(), identity)
+            ("sha256", path), lambda: hashlib.sha256(read()).hexdigest(), identity)
 
     @property
     def phases(self) -> dict:

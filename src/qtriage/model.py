@@ -210,11 +210,11 @@ def parse_as(kind: type, value):
 
 def _read_text(path: Path, error: type[QtriageError], data: Optional[bytes] = None) -> str:
     """The text of the file at `path`; `data` is its bytes, if already read."""
-    if data is None and not path.is_file():
-        raise error(f"file not found: {path}")
+    if data is None:
+        if not path.is_file():
+            raise error(f"file not found: {path}")
+        data = path.read_bytes()
     try:
-        if data is None:
-            return path.read_text(encoding="utf-8")
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:  # as read_text reads
             return text.read()
     except UnicodeDecodeError as exc:
@@ -262,11 +262,9 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise QtriageError(f"cannot write {path}: {exc}") from exc
 
 
-def read_jsonl(
-    path: str | Path, error: type[QtriageError], data: Optional[bytes] = None
-) -> list[tuple[int, dict]]:
-    """(line number, record) for each non-blank line of a JSONL file of objects;
-    `data` is the file's bytes, if already read.
+def read_jsonl(path: str | Path, error: type[QtriageError],
+               data: Optional[bytes] = None) -> list[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSONL file of objects or its `data`.
 
     A missing file, or a line that is not a JSON object, raises `error`
     naming the file and the line.
@@ -289,8 +287,8 @@ def decode_jsonl(
     path: str | Path, decode: Callable[[dict], T], error: type[QtriageError], what: str,
     data: Optional[bytes] = None,
 ) -> list[T]:
-    """`decode` of each record of a JSONL file (`data`, if already read); one it
-    rejects raises `error` naming its line."""
+    """`decode` of each record of a JSONL file or its `data`; one it rejects raises `error`
+    naming its line."""
     out = []
     for lineno, rec in read_jsonl(path, error, data):
         try:

@@ -1931,3 +1931,8 @@ def test_each_export_is_its_home_modules_object():
     from qtriage import backend, conquer, divide, pipeline  # as bench/tracing.py imports them
 
     assert backend.execute and conquer.run_conquer and divide.run_divide and pipeline.Run
+    original = conquer.conquer_item
+    with pytest.MonkeyPatch.context() as patch:  # as bench/tracing.py wraps it
+        patch.setattr(conquer, "conquer_item", wrapped := lambda *a, **k: original(*a, **k))
+        assert qtriage.conquer_item is wrapped
+    assert qtriage.conquer_item is original  # each access reads the home module
