@@ -9,7 +9,7 @@ import click
 
 from .backend import ConfigError, TransportError
 from .conquer import RATIONALE_SELECT_MODES
-from .divide import SUBSETS
+from .divide import partition
 from .manifest import parse_config
 from .model import QtriageError, read_json
 from .pipeline import Run
@@ -79,7 +79,7 @@ def cmd_divide(ctx, mu, nu, divide_base):
     reports, _ = run.divide()
     for r in reports:
         click.echo(f"{r.question_id}: cs={float(r.cs):.2f} subset={r.subset}")
-    counts = {s: sum(1 for r in reports if r.subset == s) for s in SUBSETS}
+    counts = {s: len(ids) for s, ids in partition(reports).items()}
     click.echo(f"partition written to {run.manifest.partition_path}: {counts}")
 
 
@@ -153,16 +153,13 @@ def _report_strategies(run_dir: str) -> dict:
             where = f"strategies.{strat}.{subset}"
             if not isinstance(entry, dict):
                 raise ReportError(f"{path}: {where} is not an object")
-            accuracy = entry.get("accuracy")
-            # not a boolean, NaN, an infinity or an integer too large for a float
-            finite = type(accuracy) in (int, float) and abs(accuracy) <= sys.float_info.max
-            if accuracy is not None and not finite:
-                raise ReportError(f"{path}: {where}.accuracy is not a number or null")
+            accuracy = entry.get("accuracy")  # no boolean, NaN or infinity is in [0, 1]
+            if accuracy is not None and not (type(accuracy) in (int, float) and 0 <= accuracy <= 1):
+                raise ReportError(f"{path}: {where}.accuracy is not a number or null in [0, 1]")
     return strategies
 
 
 def _compare_runs(dir_a: str, dir_b: str) -> None:
-    rows = []
     a, b = _report_strategies(dir_a), _report_strategies(dir_b)
     strategies = sorted(set(a) | set(b))
     click.echo(f"{'strategy':<14}{'subset':<12}{'a':>8}{'b':>8}{'delta':>8}")
@@ -176,9 +173,8 @@ def _compare_runs(dir_a: str, dir_b: str) -> None:
                 f"{(acc_b - acc_a) * 100:+6.2f}"
                 if acc_a is not None and acc_b is not None else "     -"
             )
-            rows.append((strat, subset))
             click.echo(f"{strat:<14}{subset:<12}{fmt(acc_a):>8}{fmt(acc_b):>8}{delta:>8}")
-    if not rows:
+    if not any(a.values()) and not any(b.values()):
         click.echo("no strategies to compare")
 
 

@@ -18,7 +18,6 @@ from .backend import (
     Backend,
     CacheMissError,
     CachingBackend,
-    Completion,
     CompletionRequest,
     TranscriptCache,
     execute,
@@ -61,20 +60,6 @@ class InferenceRecord:
             "prompt_tokens": self.prompt_tokens,
             "output_tokens": self.output_tokens,
         }
-
-    @staticmethod
-    def from_completion(
-        req: CompletionRequest, comp: Completion, answer: Optional[str]
-    ) -> "InferenceRecord":
-        return InferenceRecord(
-            question_id=req.question_id,
-            phase=req.phase,
-            sample_index=req.sample_index,
-            text=comp.text,
-            answer=answer,
-            prompt_tokens=comp.prompt_tokens,
-            output_tokens=comp.output_tokens,
-        )
 
 
 @dataclass(frozen=True)
@@ -284,7 +269,9 @@ def sample(
     while batch:
         for (i, req), comp in zip(batch, execute([r for _, r in batch], backend, parallelism)):
             answer = extract_for(plans[i][0], comp.text)
-            records[i].append(InferenceRecord.from_completion(req, comp, answer))
+            records[i].append(InferenceRecord(req.question_id, req.phase, req.sample_index,
+                                              comp.text, answer, comp.prompt_tokens,
+                                              comp.output_tokens))
         left = {i: len(plans[i][1]) - len(records[i]) for i, _ in batch}  # samples not issued
         batch = [(i, plans[i][1][-n]) for i, n in left.items() if n and not vote_decided(
             histogram_from_answers([r.answer for r in records[i]]), n)]

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional, TypeVar
 
 from .backend import API_KEY_ENV, ConfigError, TranscriptCache
+from .divide import ConfidenceReport, load_reports
 from .model import SCHEMAS, DatasetSpec, QtriageError, parse_as, read_json, write_atomic
 
 
@@ -138,8 +139,7 @@ class RunManifest:
     """A run's identity, the record of each phase, and the results this process
     holds: the partition's reports, each outcome set, the divide records and the
     conquer prior (see `hold`). The phase records are held for manifest.json,
-    so another writer's are read. A loaded manifest holds nothing else, so a
-    CLI command reads each file.
+    so another writer's are read; a loaded manifest holds those of its one read.
     """
 
     run_id: str
@@ -201,25 +201,26 @@ class RunManifest:
             entry = self._held[key] = (inputs, read())
         return entry[1]
 
-    def hold_read(self, path: Path, decode: Callable[[Optional[bytes]], T]) -> T:
-        """`decode` of the bytes of the file at `path` (None if it is missing), held
-        as `hold` holds a file's result; the one read also holds the file's digest."""
-        identity = _file_identity(path)
+    def reports(self) -> tuple[ConfidenceReport, ...]:
+        """The partition's reports, held while its file is unchanged; the one read
+        that decodes them also holds the file's digest."""
+        path, identity = self.partition_path, _file_identity(self.partition_path)
 
-        def read() -> T:
+        def read() -> tuple[ConfidenceReport, ...]:
             data = identity and path.read_bytes()
-            self._sha256(path, identity, lambda: data)
-            return decode(data)
+            self.digest(path, data, identity)
+            return tuple(load_reports(path, data))
 
         return self.hold(path, read, identity)
 
-    def digest(self, path: Path) -> Optional[str]:
-        """The sha256 of the file at `path`, held while the file is unchanged; None if missing."""
-        return self._sha256(path, _file_identity(path), path.read_bytes)
-
-    def _sha256(self, path: Path, identity: Optional[tuple], read: Callable) -> Optional[str]:
-        return identity and self.hold(
-            ("sha256", path), lambda: hashlib.sha256(read()).hexdigest(), identity)
+    def digest(self, path: Path, data: Optional[bytes] = None,
+               identity: Optional[tuple] = None) -> Optional[str]:
+        """The sha256 of the file at `path`, held while the file is unchanged; None if
+        missing. `data` is its bytes as just written, or as read from the file whose
+        `_file_identity`, taken before the read, is `identity`."""
+        identity = identity or _file_identity(path)
+        return identity and self.hold(("sha256", path), lambda: hashlib.sha256(
+            path.read_bytes() if data is None else data).hexdigest(), identity)
 
     @property
     def phases(self) -> dict:
@@ -258,17 +259,20 @@ class RunManifest:
     def load(run_dir: str | Path) -> "RunManifest":
         run_dir = Path(run_dir)
         path = run_dir / "manifest.json"
-        d = read_json(path, ManifestError)
+        identity, d = _file_identity(path), read_json(path, ManifestError)
         try:
-            return RunManifest(d["run_id"], d["config"], int(d["seed"]), run_dir)
+            manifest = RunManifest(d["run_id"], d["config"], int(d["seed"]), run_dir)
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"{path}: bad manifest: {exc!r}") from exc
+        manifest.hold(path, lambda: _phases(path, d), identity)  # this read's records
+        return manifest
 
 
-def _phases(path: Path) -> dict:
-    """manifest.json's phase records; none if it is missing, unreadable or older than them."""
+def _phases(path: Path, d: Optional[dict] = None) -> dict:
+    """manifest.json's phase records, or those of `d`, its tree as read; none if it is
+    missing, unreadable or older than them."""
     try:
-        phases = read_json(path, ManifestError).get("phases")
+        phases = (read_json(path, ManifestError) if d is None else d).get("phases")
     except ManifestError:
         return {}
     return phases if isinstance(phases, dict) else {}

@@ -239,20 +239,21 @@ def read_json(path: str | Path, error: type[QtriageError]) -> dict:
     return _json_object(_read_text(path, error), error, path)
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Replace `path` with `text` in one rename, so a reader sees the old or the new bytes.
+def write_atomic(path: str | Path, text: str) -> bytes:
+    """Replace `path` with `text` in one rename, so a reader sees the old or the new bytes;
+    returns the bytes written.
 
     The text goes to a temporary file beside `path`, which is removed if
     anything fails before the rename. The parent directory is created first.
     An OS error raises `QtriageError` naming the path.
     """
-    path = Path(path)
+    path, data = Path(path), text.encode("utf-8")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -260,6 +261,7 @@ def write_atomic(path: str | Path, text: str) -> None:
             raise
     except OSError as exc:
         raise QtriageError(f"cannot write {path}: {exc}") from exc
+    return data
 
 
 def read_jsonl(path: str | Path, error: type[QtriageError],
@@ -278,9 +280,9 @@ def read_jsonl(path: str | Path, error: type[QtriageError],
     ]
 
 
-def encode_jsonl(path: str | Path, items: Iterable) -> None:
-    """Replace `path` with one sorted-key JSON line per item's `to_dict()`."""
-    write_atomic(path, "".join(json.dumps(i.to_dict(), sort_keys=True) + "\n" for i in items))
+def encode_jsonl(path: str | Path, items: Iterable) -> bytes:
+    """Replace `path` with one sorted-key JSON line per item's `to_dict()`; the bytes written."""
+    return write_atomic(path, "".join(json.dumps(i.to_dict(), sort_keys=True) + "\n" for i in items))
 
 
 def decode_jsonl(

@@ -25,7 +25,6 @@ from .conquer import ConquerOutcome, check_subsets, read_outcomes, run_conquer
 from .divide import (
     ConfidenceReport,
     InferenceRecord,
-    load_reports,
     questions_for,
     records_from_transcript,
     run_divide,
@@ -94,13 +93,6 @@ def _divide_records(
     )
 
 
-def _reports(manifest: RunManifest) -> Sequence[ConfidenceReport]:
-    """The partition's reports, held while its file is unchanged; the read that
-    decodes them also hashes the file for the phase records."""
-    path = manifest.partition_path
-    return manifest.hold_read(path, lambda data: load_reports(path, data))
-
-
 def _prior(
     manifest: RunManifest, questions: Sequence[Question], reports: Sequence[ConfidenceReport]
 ) -> dict:
@@ -122,9 +114,9 @@ def run_divide_phase(
     (`Run.divide` passes it), since the manifest's config alone gives the run id."""
     with _phase(manifest, "divide") as cache:
         reports, records = run_divide(questions, spec, CachingBackend(backend, cache), parallelism)
-        encode_jsonl(manifest.partition_path, reports)
+        data = encode_jsonl(manifest.partition_path, reports)
         manifest.hold(manifest.partition_path, lambda: tuple(reports))
-        manifest.digest(manifest.partition_path)  # hashed once, for each conquer's record
+        manifest.digest(manifest.partition_path, data)  # for each conquer's record
         _divide_records(manifest, questions, reports, lambda: tuple(records))
         manifest.record("divide", manifest.run_id)
     return reports, records
@@ -172,7 +164,7 @@ def run_report_phase(
     record the records of the phases read; a report while a phase is not current
     (see `RunManifest.stale`) needs `partial`. `spec`, which names the dataset, must
     be the manifest's (`Run.report` passes it)."""
-    reports = _reports(manifest)
+    reports = manifest.reports()
     stale = manifest.stale()
     if stale and not partial:
         named = ", ".join(phase + note for phase, note in stale.items())
@@ -261,7 +253,7 @@ class Run:
                 **options) -> list[ConquerOutcome]:
         """Conquer the run's partition; `options` go to `run_conquer_phase` and may name
         another `seed` (for `rationale_select="random"`)."""
-        reports = _reports(self.manifest)
+        reports = self.manifest.reports()
         options = {"sc_samples": self.settings["dataset.divide_base"],
                    "parallelism": self.settings["parallelism"], "seed": self.seed, **options}
         return run_conquer_phase(self.questions, reports, strategy, self.backend, self.manifest,

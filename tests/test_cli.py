@@ -910,6 +910,20 @@ class TestReportCommand:
         assert "delta" in result.output
         assert "fcr+sc" in result.output
 
+    def test_compare_says_when_no_subset_has_a_row(self, runner, tmp_path):
+        header = f"{'strategy':<14}{'subset':<12}{'a':>8}{'b':>8}{'delta':>8}\n"
+        row = f"{'fcr':<14}{'med':<12}{'  50.00':>8}{'     -':>8}{'     -':>8}\n"
+        for a, b, expected in (({}, {"fcr": {}}, header + "no strategies to compare\n"),
+                               ({"fcr": {"med": {"accuracy": 0.5}}}, {}, header + row)):
+            for name, strategies in (("a", a), ("b", b)):
+                (tmp_path / name / "reports").mkdir(parents=True, exist_ok=True)
+                (tmp_path / name / "reports" / "report.json").write_text(
+                    json.dumps({"strategies": strategies}))
+            result = runner.invoke(main, ["report", "--compare", str(tmp_path / "a"),
+                                          str(tmp_path / "b")])
+            assert result.exit_code == 0, result.output
+            assert result.output == expected
+
     def test_incomplete_divide_transcript_names_key(self, runner, tmp_path):
         run_dir = run_pipeline(runner, tmp_path, tmp_path / "run")
         transcript = run_dir / "transcript.jsonl"
@@ -966,6 +980,27 @@ class TestReportCommand:
             result = runner.invoke(main, base + command)
             assert result.exit_code == 0, result.output
             assert opens[before:].count("partition.jsonl") == 1, command
+
+    def test_each_command_opens_each_run_file_at_most_once(self, runner, tmp_path, monkeypatch):
+        # divide hashes the partition as it wrote it, without reading it back;
+        # conquer and report read manifest.json and the partition once each.
+        config = write_config(tmp_path, tmp_path / "run")
+        base = ["--config", str(config), "--seed", "42"]
+        opens = []
+        open_ = Path.open
+
+        def counted(self, *args, **kwargs):
+            opens.append(self.name)
+            return open_(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counted)
+        once = {"partition.jsonl": 1, "manifest.json": 1}
+        for command, expected in ((["divide"], {"partition.jsonl": 0}),
+                                  (["conquer", "--strategy", "pkr"], once), (["report"], once)):
+            opens.clear()
+            result = runner.invoke(main, base + command)
+            assert result.exit_code == 0, result.output
+            assert {name: opens.count(name) for name in expected} == expected, command
 
 
 def phases(run_dir):
@@ -1668,6 +1703,12 @@ FAILURES = {  # name -> (build the case, expected exit code)
                         "strategies.fcr.med.accuracy is not a number or null"), 1),
     "report-compare-accuracy-too-large": (
         _compare_report({"strategies": {"fcr": {"med": {"accuracy": 10 ** 400}}}},
+                        "strategies.fcr.med.accuracy is not a number or null"), 1),
+    "report-compare-accuracy-above-one": (
+        _compare_report({"strategies": {"fcr": {"med": {"accuracy": 1.5}}}},
+                        "strategies.fcr.med.accuracy is not a number or null"), 1),
+    "report-compare-accuracy-negative": (
+        _compare_report({"strategies": {"fcr": {"med": {"accuracy": -0.25}}}},
                         "strategies.fcr.med.accuracy is not a number or null"), 1),
     "fcr-dataset-lacks-question": (_dataset_lacks_conquered_question, 1),
     "report-corrupt-manifest": (
