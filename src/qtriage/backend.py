@@ -55,7 +55,10 @@ def _params_hash(prompt: str, temperature: float, max_output_tokens: int) -> str
     return _short_hash(f"{float(temperature)!r}|{max_output_tokens}|{prompt}")
 
 
-@dataclass(frozen=True)
+_last_params: tuple = (None, None, None, "")  # key()'s last (prompt, temperature, limit, h)
+
+
+@dataclass(frozen=True, slots=True)
 class CompletionRequest:
     """One completion to fetch; construction raises `ConfigError` for a field out of range."""
 
@@ -72,9 +75,17 @@ class CompletionRequest:
     def key(self) -> str:
         """`question_id|phase|sample_index|h`; `h` hashes temperature, token limit and prompt.
 
-        The backend and model are not part of the key.
+        The backend and model are not part of the key. The samples of a plan share
+        `h`, so the last one is kept: it serves an equal prompt with the very same
+        temperature and limit objects, since equal numbers may print differently
+        (0.0 and -0.0, 512 and 512.0).
         """
-        h = _params_hash(self.prompt, self.temperature, self.max_output_tokens)
+        global _last_params
+        prompt, temperature, limit, h = _last_params
+        if not (temperature is self.temperature and limit is self.max_output_tokens
+                and prompt == self.prompt):
+            h = _params_hash(self.prompt, self.temperature, self.max_output_tokens)
+            _last_params = (self.prompt, self.temperature, self.max_output_tokens, h)
         return f"{self.question_id}|{self.phase}|{self.sample_index}|{h}"
 
     def __post_init__(self) -> None:
@@ -88,7 +99,7 @@ class CompletionRequest:
             raise ConfigError(f"unknown phase {self.phase!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Completion:
     text: str
     prompt_tokens: int

@@ -60,7 +60,7 @@ def check_subsets(subsets: Sequence[str]) -> None:
             raise ConquerError(f"unknown subset {name!r}; choose from {allowed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConquerOutcome:
     question_id: str
     strategy: str

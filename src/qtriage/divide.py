@@ -62,7 +62,7 @@ class InferenceRecord:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnswerHistogram:
     """Counts of parsed answers for one question's samples."""
 
@@ -168,7 +168,7 @@ def assign_fine_bin(cs: Fraction, mu: Fraction, nu: Fraction) -> str:
     return "low_top" if cs > FINE_SPLIT else "low_bottom"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfidenceReport:
     question_id: str
     histogram: AnswerHistogram
@@ -227,12 +227,13 @@ def partition(reports: Sequence[ConfidenceReport]) -> dict[str, list[str]]:
     return out
 
 
-def extract_for(q: Question, text: str) -> Optional[str]:
-    """The answer a completion gives to `q`: a number for cloze, else a label."""
+def extract_for(q: Question, text: str, labels: set[str]) -> Optional[str]:
+    """The answer a completion gives to `q`: a number for cloze, else one of `labels`,
+    the set of `q.labels()`."""
     if q.kind == "cloze" or not q.choices:
         ans = extract_numeric_answer(text)
     else:
-        ans = extract_choice_answer(text, set(q.labels()))
+        ans = extract_choice_answer(text, labels)
     return ans.value if ans.is_parsed else None
 
 
@@ -265,10 +266,11 @@ def sample(
     `vote_decided` has not settled. Each round is one `execute` batch, in plan order.
     """
     records: list[list[InferenceRecord]] = [[] for _ in plans]
+    labels = [set(q.labels()) for q, _ in plans]
     batch = [(i, r) for i, (_, reqs) in enumerate(plans) for r in reqs[: first(len(reqs))]]
     while batch:
         for (i, req), comp in zip(batch, execute([r for _, r in batch], backend, parallelism)):
-            answer = extract_for(plans[i][0], comp.text)
+            answer = extract_for(plans[i][0], comp.text, labels[i])
             records[i].append(InferenceRecord(req.question_id, req.phase, req.sample_index,
                                               comp.text, answer, comp.prompt_tokens,
                                               comp.output_tokens))

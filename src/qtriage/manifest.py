@@ -116,7 +116,7 @@ def dataset_spec(settings: dict) -> DatasetSpec:
 _TRANSPORT = ("backend.kind", "backend.endpoint", "backend.max_attempts", "backend.base_delay")
 _RUN = ("dataset", "backend")  # the stored sections; the run id hashes them less _TRANSPORT
 # The input files: hashed into run_id by content; stored relative to the run dir if in it.
-_INPUTS = ("dataset.path", "backend.profiles")
+INPUTS = ("dataset.path", "backend.profiles")
 PROFILES = "profiles.jsonl"  # in a run dir: the profiles `simulate` generated
 
 
@@ -185,7 +185,7 @@ class RunManifest:
                            if dotted in _TRANSPORT or dotted.split(".")[0] not in _RUN})
                   for label, tree in sources]
         settings = parse_config(*others, (f"{self.path}: config", {**self.config, "seed": self.seed}))
-        for dotted in filter(settings.get, _INPUTS):
+        for dotted in filter(settings.get, INPUTS):
             settings[dotted] = str(self.run_dir / settings[dotted])
         return settings
 
@@ -293,19 +293,23 @@ def derive_run_id(config: dict, seed: int) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def new_manifest(config: dict, seed: int, run_dir: str | Path) -> RunManifest:
+def new_manifest(config: dict, seed: int, run_dir: str | Path,
+                 inputs: Optional[dict[str, bytes]] = None) -> RunManifest:
     """A run of the config tree `config` (or its settings), which `parse_config` checks.
     It stores the tree's `stored_config`, each input path relative to `run_dir` if in it,
     else absolute; its run id hashes that less how requests travel, with each input
-    file by content. An unreadable input file raises `ConfigError` naming its key."""
+    file by content: its bytes in `inputs` under its dotted key, if its caller read
+    them, else the file's. An unreadable input file raises `ConfigError` naming its key."""
     settings = parse_config(("config", config))
     settings["dataset.name"] = dataset_spec(settings).name  # before a path becomes its digest
     paths, computed = {}, dict.fromkeys(_TRANSPORT)
     root = Path(run_dir).resolve()
-    for dotted in filter(settings.get, _INPUTS):
+    for dotted in filter(settings.get, INPUTS):
         path = Path(settings[dotted]).resolve()
         try:
-            computed[dotted] = hashlib.sha256(path.read_bytes()).hexdigest()
+            data = (inputs or {}).get(dotted)
+            data = path.read_bytes() if data is None else data
+            computed[dotted] = hashlib.sha256(data).hexdigest()
         except OSError as exc:
             raise ConfigError(f"config {dotted} is unreadable: {exc}") from None
         paths[dotted] = str(path.relative_to(root) if path.is_relative_to(root) else path)

@@ -332,13 +332,15 @@ def _question_from_record(rec: dict, schema: str) -> Question:
     )
 
 
-def load_dataset(path: str | Path, schema: str = "mcq-jsonl") -> list[Question]:
-    """The questions of a JSONL file; a bad record raises `DatasetError` naming file and line."""
+def load_dataset(path: str | Path, schema: str = "mcq-jsonl",
+                 data: Optional[bytes] = None) -> list[Question]:
+    """The questions of a JSONL file or its `data`; a bad record raises `DatasetError`
+    naming file and line."""
     if schema not in SCHEMAS:
         raise DatasetError(f"unknown schema {schema!r}")
     questions: list[Question] = []
     seen_ids: set[str] = set()
-    for lineno, rec in read_jsonl(path, DatasetError):
+    for lineno, rec in read_jsonl(path, DatasetError, data):
         try:
             q = _question_from_record(rec, schema)
             if q.id in seen_ids:

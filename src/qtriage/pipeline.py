@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
@@ -29,7 +29,7 @@ from .divide import (
     records_from_transcript,
     run_divide,
 )
-from .manifest import ManifestError, RunManifest, dataset_spec, new_manifest, parse_config
+from .manifest import INPUTS, ManifestError, RunManifest, dataset_spec, new_manifest, parse_config
 from .model import DatasetSpec, Question, encode_jsonl, load_dataset
 from .prompts import strategy_row
 from .report import (
@@ -201,6 +201,8 @@ class Run:
     settings: dict
     seed: int
     run_dir: str | Path
+    # input file's dotted key -> its bytes, or None if unreadable; see `_input`
+    _inputs: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def open(cls, *sources: tuple[str, dict]) -> "Run":
@@ -210,22 +212,39 @@ class Run:
         run.manifest = manifest
         return run
 
+    def _input(self, dotted: str) -> Optional[bytes]:
+        """The bytes of the input file the setting `dotted` names; None if unreadable, so
+        the part that needs them names the error. Until the run has its manifest they
+        are kept for it to hash, so the part that parses them and the new manifest
+        share one read."""
+        if dotted not in self._inputs:
+            try:
+                data = Path(self.settings[dotted]).read_bytes()
+            except OSError:
+                data = None
+            if "manifest" in self.__dict__:
+                return data
+            self._inputs[dotted] = data
+        return self._inputs[dotted]
+
     @cached_property
     def manifest(self) -> RunManifest:
-        return new_manifest(self.settings, self.seed, self.run_dir)
+        inputs = {dotted: self._input(dotted) for dotted in INPUTS if self.settings[dotted]}
+        self._inputs.clear()  # hashed now; a part built later reads its own file
+        return new_manifest(self.settings, self.seed, self.run_dir, inputs)
 
     @cached_property
     def profile_file(self) -> tuple[Optional[dict], dict]:
         """The `backend.profiles` file's profiles and assertions record; (None, {}) unset."""
         path = self.settings["backend.profiles"]
-        return load_profile_file(path) if path else (None, {})
+        return load_profile_file(path, self._input("backend.profiles")) if path else (None, {})
 
     @cached_property
     def questions(self) -> list[Question]:
         """`dataset.path`'s questions, whatever the backend, else the profiles'."""
         s = self.settings
         if s["dataset.path"]:
-            return load_dataset(s["dataset.path"], schema=s["dataset.schema"])
+            return load_dataset(s["dataset.path"], s["dataset.schema"], self._input("dataset.path"))
         if s["backend.profiles"]:
             return questions_from_profiles(self.profile_file[0])
         raise ConfigError("no dataset.path configured and no backend.profiles to derive one from")

@@ -16,6 +16,13 @@ the assumptions it makes about a model:
 - `noise_rate` is the share of completions that drop the answer sentinel.
 - Rationale lengths are exponential with the profile's mean, with a minimum of 20.
 - Tokens are counted as len/4, at least 1, for prompt and output.
+
+The samples of a plan differ only in their sample index, so `MockBackend`
+derives once per plan what they share: the draw table (sorted support,
+cumulative probabilities, answer lines) and the prompt's digest. It keeps the
+last of each beside what it was derived from (profile, `label_map` and uplift;
+prompt), so neither ever changes a completion, and a request that matches
+neither derives it afresh.
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ import random
 import threading
 from dataclasses import asdict, dataclass
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .backend import Backend, Completion, CompletionRequest, ConfigError, _short_hash
 from .model import LABELS, DatasetError, Question, parse_as, read_jsonl, write_atomic
@@ -64,11 +72,14 @@ def load_profiles(path: str | Path) -> dict[str, QuestionProfile]:
     return load_profile_file(path)[0]
 
 
-def load_profile_file(path: str | Path) -> tuple[dict[str, QuestionProfile], dict]:
-    """Read a profile JSONL; a record with an 'assertions' key configures simulator checks."""
+def load_profile_file(
+    path: str | Path, data: Optional[bytes] = None
+) -> tuple[dict[str, QuestionProfile], dict]:
+    """Read a profile JSONL or its `data`; a record with an 'assertions' key configures
+    simulator checks."""
     profiles: dict[str, QuestionProfile] = {}
     assertions: dict = {}
-    for lineno, rec in read_jsonl(path, ConfigError):
+    for lineno, rec in read_jsonl(path, ConfigError, data):
         where = f"{path} line {lineno}"
         if "assertions" in rec and "question_id" not in rec:
             if not isinstance(rec["assertions"], dict):
@@ -116,7 +127,7 @@ _FILLER_WORDS = (
     "then compare the remaining possibilities before settling on one"
 ).split()
 
-_NOISE_ENDING = "i cannot settle on a single option here."
+_NOISE_ENDING = "\ni cannot settle on a single option here."
 
 
 def _rotation(start: int) -> tuple[str, list[int]]:
@@ -142,6 +153,21 @@ def _filler(start: int, target: int) -> str:
     return (text * (cycles + 1))[:size - 1] if size else ""
 
 
+def _answer_line(value: str) -> str:
+    """The line a completion that emits `value` ends with; a label goes in parentheses."""
+    if len(value) == 1 and value.isupper():
+        return f"\nSo the answer is ({value})."
+    return f"\nSo the answer is {value}."
+
+
+class _DrawTable(NamedTuple):
+    """What the samples of one plan share: its emitted values in sorted order."""
+
+    cumulative: list[float]  # each value's cumulative probability, summed in that order
+    endings: list[str]  # each value's answer line
+    greedy: str  # the answer line of the argmax, a tie going to the first value
+
+
 class MockBackend(Backend):
     """Deterministic simulator: draws answers from per-question profiles, under
     the assumptions the module docstring lists."""
@@ -161,49 +187,41 @@ class MockBackend(Backend):
         self.gold_uplift = gold_uplift
         self.calls = 0
         self._lock = threading.Lock()
+        # The last request's shared work, each one tuple so a thread swaps it whole:
+        # (prompt, its digest) and (profile, label_map, uplifted, draw table).
+        self._digest: tuple = (None, "")
+        self._table: tuple = (None, None, None, None)
 
     def _rng(self, req: CompletionRequest) -> random.Random:
+        prompt, digest = self._digest
+        if prompt != req.prompt:
+            prompt, digest = self._digest = (req.prompt, _short_hash(req.prompt))
         material = (
-            f"{self.seed}|{req.question_id}|{req.phase}|{req.sample_index}|"
-            f"{_short_hash(req.prompt)}"
+            f"{self.seed}|{req.question_id}|{req.phase}|{req.sample_index}|{digest}"
         ).encode("utf-8")
-        digest = hashlib.sha256(material).digest()
-        return random.Random(int.from_bytes(digest[:8], "big"))
+        return random.Random(int.from_bytes(hashlib.sha256(material).digest()[:8], "big"))
 
-    def _effective_distribution(self, profile: QuestionProfile, req: CompletionRequest):
-        """Distribution over emitted values after `label_map` and the strategy's effect."""
+    def _draw_table(self, profile: QuestionProfile, label_map, uplifted: bool) -> _DrawTable:
+        """The draw table of the distribution over emitted values after `label_map`
+        and the strategy's effect."""
         dist = dict(profile.answer_distribution)
-        emit_as = {value: value for value in dist}
-
-        label_map = req.metadata.get("label_map")
+        rename = {}  # a value the label map renames -> the label it is emitted as
         if label_map:
-            allowed = {orig for _, orig in label_map}
             rename = {orig: new for new, orig in label_map}
-            dist = {k: v for k, v in dist.items() if k in allowed}
+            dist = {k: v for k, v in dist.items() if k in rename}
             if not dist:
                 raise ConfigError(
-                    f"profile {profile.question_id}: no probability mass on labels {sorted(allowed)}"
+                    f"profile {profile.question_id}: no probability mass on labels {sorted(rename)}"
                 )
-            emit_as = {k: rename[k] for k in dist}
 
-        if req.metadata.get("strategy") in UPLIFTED and profile.gold in dist:
+        if uplifted and profile.gold in dist:
             dist[profile.gold] *= self.gold_uplift
 
         total = sum(dist.values())
-        dist = {k: v / total for k, v in dist.items()}
-        return dist, emit_as
-
-    def _draw(self, dist: dict[str, float], temperature: float, rng: random.Random) -> str:
-        items = sorted(dist.items())
-        if temperature == 0:
-            return max(items, key=lambda kv: kv[1])[0]
-        u = rng.random()
-        acc = 0.0
-        for value, p in items:
-            acc += p
-            if u < acc:
-                return value
-        return items[-1][0]
+        items = sorted((k, v / total) for k, v in dist.items())
+        endings = [_answer_line(rename.get(k, k)) for k, _ in items]
+        greedy = endings[items.index(max(items, key=lambda kv: kv[1]))]
+        return _DrawTable(list(accumulate(p for _, p in items)), endings, greedy)
 
     def _rationale(self, mean_len: int, rng: random.Random) -> str:
         target = max(20, int(-mean_len * math.log(1.0 - rng.random())))
@@ -216,17 +234,24 @@ class MockBackend(Backend):
         with self._lock:
             self.calls += 1
         rng = self._rng(req)
-        dist, emit_as = self._effective_distribution(profile, req)
-        drawn = self._draw(dist, req.temperature, rng)
-        emitted = emit_as[drawn]
+        label_map = req.metadata.get("label_map")
+        label_map = tuple(map(tuple, label_map)) if label_map else ()
+        uplifted = req.metadata.get("strategy") in UPLIFTED
+        known, known_map, known_uplifted, table = self._table
+        if not (known is profile and known_map == label_map and known_uplifted is uplifted):
+            table = self._draw_table(profile, label_map, uplifted)
+            self._table = (profile, label_map, uplifted, table)
+        if req.temperature == 0:
+            ending = table.greedy
+        else:  # the first value whose cumulative probability exceeds a uniform draw
+            cumulative = table.cumulative
+            ending = table.endings[min(bisect.bisect_right(cumulative, rng.random()),
+                                       len(cumulative) - 1)]
 
         body = self._rationale(profile.rationale_length_mean, rng)
         if self.noise_rate > 0 and rng.random() < self.noise_rate:
-            text = f"{body}\n{_NOISE_ENDING}"
-        elif len(emitted) == 1 and emitted.isupper():
-            text = f"{body}\nSo the answer is ({emitted})."
-        else:
-            text = f"{body}\nSo the answer is {emitted}."
+            ending = _NOISE_ENDING
+        text = body + ending
 
         return Completion(
             text=text,

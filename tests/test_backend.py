@@ -185,6 +185,38 @@ class TestMockBackend:
         with pytest.raises(ConfigError):
             MockBackend({"q1": profile(dist={"A": 0.5, "B": 0.6})}, seed=0)
 
+    # Two questions whose argmax moves with the label map and with the gold's uplift.
+    PURE = {"q1": profile("q1", {"A": 0.4, "B": 0.3, "C": 0.2, "D": 0.1}, gold="B"),
+            "q2": profile("q2", {"A": 0.1, "B": 0.2, "C": 0.3, "D": 0.4}, gold="A")}
+    LABEL_MAPS = (None, (("A", "B"), ("B", "C")), (("A", "D"), ("B", "A")))
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(sorted(PURE)), st.sampled_from(["which one?", "pick a letter"]),
+        st.sampled_from(LABEL_MAPS), st.booleans(), st.sampled_from([None, "ZTCOT", "PKR"]),
+        st.sampled_from([0, 0.0, -0.0, 0.7]), st.sampled_from([256, 256.0]),
+        st.integers(0, 3), st.sampled_from(["divide", "conquer"]),
+    ), max_size=30))
+    def test_a_completion_is_a_pure_function_of_its_request(self, draws):
+        # One backend over interleaved plans answers each request as a fresh one
+        # answers it alone, and each key is the direct hash of its fields.
+        def mock():
+            return MockBackend(self.PURE, seed=5, noise_rate=0.3, gold_uplift=3.0)
+
+        backend = mock()
+        for qid, prompt, label_map, as_lists, strategy, temperature, limit, idx, phase in draws:
+            metadata = {} if strategy is None else {"strategy": strategy}
+            if label_map:
+                metadata["label_map"] = [list(p) for p in label_map] if as_lists else label_map
+            r = CompletionRequest(
+                prompt=prompt[:2] + prompt[2:], temperature=temperature,  # an equal, new str
+                max_output_tokens=limit, sample_index=idx, question_id=qid, phase=phase,
+                metadata=metadata,
+            )
+            assert backend.complete(r) == mock().complete(r)
+            material = f"{float(temperature)!r}|{limit}|{prompt}".encode("utf-8")
+            h = hashlib.sha256(material).hexdigest()[:16]
+            assert r.key() == f"{qid}|{phase}|{idx}|{h}"
+
 
 def test_backend_lends_the_benchmark_only_its_three_simulator_names():
     from qtriage import backend, synth

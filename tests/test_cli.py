@@ -167,9 +167,9 @@ class TestDivideCommand:
         reads = []
         read = synth.read_jsonl  # the profile file's one reader, whoever asks for it
 
-        def counted(path, error):
+        def counted(path, error, data=None):
             reads.append(path)
-            return read(path, error)
+            return read(path, error, data)
 
         monkeypatch.setattr(synth, "read_jsonl", counted)
         config = tmp_path / "config.json"
@@ -982,8 +982,9 @@ class TestReportCommand:
             assert opens[before:].count("partition.jsonl") == 1, command
 
     def test_each_command_opens_each_run_file_at_most_once(self, runner, tmp_path, monkeypatch):
-        # divide hashes the partition as it wrote it, without reading it back;
-        # conquer and report read manifest.json and the partition once each.
+        # divide hashes the partition as it wrote it, without reading it back, and
+        # hashes the dataset and profiles as it read them to parse them; conquer and
+        # report read manifest.json and the partition once each.
         config = write_config(tmp_path, tmp_path / "run")
         base = ["--config", str(config), "--seed", "42"]
         opens = []
@@ -995,7 +996,8 @@ class TestReportCommand:
 
         monkeypatch.setattr(Path, "open", counted)
         once = {"partition.jsonl": 1, "manifest.json": 1}
-        for command, expected in ((["divide"], {"partition.jsonl": 0}),
+        inputs = {"partition.jsonl": 0, TOY_DATA.name: 1, TOY_PROFILES.name: 1}
+        for command, expected in ((["divide"], inputs),
                                   (["conquer", "--strategy", "pkr"], once), (["report"], once)):
             opens.clear()
             result = runner.invoke(main, base + command)

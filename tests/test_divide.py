@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -215,6 +216,27 @@ class TestRunDivide:
         path = tmp_path / "partition.jsonl"
         encode_jsonl(path, reports)
         assert load_reports(path) == reports
+
+    def test_a_plan_hashes_its_prompt_once_and_each_sample_seed_once(
+        self, tmp_path, monkeypatch
+    ):
+        # The t samples of a plan share its prompt: the request key and the mock
+        # hash it once per plan, and only each sample's seed takes a hash of its own.
+        n, t = 12, 5
+        questions, profiles = generate_synthetic(n, seed=3)
+        calls = []
+        sha256 = hashlib.sha256
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sha256(*args, **kwargs)
+
+        with TranscriptCache(tmp_path / "transcript.jsonl") as cache:
+            backend = CachingBackend(MockBackend(profiles, seed=1), cache)
+            monkeypatch.setattr(hashlib, "sha256", counted)
+            reports, _ = run_divide(questions, spec(t), backend)
+        assert len(reports) == n and len(cache) == n * t
+        assert len(calls) <= n * (t + 2)
 
 
 class TestRecordsFromTranscript:
