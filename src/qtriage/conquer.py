@@ -12,16 +12,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from .backend import Backend, CompletionRequest
+from .backend import Backend
 from .divide import (
-    DEFAULT_MAX_OUTPUT_TOKENS,
     LOW_BINS,
     SUBSETS,
     AnswerHistogram,
     ConfidenceReport,
     InferenceRecord,
+    Plan,
     histogram_from_answers,
     majority_answer,
     questions_for,
@@ -146,18 +146,6 @@ def filter_choices(q: Question, h: AnswerHistogram) -> tuple[Question, LabelMapp
     return restrict_choices(q, [(lab, content) for lab, content in q.choices if lab in h.counts])
 
 
-class _Plan(NamedTuple):
-    """One question's conquer work, split so many questions can share one batch."""
-
-    question_id: str
-    strategy: str  # as asked for; an unparsed question is asked with the ZTCOT prompt
-    self_consistency: bool
-    mapping: Optional[LabelMapping]
-    answer: Optional[str]  # before any call: the one surviving choice, else None
-    asked: Question  # the question as the prompt poses it
-    requests: tuple[CompletionRequest, ...]
-
-
 def _plan_item(
     q: Question,
     report: ConfidenceReport,
@@ -169,15 +157,19 @@ def _plan_item(
     rationale_select: str = "longest",
     seed: Optional[int] = None,
     tail_override: Optional[str] = None,
-) -> _Plan:
-    """Plan one question's requests; `own_records` are its divide records.
+) -> tuple[Plan, Optional[LabelMapping], Optional[str]]:
+    """Plan one question's samples; `own_records` are its divide records.
+
+    Returns the plan, the mapping from the labels it asks with to the
+    question's own, and the answer known before any call: a single surviving
+    choice needs no call, so its plan has no samples and no prompt; else None.
 
     `prior` holds what the question's divide result gives every strategy (see
     `run_conquer`); a part it lacks is derived here and added to it.
     A question with no parsed divide answer has no choice to filter by and no
     rationale to reuse, so every strategy asks it with the ZTCOT prompt.
     """
-    asked_for, row = strategy, strategy_row(strategy)
+    row = strategy_row(strategy)
     if not report.histogram.counts:
         strategy, row = "ZTCOT", STRATEGIES["ZTCOT"]
     working = q
@@ -187,9 +179,8 @@ def _plan_item(
             prior[q.id] = filter_choices(q, report.histogram)
         working, mapping = prior[q.id]
         if len(working.choices) == 1:
-            # A single surviving option needs no model call.
-            return _Plan(q.id, asked_for, self_consistency, mapping,
-                         mapping.to_original("A"), working, ())
+            answer = mapping.to_original("A")
+            return Plan(working, "", 0, "conquer", GREEDY_TEMPERATURE), mapping, answer
 
     rationales = None
     if row.rationales:
@@ -204,43 +195,36 @@ def _plan_item(
     metadata: dict = {"strategy": strategy}
     if mapping is not None:
         metadata["label_map"] = mapping.forward
-
-    n_samples = sc_samples if self_consistency else 1
-    temperature = SC_TEMPERATURE if self_consistency else GREEDY_TEMPERATURE
-    requests = tuple(
-        CompletionRequest(
-            prompt=prompt,
-            temperature=temperature,
-            max_output_tokens=DEFAULT_MAX_OUTPUT_TOKENS,
-            sample_index=j,
-            question_id=q.id,
-            phase="conquer",
-            metadata=metadata,
-        )
-        for j in range(n_samples)
-    )
-    return _Plan(q.id, asked_for, self_consistency, mapping, None, working, requests)
+    n, temperature = (sc_samples, SC_TEMPERATURE) if self_consistency else (1, GREEDY_TEMPERATURE)
+    return Plan(working, prompt, n, "conquer", temperature, metadata), mapping, None
 
 
-def _fold_item(plan: _Plan, records: Sequence[InferenceRecord]) -> ConquerOutcome:
-    """Vote over the records of one question's issued samples and map the answer back."""
+def _final_answer(
+    records: Sequence[InferenceRecord], mapping: Optional[LabelMapping], answer: Optional[str]
+) -> Optional[str]:
+    """The vote over one question's issued samples, in its own labels; `answer`
+    when none parsed."""
     hist = histogram_from_answers([r.answer for r in records])
-    final = plan.answer
-    if hist.counts:
-        emitted = majority_answer(hist)
-        final = plan.mapping.to_original(emitted) if plan.mapping else emitted
-    return ConquerOutcome(plan.question_id, plan.strategy, plan.self_consistency, final,
-                          tuple(records), plan.mapping)
+    if not hist.counts:
+        return answer
+    emitted = majority_answer(hist)
+    return mapping.to_original(emitted) if mapping else emitted
 
 
 def _conquer_plans(
-    plans: Sequence[_Plan], backend: Backend, parallelism: int = 1
+    items: Sequence[tuple[Plan, Optional[LabelMapping], Optional[str]]],
+    strategy: str,
+    self_consistency: bool,
+    backend: Backend,
+    parallelism: int = 1,
 ) -> list[ConquerOutcome]:
-    """Sample each plan until its vote is decided, round 1 asking ceil(n/2) of
-    its n samples since that many equal answers already win; then fold."""
-    sampled = sample([(p.asked, p.requests) for p in plans], backend, parallelism,
+    """Sample each `_plan_item` plan until its vote is decided, round 1 asking
+    ceil(n/2) of its n samples since that many equal answers already win; then vote."""
+    sampled = sample([plan for plan, _, _ in items], backend, parallelism,
                      first=lambda n: (n + 1) // 2)
-    return list(map(_fold_item, plans, sampled))
+    return [ConquerOutcome(plan.asked.id, strategy, self_consistency,
+                           _final_answer(records, mapping, answer), tuple(records), mapping)
+            for (plan, mapping, answer), records in zip(items, sampled)]
 
 
 def conquer_item(
@@ -249,15 +233,17 @@ def conquer_item(
     strategy: str,
     backend: Backend,
     divide_records: Sequence[InferenceRecord] = (),
+    self_consistency: bool = False,
     **options,
 ) -> ConquerOutcome:
     """Run one conquer strategy on one question and map the answer back.
 
-    `options` are those of `run_conquer` past `parallelism`: self_consistency,
-    sc_samples, rationale_select, seed, tail_override.
+    `options` are those of `run_conquer` past `self_consistency`: sc_samples,
+    rationale_select, seed, tail_override.
     """
     own = [r for r in divide_records if r.question_id == q.id]
-    return _conquer_plans([_plan_item(q, report, strategy, own, {}, **options)], backend)[0]
+    item = _plan_item(q, report, strategy, own, {}, self_consistency, **options)
+    return _conquer_plans([item], strategy, self_consistency, backend)[0]
 
 
 def run_conquer(
@@ -269,6 +255,7 @@ def run_conquer(
     subsets: Sequence[str] = ("med", "low"),
     parallelism: int = 1,
     prior: Optional[dict] = None,
+    self_consistency: bool = False,
     **options,
 ) -> list[ConquerOutcome]:
     """Conquer every question routed to one of the selected subsets.
@@ -290,11 +277,12 @@ def run_conquer(
         records_by_id.setdefault(rec.question_id, []).append(rec)
     selected = [r for r in reports if r.subset in subsets or r.fine_bin in subsets]
     prior = {} if prior is None else prior
-    plans = [
-        _plan_item(q, r, strategy, records_by_id.get(r.question_id, ()), prior, **options)
+    items = [
+        _plan_item(q, r, strategy, records_by_id.get(r.question_id, ()), prior,
+                   self_consistency, **options)
         for q, r in zip(questions_for(questions, selected), selected)
     ]
-    outcomes = _conquer_plans(plans, backend, parallelism)
+    outcomes = _conquer_plans(items, strategy, self_consistency, backend, parallelism)
     outcomes.sort(key=lambda o: o.question_id)
     return outcomes
 

@@ -7,7 +7,7 @@ by the (mu, nu) thresholds, with a finer split of the low subset at 0.4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter, itemgetter
@@ -237,46 +237,55 @@ def extract_for(q: Question, text: str, labels: set[str]) -> Optional[str]:
     return ans.value if ans.is_parsed else None
 
 
-def divide_requests(q: Question, samples: int) -> list[CompletionRequest]:
-    """The ZTCOT requests divide issues for `q`; replay asks the transcript for them."""
-    prompt = build_prompt(q, "ZTCOT")
-    return [
-        CompletionRequest(
-            prompt=prompt,
-            temperature=DIVIDE_TEMPERATURE,
-            max_output_tokens=DEFAULT_MAX_OUTPUT_TOKENS,
-            sample_index=j,
-            question_id=q.id,
-            phase="divide",
-        )
-        for j in range(samples)
-    ]
+@dataclass(frozen=True, slots=True)
+class Plan:
+    """One prompt to sample up to `n` times for one question: the question's
+    divide work, or its conquer work under one strategy."""
+
+    asked: Question  # the question as the prompt poses it
+    prompt: str
+    n: int
+    phase: str
+    temperature: float
+    # How the prompt was built; every request of the plan shares this dict.
+    metadata: dict = field(default_factory=dict, compare=False)
+
+    def request(self, j: int) -> CompletionRequest:
+        """Sample j's request."""
+        return CompletionRequest(self.prompt, self.temperature, DEFAULT_MAX_OUTPUT_TOKENS, j,
+                                 self.asked.id, self.phase, self.metadata)
+
+
+def divide_plan(q: Question, samples: int) -> Plan:
+    """The ZTCOT plan divide samples `q` by; replay asks the transcript for its requests."""
+    return Plan(q, build_prompt(q, "ZTCOT"), samples, "divide", DIVIDE_TEMPERATURE)
 
 
 def sample(
-    plans: Sequence[tuple[Question, Sequence[CompletionRequest]]],
+    plans: Sequence[Plan],
     backend: Backend,
     parallelism: int = 1,
     first: Callable[[int], int] = lambda n: n,
 ) -> list[list[InferenceRecord]]:
-    """Each plan's records in sample order; a plan is a question as asked and its requests.
+    """Each plan's records in sample order.
 
-    Round 1 issues the first `first(n)` of each plan's n requests, by default
-    all of them; each later round, the next request of every plan whose vote
-    `vote_decided` has not settled. Each round is one `execute` batch, in plan order.
+    Round 1 issues the first `first(n)` of each plan's n samples, by default
+    all of them; each later round, the next sample of every plan whose vote
+    `vote_decided` has not settled. Each round is one `execute` batch, in plan
+    order, and a sample's request is built only when it is issued.
     """
     records: list[list[InferenceRecord]] = [[] for _ in plans]
-    labels = [set(q.labels()) for q, _ in plans]
-    batch = [(i, r) for i, (_, reqs) in enumerate(plans) for r in reqs[: first(len(reqs))]]
+    labels = [set(p.asked.labels()) for p in plans]
+    batch = [(i, p.request(j)) for i, p in enumerate(plans) for j in range(first(p.n))]
     while batch:
         for (i, req), comp in zip(batch, execute([r for _, r in batch], backend, parallelism)):
-            answer = extract_for(plans[i][0], comp.text, labels[i])
+            answer = extract_for(plans[i].asked, comp.text, labels[i])
             records[i].append(InferenceRecord(req.question_id, req.phase, req.sample_index,
                                               comp.text, answer, comp.prompt_tokens,
                                               comp.output_tokens))
-        left = {i: len(plans[i][1]) - len(records[i]) for i, _ in batch}  # samples not issued
-        batch = [(i, plans[i][1][-n]) for i, n in left.items() if n and not vote_decided(
-            histogram_from_answers([r.answer for r in records[i]]), n)]
+        left = {i: plans[i].n - len(records[i]) for i, _ in batch}  # samples not issued
+        batch = [(i, plans[i].request(len(records[i]))) for i, n in left.items() if n and
+                 not vote_decided(histogram_from_answers([r.answer for r in records[i]]), n)]
     return records
 
 
@@ -291,8 +300,7 @@ def run_divide(
     All samples are `sample`'s first round, one batch in question order, so
     output is independent of completion order.
     """
-    sampled = sample([(q, divide_requests(q, spec.divide_base)) for q in questions],
-                     backend, parallelism)
+    sampled = sample([divide_plan(q, spec.divide_base) for q in questions], backend, parallelism)
     reports = [report_for(q.id, histogram_from_answers([r.answer for r in recs]), spec)
                for q, recs in zip(questions, sampled)]
     return reports, sorted(chain(*sampled), key=BY_QUESTION)
@@ -320,13 +328,14 @@ def records_from_transcript(
     questions: Sequence[Question],
     reports: Sequence[ConfidenceReport],
 ) -> list[InferenceRecord]:
-    """The divide records behind each report: its own divide plan, replayed by
-    `sample` over the cache with no backend behind it.
+    """The divide records behind each report: the `divide_plan` of its question
+    at the report's sample count, replayed by `sample` over the cache with no
+    backend behind it, so each request is built as divide issued it.
 
     Raises `DatasetError` for a report whose question is not in `questions`,
     and `CacheMissError` naming the key of the first request the cache lacks.
     """
-    plans = [(q, divide_requests(q, r.histogram.total_samples))
+    plans = [divide_plan(q, r.histogram.total_samples)
              for q, r in zip(questions_for(questions, reports), reports)]
     try:
         sampled = sample(plans, CachingBackend(None, cache))

@@ -1548,10 +1548,10 @@ def _timeout(self, *args, **kwargs):
 
 
 def _first_divide_key():
-    from qtriage.divide import divide_requests
+    from qtriage.divide import divide_plan
     from qtriage.model import load_dataset
 
-    return f"request {divide_requests(load_dataset(TOY_DATA)[0], 5)[0].key()} failed after 2"
+    return f"request {divide_plan(load_dataset(TOY_DATA)[0], 5).request(0).key()} failed after 2"
 
 
 def _transcript_edit(edit, expect):

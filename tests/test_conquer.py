@@ -6,10 +6,16 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtriage.backend import Backend, Completion
+from qtriage.backend import (
+    Backend,
+    CachingBackend,
+    Completion,
+    CompletionRequest,
+    TranscriptCache,
+)
 from qtriage.conquer import (
     ConquerError,
-    _fold_item,
+    _final_answer,
     _plan_item,
     conquer_item,
     filter_choices,
@@ -489,6 +495,30 @@ class TestStopRule:
             assert not any(decided(answers[:j], n) for j in range((n + 1) // 2, k))
         assert backend.calls == sum(len(o.records) for o in outcomes)
 
+    def test_a_request_is_built_only_when_it_is_issued(self, tmp_path, monkeypatch):
+        # An SC plan that stops early leaves its later samples unbuilt: each phase
+        # constructs one request per completion it fetches, from the mock or the cache.
+        questions, profiles = generate_synthetic(300, family="second_gold", seed=7)
+        built = []
+        post_init = CompletionRequest.__post_init__
+
+        def counted(self):
+            built.append(self.phase)
+            post_init(self)
+
+        monkeypatch.setattr(CompletionRequest, "__post_init__", counted)
+        with TranscriptCache(tmp_path / "transcript.jsonl") as cache:
+            mock = MockBackend(profiles, seed=7, noise_rate=0.05)
+            backend = CachingBackend(mock, cache)
+            reports, records = run_divide(questions, spec(), backend)
+            assert built.count("divide") == mock.calls + backend.hits == 1500
+            mock.calls = backend.hits = 0
+            outcomes = run_conquer(questions, reports, "COM2", backend, divide_records=records,
+                                   self_consistency=True, sc_samples=5)
+        issued = sum(len(o.records) for o in outcomes)
+        assert built.count("conquer") == mock.calls + backend.hits == issued
+        assert issued < 5 * sum(bool(o.records) for o in outcomes)  # some SC plan stopped early
+
 
 class TestSCPrefix:
     @settings(max_examples=15, deadline=None)
@@ -512,12 +542,13 @@ class TestSCPrefix:
         )):
             # Every sample of the question in one batch, as before votes could stop early.
             own = [r for r in records if r.question_id == report.question_id]
-            plan = _plan_item(by_id[report.question_id], report, strategy, own, {}, **options)
-            full = sample([(plan.asked, plan.requests)], backend)[0]
+            plan, mapping, answer = _plan_item(by_id[report.question_id], report, strategy,
+                                               own, {}, **options)
+            full = sample([plan], backend)[0]
             assert outcome.question_id == report.question_id
             assert outcome.records == tuple(full[: len(outcome.records)])
             assert len(outcome.records) >= min(1, len(full))
-            assert outcome.final_answer == _fold_item(plan, full).final_answer
+            assert outcome.final_answer == _final_answer(full, mapping, answer)
 
 
 class BatchCounting(Backend):

@@ -217,11 +217,15 @@ class TestRunDivide:
         encode_jsonl(path, reports)
         assert load_reports(path) == reports
 
+    @pytest.mark.parametrize("conquer, ceiling", [(None, 12 * (5 + 2)), ("COM2", 80)],
+                             ids=["div", "sc"])
     def test_a_plan_hashes_its_prompt_once_and_each_sample_seed_once(
-        self, tmp_path, monkeypatch
+        self, conquer, ceiling, tmp_path, monkeypatch
     ):
         # The t samples of a plan share its prompt: the request key and the mock
         # hash it once per plan, and only each sample's seed takes a hash of its own.
+        # SC conquer's later rounds interleave plans, one sample each, so each of
+        # those samples hashes its prompt again; the ceiling is that count.
         n, t = 12, 5
         questions, profiles = generate_synthetic(n, seed=3)
         calls = []
@@ -234,9 +238,14 @@ class TestRunDivide:
         with TranscriptCache(tmp_path / "transcript.jsonl") as cache:
             backend = CachingBackend(MockBackend(profiles, seed=1), cache)
             monkeypatch.setattr(hashlib, "sha256", counted)
-            reports, _ = run_divide(questions, spec(t), backend)
-        assert len(reports) == n and len(cache) == n * t
-        assert len(calls) <= n * (t + 2)
+            reports, records = run_divide(questions, spec(t), backend)
+            assert len(reports) == n and len(cache) == n * t
+            if conquer is not None:
+                calls.clear()
+                outcomes = run_conquer(questions, reports, conquer, backend,
+                                       divide_records=records, self_consistency=True)
+                assert len(cache) - n * t == sum(len(o.records) for o in outcomes) == 40
+        assert len(calls) <= ceiling
 
 
 class TestRecordsFromTranscript:
